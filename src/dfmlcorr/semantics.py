@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import itertools
 import json
-from functools import cached_property
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .syntax import (
     SORT1, SORTD, And, AndF, Bot, Box, Dia, DfmlFormula, Eq, Exists, FalseF,
     FoFormula, Forall, Forall2, Imp, ImpF, IVar, Neg, NotF, Or, OrF, PredApp,
-    PropVar, PVar, RelAtom, Sequent, SortedFormula, SortedVar, STop, SBot,
+    PropVar, RelAtom, Sequent, SortedFormula, SortedVar, STop, SBot,
     Cap, Cup, Prime, DiaVert, DiaMinus, Box1, BoxD, BoxMinus, BoxVert, TDown,
-    BTDown, Odot, RSpoon, TRight, Top, TrueF, rel_signature,
+    BTDown, Odot, RSpoon, TRight, Top, TrueF, sorted_vars,
 )
 
 MAX_SORT_SIZE = 5
@@ -123,7 +125,7 @@ class FiniteFrame:
         return out
 
     def polar(self, sort: str, mask: int) -> int:
-        return self.polar1(mask) if sort == SORT1 else self.polard(mask)
+        return self._polar1_table[mask] if sort == SORT1 else self._polard_table[mask]
 
     @cached_property
     def _polar1_table(self):
@@ -180,24 +182,10 @@ class FiniteFrame:
         return out
 
     @cached_property
-    def rdia_arg(self):
-        out = [0] * self.n1
-        for u, z in self.r_dia:
-            out[u] |= 1 << z
-        return out
-
-    @cached_property
     def rbox_sec(self):
         out = [0] * self.nd
         for w, y in self.r_box:
             out[y] |= 1 << w
-        return out
-
-    @cached_property
-    def rbox_arg(self):
-        out = [0] * self.nd
-        for w, y in self.r_box:
-            out[w] |= 1 << y
         return out
 
     @cached_property
@@ -394,6 +382,11 @@ class FiniteFrame:
                 out |= 1 << q
         return out
 
+    @cached_property
+    def op_tables(self) -> "_OperatorTables":
+        """Operator name -> ``bytes`` table of its values, built on first use."""
+        return _OperatorTables(self)
+
     # -- axioms --------------------------------------------------------------
 
     def check_axioms(self, which=("F0", "F1", "F2", "F3")) -> dict:
@@ -488,6 +481,42 @@ class FiniteFrame:
         return (True, None)
 
 
+# Every mask fits in a byte, so an operator's values can be a ``bytes`` table.
+assert MAX_SORT_SIZE <= 8
+
+# The complex-algebra operators of ``FiniteFrame`` and the sorts of their
+# arguments.  A unary table is indexed by the argument mask; a binary one by
+# ``a << n_right | b``, with ``n_right`` the size of the right argument's sort.
+_OPERATOR_ARG_SORTS = {
+    "ldvert": (SORT1,), "ldminus": (SORTD,), "ltdown": (SORT1,),
+    "lbminus": (SORT1,), "lbvert": (SORTD,), "lbtdown": (SORTD,),
+    "bbox1": (SORT1,), "bboxd": (SORTD,),
+    "lodot": (SORT1, SORT1), "imp_t": (SORT1, SORT1), "ltright": (SORT1, SORTD),
+}
+
+
+class _OperatorTables(dict):
+    """A frame's operator tables, each built from its ``FiniteFrame`` method
+    the first time it is looked up."""
+
+    __slots__ = ("frame",)
+
+    def __init__(self, frame: FiniteFrame):
+        super().__init__()
+        self.frame = frame
+
+    def __missing__(self, op: str) -> bytes:
+        fr = self.frame
+        fn = getattr(fr, op)
+        sizes = [1 << (fr.n1 if sort == SORT1 else fr.nd) for sort in _OPERATOR_ARG_SORTS[op]]
+        if len(sizes) == 1:
+            table = bytes(fn(a) for a in range(sizes[0]))
+        else:
+            table = bytes(fn(a, b) for a in range(sizes[0]) for b in range(sizes[1]))
+        self[op] = table
+        return table
+
+
 # ---------------------------------------------------------------------------
 # Model checking
 # ---------------------------------------------------------------------------
@@ -537,13 +566,59 @@ def model_check_sorted(frame: FiniteFrame, valuation: dict, f: SortedFormula) ->
     raise TypeError(f"not a sorted formula: {f!r}")
 
 
+# Node type -> the operator whose table evaluates it.
+_OPERATOR_OF = {
+    DiaVert: "ldvert", DiaMinus: "ldminus", TDown: "ltdown", BoxMinus: "lbminus",
+    BoxVert: "lbvert", BTDown: "lbtdown", Box1: "bbox1", BoxD: "bboxd",
+    Odot: "lodot", RSpoon: "imp_t", TRight: "ltright",
+}
+
+
+def compile_sorted(f: SortedFormula, slots: dict) -> Callable[[FiniteFrame, list], int]:
+    """``f`` as a closure ``(frame, row) -> mask`` that agrees with
+    ``model_check_sorted``, the reference; ``row[slots[v]]`` is the mask of
+    variable ``v``.  Operators read the frame's ``op_tables``."""
+    kind = type(f)
+    if kind is SortedVar:
+        if f not in slots:
+            raise KeyError(f"no value for sorted variable {f}")
+        slot = slots[f]
+        return lambda fr, row: row[slot]
+    if kind is STop:
+        if f.sort == SORT1:
+            return lambda fr, row: fr.full1
+        return lambda fr, row: fr.fulld
+    if kind is SBot:
+        return lambda fr, row: 0
+    if kind is Cap or kind is Cup:
+        left, right = compile_sorted(f.left, slots), compile_sorted(f.right, slots)
+        if kind is Cap:
+            return lambda fr, row: left(fr, row) & right(fr, row)
+        return lambda fr, row: left(fr, row) | right(fr, row)
+    if kind is Prime:
+        arg = compile_sorted(f.arg, slots)
+        if f.arg.sort == SORT1:
+            return lambda fr, row: fr._polar1_table[arg(fr, row)]
+        return lambda fr, row: fr._polard_table[arg(fr, row)]
+    op = _OPERATOR_OF.get(kind)
+    if op is None:
+        raise TypeError(f"not a sorted formula: {f!r}")
+    if len(_OPERATOR_ARG_SORTS[op]) == 1:
+        arg = compile_sorted(f.arg, slots)
+        return lambda fr, row: fr.op_tables[op][arg(fr, row)]
+    left, right = compile_sorted(f.left, slots), compile_sorted(f.right, slots)
+    if f.right.sort == SORT1:
+        return lambda fr, row: fr.op_tables[op][left(fr, row) << fr.n1 | right(fr, row)]
+    return lambda fr, row: fr.op_tables[op][left(fr, row) << fr.nd | right(fr, row)]
+
+
 def model_check_dfml(frame: FiniteFrame, valuation: dict, f: DfmlFormula) -> tuple[int, int]:
     """Interpretation and co-interpretation of a modal formula.
 
     The valuation maps variable indices to Galois stable masks.
     """
     val = _dfml_value(frame, valuation, f)
-    return val, frame.polar1(val)
+    return val, frame._polar1_table[val]
 
 
 def _dfml_value(frame: FiniteFrame, valuation: dict, f: DfmlFormula) -> int:
@@ -706,63 +781,21 @@ def frame_validity(frame: FiniteFrame, s: Sequent) -> bool:
     return True
 
 
-def system_valuations(frame: FiniteFrame, systems) -> "itertools.product":
+def system_valuations(frame: FiniteFrame, systems) -> Iterator[dict]:
     """All valuations (SortedVar -> mask) satisfying every constraint of the
     given systems.
 
     Stability-constrained variables range over Galois sets of their sort,
     change-of-variable targets are computed from their source, and all other
-    variables range over arbitrary subsets.
+    variables range over arbitrary subsets.  Keys run over the free
+    variables in first-occurrence order, then the targets in the order they
+    are resolved.  Change-of-variable chains resolve whatever their length
+    and listing order; only a cycle of them, which fixes no target, leaves
+    no valuation.
     """
-    from .syntax import sorted_vars as svars
-    vs: list = []
-    stb_vars = set()
-    cvc_pairs = []
-    for sys in systems:
-        for f in (sys.main.lhs, sys.main.rhs):
-            for v in svars(f):
-                if v not in vs:
-                    vs.append(v)
-        for c in sys.stb:
-            stb_vars.add(c.var)
-            if c.var not in vs:
-                vs.append(c.var)
-        for c in sys.cvc:
-            cvc_pairs.append((c.var, c.source))
-            for v in (c.var, c.source):
-                if v not in vs:
-                    vs.append(v)
-    determined = {v for v, _ in cvc_pairs}
-    free = [v for v in vs if v not in determined]
-    spaces = []
-    for v in free:
-        if v in stb_vars:
-            spaces.append(frame.stable_sets(v.sort))
-        else:
-            spaces.append(range((frame.full1 if v.sort == SORT1 else frame.fulld) + 1))
-    for combo in itertools.product(*spaces):
-        val = dict(zip(free, combo))
-        ok = True
-        # change-of-variable chains: resolve until fixpoint
-        pending = list(cvc_pairs)
-        guard = 0
-        while pending and guard < 10:
-            guard += 1
-            rest = []
-            for tgt, src in pending:
-                if src in val:
-                    want = frame.polar(src.sort, val[src])
-                    if tgt in val and val[tgt] != want:
-                        ok = False
-                    val[tgt] = want
-                else:
-                    rest.append((tgt, src))
-            if len(rest) == len(pending):
-                break
-            pending = rest
-        if not ok or pending:
-            continue
-        yield val
+    plan = _systems_plan(tuple(systems))
+    for row in _plan_rows(frame, plan):
+        yield dict(zip(plan.keys, row))
 
 
 def system_holds(frame: FiniteFrame, sys, valuation: dict) -> bool:
@@ -773,11 +806,107 @@ def system_holds(frame: FiniteFrame, sys, valuation: dict) -> bool:
 
 def system_equivalence_witness(frame: FiniteFrame, sys1, sys2):
     """A valuation satisfying both systems' constraints on which exactly one
-    main inequality holds, or None when the systems agree everywhere."""
-    for val in system_valuations(frame, (sys1, sys2)):
-        if system_holds(frame, sys1, val) != system_holds(frame, sys2, val):
-            return val
+    main inequality holds, or None when the systems agree everywhere.
+
+    The pair is compiled once (``_systems_plan``, memoised) and evaluated
+    over the frame's operator tables; the witness is the first valuation of
+    ``system_valuations(frame, (sys1, sys2))`` on which ``system_holds``,
+    the reference, tells the systems apart.
+    """
+    plan = _systems_plan((sys1, sys2))
+    (lhs1, rhs1), (lhs2, rhs2) = plan.sides
+    for row in _plan_rows(frame, plan):
+        holds1 = not (lhs1(frame, row) & ~rhs1(frame, row))
+        if holds1 != (not (lhs2(frame, row) & ~rhs2(frame, row))):
+            return dict(zip(plan.keys, row))
     return None
+
+
+@dataclass(frozen=True)
+class _SystemsPlan:
+    """What ``system_valuations`` and ``system_equivalence_witness`` need of
+    some systems, worked out once.  A row holds one mask per slot: the free
+    variables first, then the change-of-variable targets."""
+
+    keys: tuple          # the variable in each slot
+    spaces: tuple        # (stability-constrained?, sort) per free variable
+    steps: tuple         # (target slot, source slot, source sort, check only?)
+    resolved: bool       # False when a cycle of changes of variable fixes no target
+    sides: tuple         # compiled (lhs, rhs) of each system's main inequality
+
+
+@lru_cache(maxsize=256)
+def _systems_plan(systems: tuple) -> _SystemsPlan:
+    vs: list = []
+    stb_vars = set()
+    cvc_pairs = []
+    for sys in systems:
+        for f in (sys.main.lhs, sys.main.rhs):
+            for v in sorted_vars(f):
+                if v not in vs:
+                    vs.append(v)
+        for c in sys.stb:
+            stb_vars.add(c.var)
+            if c.var not in vs:
+                vs.append(c.var)
+        for c in sys.cvc:
+            if (c.var, c.source) not in cvc_pairs:      # a repeat would only recheck
+                cvc_pairs.append((c.var, c.source))
+            for v in (c.var, c.source):
+                if v not in vs:
+                    vs.append(v)
+    determined = {v for v, _ in cvc_pairs}
+    keys = [v for v in vs if v not in determined]
+    spaces = tuple((v in stb_vars, v.sort) for v in keys)
+    # Resolve the changes of variable in passes over the pending ones, each
+    # as soon as its source is known; a second constraint on a known target
+    # becomes a check.  Stop when a pass makes no progress.
+    known = set(keys)
+    order = []
+    pending = cvc_pairs
+    while pending:
+        rest = []
+        for tgt, src in pending:
+            if src in known:
+                order.append((tgt, src, tgt in known))
+                if tgt not in known:
+                    known.add(tgt)
+                    keys.append(tgt)
+            else:
+                rest.append((tgt, src))
+        if len(rest) == len(pending):
+            break
+        pending = rest
+    keys += [v for v in vs if v not in known]
+    slots = {v: i for i, v in enumerate(keys)}
+    steps = tuple((slots[tgt], slots[src], src.sort, check) for tgt, src, check in order)
+    sides = tuple((compile_sorted(sys.main.lhs, slots), compile_sorted(sys.main.rhs, slots))
+                  for sys in systems)
+    return _SystemsPlan(tuple(keys), spaces, steps, not pending, sides)
+
+
+def _plan_rows(frame: FiniteFrame, plan: _SystemsPlan):
+    """Every row satisfying the plan's constraints on ``frame``.  The same
+    list is refilled and yielded each time; copy it to keep it."""
+    if not plan.resolved:
+        return
+    spaces = [frame.stable_sets(sort) if stable
+              else range((frame.full1 if sort == SORT1 else frame.fulld) + 1)
+              for stable, sort in plan.spaces]
+    steps = [(tgt, src, check, frame._polar1_table if sort == SORT1 else frame._polard_table)
+             for tgt, src, sort, check in plan.steps]
+    n_free = len(spaces)
+    row = [0] * len(plan.keys)
+    for combo in itertools.product(*spaces):
+        row[:n_free] = combo
+        for tgt, src, check, polar in steps:
+            want = polar[row[src]]
+            if not check:
+                row[tgt] = want
+            elif row[tgt] != want:
+                break
+        else:
+            yield row
 
 
 def correspondence_oracle(frame: FiniteFrame, s: Sequent, anchor: IVar,

@@ -811,6 +811,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
+        self.binders: list[tuple[IVar, str]] = []   # first-order binders in scope, as spelled
 
     def peek(self) -> str:
         return self.toks[self.i][0]
@@ -1069,14 +1070,17 @@ def _fo_formula(p: _Parser) -> FoFormula:
         var_tok = p.next()
         p.expect(".")
         pv = _PVAR_RE.match(var_tok)
-        body = _fo_formula(p) if p.peek() != "(" else _fo_parens_body(p)
         if pv:
+            body = _fo_formula(p) if p.peek() != "(" else _fo_parens_body(p)
             hat, digits = pv.groups()
             var = PVar(int(digits), SORTD if hat else SORT1)
             if var.sort != sort:
                 raise ParseError("quantifier sort does not match the variable", p.pos())
             return Forall2(var, body) if kind == "forall" else _no_exists2(p)
         var = _parse_ivar(var_tok, p)
+        p.binders.append((var, var_tok))
+        body = _fo_formula(p) if p.peek() != "(" else _fo_parens_body(p)
+        p.binders.pop()
         if var.sort != sort:
             raise ParseError("quantifier sort does not match the variable", p.pos())
         return (Forall if kind == "forall" else Exists)(var, body)
@@ -1095,12 +1099,24 @@ def _fo_parens_body(p: _Parser) -> FoFormula:
 
 
 def _parse_ivar(tok: str, p: _Parser) -> IVar:
+    """The variable ``tok`` names.  A sugar name (x z u w y v) and an indexed
+    one (x0-x3, y0-y1) may name the same variable, so inside a binder only
+    the binder's own spelling may be used: ``forall_d v. (v <= y1)`` is an
+    error, not a formula in which two variables silently merged."""
     m = _IVAR_RE.match(tok)
     if m:
-        return IVar(int(m.group(2)), SORT1 if m.group(1) == "x" else SORTD)
-    if tok in _IVAR_SUGAR:
-        return _IVAR_SUGAR[tok]
-    raise ParseError(f"expected an individual variable, found {tok!r}", p.pos())
+        var = IVar(int(m.group(2)), SORT1 if m.group(1) == "x" else SORTD)
+    elif tok in _IVAR_SUGAR:
+        var = _IVAR_SUGAR[tok]
+    else:
+        raise ParseError(f"expected an individual variable, found {tok!r}", p.pos())
+    for bound, bound_tok in reversed(p.binders):
+        if bound == var:
+            if (bound_tok in _IVAR_SUGAR) != (tok in _IVAR_SUGAR):
+                raise ParseError(f"{tok!r} occurs in the scope of {bound_tok!r}, "
+                                 f"another name of the same variable", p.pos())
+            break
+    return var
 
 
 def _fo_imp(p: _Parser) -> FoFormula:

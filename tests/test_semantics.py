@@ -1,18 +1,27 @@
 import itertools
 import json
 import random
+import time
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dfmlcorr.corpus import CORPUS
+from dfmlcorr.correspondence import compute_correspondent
+from dfmlcorr.reduction import ChangeOfVariables, FormalInequality, InequalitySystem
 from dfmlcorr.semantics import (
-    FiniteFrame, FrameSizeError, FrameValidationError, bits,
+    FiniteFrame, FrameSizeError, FrameValidationError, bits, compile_sorted,
     correspondence_oracle, enumerate_frames, eval_fo, frame_to_json,
     kripke_frame, load_frame, local_validity, model_check_dfml,
-    model_check_sorted, system_equivalence_witness,
+    model_check_sorted, separated_i_masks, system_equivalence_witness,
+    system_holds, system_valuations,
 )
 from dfmlcorr.syntax import (
-    SORT1, SORTD, IVar, NotF, PVar, RelAtom, SortedVar, parse_dfml,
-    parse_dfml_formula, parse_fo, parse_sorted,
+    SORT1, SORTD, BoxD, BoxMinus, BoxVert, BTDown, Box1, Cap, Cup, DiaMinus,
+    DiaVert, IVar, NotF, Odot, Prime, PVar, RelAtom, RSpoon, SBot, STop,
+    SortedVar, TDown, TRight, flip, parse_dfml, parse_dfml_formula, parse_fo,
+    parse_sorted, sorted_vars,
 )
 
 
@@ -392,6 +401,181 @@ def test_system_equivalence_witness_machinery():
     # on at least one small frame
     frames = sample_frames(10, rels=("Rbox",), sizes=((2, 2),))
     assert any(system_equivalence_witness(f, s1, s2) is not None for f in frames)
+
+
+def chain_system(length, main=None):
+    """A system whose changes of variable form one chain P0 -> ... -> P<length>,
+    listed newest-first; its main inequality is ``main(v)``, by default
+    ``v <= v``, for the chain's last variable ``v``."""
+    vs = [SortedVar(i, SORT1 if i % 2 == 0 else SORTD) for i in range(length + 1)]
+    cvc = [ChangeOfVariables(vs[i + 1], vs[i]) for i in reversed(range(length))]
+    last = vs[-1]
+    ineq = FormalInequality(last.sort, last, last) if main is None else main(last)
+    return InequalitySystem((), tuple(cvc), ineq, length + 1)
+
+
+def test_long_reverse_listed_change_of_variable_chain_resolves():
+    fr = kripke_frame(2)
+    sys = chain_system(12)
+    vals = list(system_valuations(fr, (sys,)))
+    assert len(vals) == 4                       # one per subset of the free P0
+    for val in vals:
+        assert list(val)[0] == SortedVar(0, SORT1)
+        for c in sys.cvc:
+            assert val[c.var] == fr.polar(c.source.sort, val[c.source])
+    # a main inequality that fails for some value of the chain's end is told apart
+    failing = chain_system(12, lambda v: FormalInequality(v.sort, STop(v.sort), v))
+    assert system_equivalence_witness(fr, sys, failing) is not None
+
+
+def test_change_of_variable_cycle_has_no_valuations():
+    fr = kripke_frame(2)
+    a, b = SortedVar(1, SORT1), SortedVar(2, SORTD)
+    sys = InequalitySystem((), (ChangeOfVariables(a, b), ChangeOfVariables(b, a)),
+                           FormalInequality(SORT1, a, a), 3)
+    assert list(system_valuations(fr, (sys,))) == []
+
+
+# -- the compiled checker against the interpreter ------------------------------------
+
+_UNARY = {DiaVert: (SORT1, SORT1), DiaMinus: (SORTD, SORTD), Box1: (SORT1, SORT1),
+          BoxD: (SORTD, SORTD), BoxMinus: (SORT1, SORT1), BoxVert: (SORTD, SORTD),
+          TDown: (SORT1, SORTD), BTDown: (SORTD, SORT1)}
+_BINARY = {Odot: (SORT1, SORT1, SORT1), RSpoon: (SORT1, SORT1, SORT1),
+           TRight: (SORT1, SORTD, SORTD)}
+
+
+@lru_cache(maxsize=None)
+def sorted_formulas(sort, depth):
+    """Well-sorted formulas of ``sort`` over every node type, nested at most ``depth``."""
+    leaves = st.one_of(st.integers(0, 2).map(lambda i: SortedVar(i, sort)),
+                       st.sampled_from([STop(sort), SBot(sort)]))
+    if depth == 0:
+        return leaves
+    sub = lambda s: sorted_formulas(s, depth - 1)
+    nodes = [leaves,
+             st.builds(Cap, sub(sort), sub(sort)),
+             st.builds(Cup, sub(sort), sub(sort)),
+             st.builds(Prime, sub(flip(sort)))]
+    nodes += [st.builds(kind, sub(arg)) for kind, (arg, res) in _UNARY.items() if res == sort]
+    nodes += [st.builds(kind, sub(left), sub(right))
+              for kind, (left, right, res) in _BINARY.items() if res == sort]
+    return st.one_of(nodes)
+
+
+@st.composite
+def separated_frames(draw):
+    """A separated frame with random relations; the carriers differ in size
+    so that a binary table indexed with the wrong sort's size is caught."""
+    n1, nd = draw(st.sampled_from([(1, 2), (2, 1), (2, 3), (3, 2)]))
+    z1 = [f"a{i}" for i in range(n1)]
+    zd = [f"b{i}" for i in range(nd)]
+    i_rows = draw(st.sampled_from(list(separated_i_masks(n1, nd))))
+
+    def some(pairs):
+        return draw(st.lists(st.sampled_from(pairs), unique=True))
+
+    fr = FiniteFrame(
+        z1, zd, validate=False,
+        i_rel=[(z1[x], zd[y]) for x in range(n1) for y in bits(i_rows[x])],
+        r_dia=some([(a, b) for a in z1 for b in z1]),
+        r_box=some([(a, b) for a in zd for b in zd]),
+        r_neg=some([(a, b) for a in zd for b in z1]),
+        t_rel=some([(a, b, c) for a in zd for b in z1 for c in zd]))
+    assert fr.check_axioms(("F1",))["F1"][0]
+    return fr
+
+
+@given(fr=separated_frames(), sort=st.sampled_from([SORT1, SORTD]), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_compile_sorted_matches_model_check_sorted(fr, sort, data):
+    f = data.draw(sorted_formulas(sort, 4))
+    vs = sorted_vars(f)
+    val = {v: data.draw(st.integers(0, fr.full1 if v.sort == SORT1 else fr.fulld))
+           for v in vs}
+    slots = {v: i for i, v in enumerate(reversed(vs))}
+    row = [val[v] for v in reversed(vs)]
+    assert compile_sorted(f, slots)(fr, row) == model_check_sorted(fr, val, f)
+
+
+def test_compile_sorted_rejects_unknown_nodes_and_variables():
+    with pytest.raises(TypeError):
+        compile_sorted(IVar(0, SORT1), {})
+    with pytest.raises(KeyError):
+        compile_sorted(DiaVert(SortedVar(3, SORT1)), {SortedVar(0, SORT1): 0})
+
+
+def reference_valuations(fr, systems):
+    """The valuations as first specified: free variables in first-occurrence
+    order, then the change-of-variable targets resolved in passes until a
+    pass makes no progress."""
+    vs, stb, cvc = [], set(), []
+    for sys in systems:
+        for f in (sys.main.lhs, sys.main.rhs):
+            vs += [v for v in sorted_vars(f) if v not in vs]
+        for c in sys.stb:
+            stb.add(c.var)
+            vs += [c.var] if c.var not in vs else []
+        for c in sys.cvc:
+            cvc.append((c.var, c.source))
+            vs += [v for v in (c.var, c.source) if v not in vs]
+    free = [v for v in vs if v not in {t for t, _ in cvc}]
+    spaces = [fr.stable_sets(v.sort) if v in stb else
+              range((fr.full1 if v.sort == SORT1 else fr.fulld) + 1) for v in free]
+    for combo in itertools.product(*spaces):
+        val, ok, pending = dict(zip(free, combo)), True, cvc
+        while pending:
+            rest = [(t, s) for t, s in pending if s not in val]
+            for t, s in pending:
+                if s in val:
+                    want = fr.polar(s.sort, val[s])
+                    ok = ok and val.get(t, want) == want
+                    val[t] = want
+            if len(rest) == len(pending):
+                break
+            pending = rest
+        if ok and not pending:
+            yield val
+
+
+def _rels_of(*systems):
+    marks = {"Rdia": ("diav", "boxv", "box1"), "Rbox": ("diam", "boxm", "boxd"),
+             "Rneg": ("tdown",), "T": ("odot", "rspoon", "tright")}
+    text = " ".join(str(s) for s in systems)
+    return tuple(r for r, ops in marks.items() if any(op in text for op in ops))
+
+
+def test_witness_is_first_reference_disagreement_on_corpus_steps():
+    """On every separated+smooth frame up to 2+1 and 1+2, for every trace
+    step of the corpus: the valuations are the reference ones, in order and
+    with keys in order, and the witness is the first on which the
+    interpreter tells the two systems apart."""
+    t0 = time.perf_counter()
+    steps = {}
+    for entry in CORPUS:
+        for c in compute_correspondent(parse_dfml(entry.sequent)).correspondents:
+            for step in c.trace:
+                steps.setdefault(str(step.before) + str(step.after), step)
+    families = {}
+    witnessed = 0
+    for step in steps.values():
+        rels = _rels_of(step.before, step.after)
+        if rels not in families:
+            families[rels] = [fr for n1, nd in ((1, 1), (1, 2), (2, 1))
+                              for fr in enumerate_frames(n1, nd, rels)]
+        for fr in families[rels]:
+            systems = (step.before, step.after)
+            want = list(reference_valuations(fr, systems))
+            assert [list(v.items()) for v in system_valuations(fr, systems)] == \
+                [list(v.items()) for v in want]
+            first = next((v for v in want if system_holds(fr, step.before, v)
+                          != system_holds(fr, step.after, v)), None)
+            got = system_equivalence_witness(fr, *systems)
+            assert (None if got is None else list(got.items())) == \
+                (None if first is None else list(first.items()))
+            witnessed += got is not None
+    assert len(steps) > 10 and witnessed > 0
+    assert time.perf_counter() - t0 < 10.0
 
 
 # -- kripke collapse ----------------------------------------------------------------

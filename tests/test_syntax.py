@@ -164,6 +164,22 @@ def test_fo_round_trip_examples():
         assert parse_fo(fo_to_text(f)) == f
 
 
+def test_fo_rejects_a_variable_under_its_binders_other_name():
+    """``v`` and ``y1`` name one variable; using both inside one binder's
+    scope must fail, not merge two bound variables into one."""
+    for text in ["forall_d v. forall_d y1. (v <= y1)",
+                 "forall_d v. (v <= y1)",
+                 "exists_1 x1. (z <= x1)",
+                 "forall_1 u. (x0 <= x2)"]:
+        with pytest.raises(ParseError):
+            parse_fo(text)
+    # disjoint scopes, and the same spelling throughout, still parse
+    f = parse_fo("(forall_d v. (x0 I v)) /\\ (forall_d y1. (x0 I y1))")
+    assert f.left == f.right
+    assert parse_fo("forall_d v. (forall_d v. (v <= v))") == \
+        parse_fo("forall_d y1. (forall_d y1. (y1 <= y1))")
+
+
 # -- positivity ---------------------------------------------------------------
 
 def test_positive_two_primes():
