@@ -21,10 +21,10 @@ from .reduction import (
     THREAD_TRANSLATION, classify,
 )
 from .semantics import (
-    FiniteFrame, FrameSizeError, FrameValidationError, correspondence_oracle,
-    enumerate_frames, frame_to_json, load_frame,
+    FrameSizeError, FrameValidationError, correspondence_oracle,
+    enumerate_frames, frame_to_json, load_frame, relations_needed,
 )
-from .syntax import ParseError, SORT1, dfml_vars, parse_dfml
+from .syntax import ParseError, parse_dfml
 from .translation import translate_sequent
 
 EXIT_OK = 0
@@ -201,16 +201,7 @@ def _frames_from_args(args, s):
                                        validate=not args.no_validate)
         return
     n1, nd = args.enumerate
-    needed = []
-    joint = str(s)
-    if "box" in joint:
-        needed.append("Rbox")
-    if "dia" in joint:
-        needed.append("Rdia")
-    if "neg" in joint:
-        needed.append("Rneg")
-    if "->" in joint:
-        needed.append("T")
+    needed = relations_needed(s)
     require = ("F1", "F2", "F3") if args.assume_f3 else ("F1", "F2")
     count = 0
     for i in range(1, n1 + 1):
@@ -221,7 +212,7 @@ def _frames_from_args(args, s):
                 raise FrameSizeError(
                     f"2^{bits_needed} relation combinations at {i}x{j}; "
                     f"pass --samples K to check a seeded sample")
-            for fr in enumerate_frames(i, j, tuple(needed), require=require,
+            for fr in enumerate_frames(i, j, needed, require=require,
                                        sample=args.samples):
                 count += 1
                 yield f"enum-{i}x{j}-{count}", fr
@@ -238,14 +229,15 @@ def cmd_verify(args) -> int:
     c = res.primary
     formula = c.f3_formula if (args.assume_f3 and c.f3_formula is not None) else c.formula
     checked = 0
-    disagreements = []
+    disagreements = []      # (name, witness, frame_to_json doc): a kept frame keeps its tables
     per_frame = []
     for name, fr in _frames_from_args(args, s):
         checked += 1
         witness = correspondence_oracle(fr, s, c.anchor, formula)
-        per_frame.append((name, witness))
+        if args.frames:
+            per_frame.append((name, witness))
         if witness is not None:
-            disagreements.append((name, fr, witness))
+            disagreements.append((name, witness, frame_to_json(fr)))
     if args.json:
         doc = {
             "input": str(s),
@@ -256,11 +248,12 @@ def cmd_verify(args) -> int:
             "verdicts": [{"frame": n, "agree": w is None,
                           **({"witness": str(w)} if w is not None else {})}
                          for n, w in per_frame] if args.frames else None,
-            "disagreements": [{"frame": n, "witness": str(w),
-                               "frame_doc": frame_to_json(fr)}
-                              for n, fr, w in disagreements],
+            "disagreements": [{"frame": n, "witness": str(w), "frame_doc": frame_doc}
+                              for n, w, frame_doc in disagreements],
         }
-        print(json.dumps(doc, indent=2))
+        # streamed: a run with many disagreements prints tens of megabytes
+        json.dump(doc, sys.stdout, indent=2)
+        print()
     else:
         print(f"correspondent ({c.thread}, anchor {c.anchor}): {formula}")
         if args.frames:
@@ -268,8 +261,8 @@ def cmd_verify(args) -> int:
                 print(f"  {n}: {'agree' if w is None else f'DISAGREE at {w}'}")
         print(f"checked {checked} frame(s): "
               f"{'all agree' if not disagreements else f'{len(disagreements)} disagreement(s)'}")
-        for n, fr, w in disagreements[:10]:
-            print(f"  {n}: disagreement at point {w}: {json.dumps(frame_to_json(fr))}")
+        for n, w, frame_doc in disagreements[:10]:
+            print(f"  {n}: disagreement at point {w}: {json.dumps(frame_doc)}")
     return EXIT_OK if not disagreements else EXIT_NEGATIVE
 
 

@@ -75,6 +75,16 @@ class InequalitySystem:
     main: FormalInequality
     fresh_counter: int
 
+    def __hash__(self) -> int:
+        # Systems key memoised semantic plans; hashing the formula trees
+        # again on every lookup cost a tenth of a rule audit.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.stb, self.cvc, self.main, self.fresh_counter))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     def __str__(self) -> str:
         cs = ", ".join([str(c) for c in self.stb] + [str(c) for c in self.cvc])
         return f"< {cs} | {self.main} >" if cs else f"< | {self.main} >"

@@ -9,16 +9,18 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import attrgetter
 
 from .syntax import (
     SORT1, SORTD, And, AndF, Bot, Box, Dia, DfmlFormula, Eq, Exists, FalseF,
     FoFormula, Forall, Forall2, Imp, ImpF, IVar, Neg, NotF, Or, OrF, PredApp,
     PropVar, RelAtom, Sequent, SortedFormula, SortedVar, STop, SBot,
     Cap, Cup, Prime, DiaVert, DiaMinus, Box1, BoxD, BoxMinus, BoxVert, TDown,
-    BTDown, Odot, RSpoon, TRight, Top, TrueF, sorted_vars,
+    BTDown, Odot, RSpoon, TRight, Top, TrueF, dfml_vars, flip, rel_signature,
+    sorted_vars, word_rel,
 )
 
 MAX_SORT_SIZE = 5
@@ -305,6 +307,15 @@ class FiniteFrame:
             cur = nxt
         return cur
 
+    def word_rows(self, letters: tuple[str, ...]) -> tuple[int, ...]:
+        """``word_row(letters, i)`` for every start point ``i``, built once per word."""
+        words = self.__dict__.setdefault("_word_rows", {})
+        rows = words.get(letters)
+        if rows is None:
+            n = self.n1 if rel_signature(word_rel(letters))[0] == SORT1 else self.nd
+            rows = words[letters] = tuple(self.word_row(letters, i) for i in range(n))
+        return rows
+
     # -- image operators and the complex algebra ----------------------------
 
     def ldvert(self, u_mask: int) -> int:
@@ -495,9 +506,30 @@ _OPERATOR_ARG_SORTS = {
 }
 
 
+# Unary operator -> (the frame's rows it reads, box?).  A diamond's value is
+# the union of the rows of its argument's points; a box's value holds the
+# points whose row lies inside its argument.
+_ROW_OPERATORS = {
+    "ldvert": ("rdia_sec", False), "ldminus": ("rbox_sec", False),
+    "ltdown": ("rneg_sec", False), "lbminus": ("rdbox", True),
+    "lbvert": ("rddia", True), "lbtdown": ("rdneg", True),
+    "bbox1": ("rdia_sec", True), "bboxd": ("rbox_sec", True),
+}
+
+
+def _union_table(rows, n: int) -> bytes:
+    """``table[m]`` = the union of ``rows[i]`` over the points ``i`` of ``m``."""
+    table = bytearray(1 << n)
+    for m in range(1, 1 << n):
+        low = m & -m
+        table[m] = table[m ^ low] | rows[low.bit_length() - 1]
+    return bytes(table)
+
+
 class _OperatorTables(dict):
-    """A frame's operator tables, each built from its ``FiniteFrame`` method
-    the first time it is looked up."""
+    """A frame's operator tables, each built the first time it is looked up:
+    a unary one from the rows it reads, in one step per mask, a binary one
+    from its ``FiniteFrame`` method, the reference for both."""
 
     __slots__ = ("frame",)
 
@@ -507,12 +539,24 @@ class _OperatorTables(dict):
 
     def __missing__(self, op: str) -> bytes:
         fr = self.frame
-        fn = getattr(fr, op)
-        sizes = [1 << (fr.n1 if sort == SORT1 else fr.nd) for sort in _OPERATOR_ARG_SORTS[op]]
-        if len(sizes) == 1:
-            table = bytes(fn(a) for a in range(sizes[0]))
+        sizes = [fr.n1 if sort == SORT1 else fr.nd for sort in _OPERATOR_ARG_SORTS[op]]
+        if op in _ROW_OPERATORS:
+            attr, box = _ROW_OPERATORS[op]
+            rows, n = getattr(fr, attr), sizes[0]
+            if not box:
+                table = _union_table(rows, n)
+            else:
+                # x is outside box(m) iff its row meets the complement of m
+                cols = [0] * n
+                for x, row in enumerate(rows):
+                    for z in bits(row):
+                        cols[z] |= 1 << x
+                meets = _union_table(cols, n)
+                full, arg_full = (1 << len(rows)) - 1, (1 << n) - 1
+                table = bytes(full ^ meets[arg_full ^ m] for m in range(1 << n))
         else:
-            table = bytes(fn(a, b) for a in range(sizes[0]) for b in range(sizes[1]))
+            fn = getattr(fr, op)
+            table = bytes(fn(a, b) for a in range(1 << sizes[0]) for b in range(1 << sizes[1]))
         self[op] = table
         return table
 
@@ -647,6 +691,40 @@ def _dfml_value(frame: FiniteFrame, valuation: dict, f: DfmlFormula) -> int:
     raise TypeError(f"not a modal formula: {f!r}")
 
 
+def _dfml_operators(f: DfmlFormula) -> SortedFormula:
+    """The sorted formula whose value is ``_dfml_value`` of ``f`` on stable
+    valuations: ``translate_bullet`` with variables unprimed and ``bot`` as
+    the polar of the full sort-d carrier, its value on every frame."""
+    kind = type(f)
+    if kind is PropVar:
+        return SortedVar(f.index, SORT1)
+    if kind is Top:
+        return STop(SORT1)
+    if kind is Bot:
+        return Prime(STop(SORTD))
+    if kind is And:
+        return Cap(_dfml_operators(f.left), _dfml_operators(f.right))
+    if kind is Or:
+        return Prime(Prime(Cup(_dfml_operators(f.left), _dfml_operators(f.right))))
+    if kind is Box:
+        return BoxMinus(_dfml_operators(f.arg))
+    if kind is Dia:
+        return Prime(Prime(DiaVert(_dfml_operators(f.arg))))
+    if kind is Neg:
+        return Prime(TDown(_dfml_operators(f.arg)))
+    if kind is Imp:
+        return RSpoon(_dfml_operators(f.left), _dfml_operators(f.right))
+    raise TypeError(f"not a modal formula: {f!r}")
+
+
+def compile_dfml(f: DfmlFormula, var_ids) -> Callable[[FiniteFrame, Sequence[int]], int]:
+    """``f`` as a closure ``(frame, row) -> mask`` that agrees with the value
+    of ``model_check_dfml``, the reference; ``row[i]`` is the mask of
+    variable ``p<var_ids[i]>``.  The row is not checked for stability."""
+    return compile_sorted(_dfml_operators(f),
+                          {SortedVar(v, SORT1): i for i, v in enumerate(var_ids)})
+
+
 # ---------------------------------------------------------------------------
 # First-order evaluation
 # ---------------------------------------------------------------------------
@@ -741,13 +819,137 @@ def _lookup(env: dict, v: IVar) -> int:
         raise KeyError(f"unassigned free variable {v}") from None
 
 
+# Relation symbol -> (the frame's rows, the argument positions indexing
+# them, the argument position of the bit): the atom holds iff
+# ``rows[args[i]]...`` has bit ``args[bit]``, as in ``_rel_holds``.
+_REL_ROWS = {
+    "I": ("irow", (0,), 1),
+    "R_dia": ("rdia_sec", (1,), 0),
+    "R_box": ("rbox_sec", (1,), 0),
+    "R_neg": ("rneg_sec", (1,), 0),
+    "T": ("t_sec", (1, 2), 0),
+    "R'_dia": ("rpdia", (0,), 1),
+    "R'_box": ("rpbox", (0,), 1),
+    "R'_neg": ("rpneg", (0,), 1),
+    "T'": ("tprime", (1, 2), 0),
+    "R''_dia": ("rddia", (0,), 1),
+    "R''_box": ("rdbox", (0,), 1),
+    "R''_neg": ("rdneg", (0,), 1),
+    "R111": ("r111", (1, 2), 0),
+}
+
+
+def compile_fo(f: FoFormula, free=()) -> Callable[[FiniteFrame, Sequence[int]], bool]:
+    """``f`` as a closure ``(frame, values) -> bool`` that agrees with
+    ``eval_fo``, the reference; ``values[i]`` is the value of ``free[i]``,
+    an element for an ``IVar`` and a mask for a ``PVar``.  A variable
+    neither free nor bound raises ``KeyError`` when it is evaluated."""
+    scope = {v: i for i, v in enumerate(free)}
+    size = [len(free)]
+    body = _compile_fo(f, scope, size)
+    pad = [0] * (size[0] - len(free))
+
+    def run(fr, values):
+        return bool(body(fr, [*values, *pad]))
+    return run
+
+
+def _unassigned(message: str):
+    def fail(fr, env):
+        raise KeyError(message)
+    return fail
+
+
+def _compile_fo(f: FoFormula, scope: dict, size: list):
+    """A closure ``(frame, env) -> truth value``.  Each binder gets its own
+    slot of ``env``, counted in ``size[0]``, so shadowing needs no restore."""
+    kind = type(f)
+    if kind is TrueF:
+        return lambda fr, env: True
+    if kind is FalseF:
+        return lambda fr, env: False
+    if kind is Eq or kind is RelAtom:
+        args = (f.t1, f.t2) if kind is Eq else f.args
+        missing = next((t for t in args if t not in scope), None)
+        if missing is not None:
+            return _unassigned(f"unassigned free variable {missing}")
+        slots = [scope[t] for t in args]
+        if kind is Eq:
+            a, b = slots
+            return lambda fr, env: env[a] == env[b]
+        if f.rel == "<=":
+            spec = ("up1" if args[0].sort == SORT1 else "upd", (0,), 1)
+        else:
+            spec = _REL_ROWS.get(f.rel)
+        if spec is not None:
+            attr, index, bit = spec
+            rows_of = attrgetter(attr)
+        elif f.rel.startswith("R''_"):
+            letters = tuple(f.rel[4:].split("."))
+            rows_of, index, bit = (lambda fr: fr.word_rows(letters)), (0,), 1
+        else:
+            raise ValueError(f"unknown relation symbol {f.rel!r}")
+        b = slots[bit]
+        if len(index) == 1:
+            a = slots[index[0]]
+            return lambda fr, env: rows_of(fr)[env[a]] >> env[b] & 1
+        a, c = (slots[i] for i in index)
+        return lambda fr, env: rows_of(fr)[env[a]][env[c]] >> env[b] & 1
+    if kind is PredApp:
+        if f.var not in scope:
+            return _unassigned(f"no value for predicate variable {f.var}")
+        if f.arg not in scope:
+            return _unassigned(f"unassigned free variable {f.arg}")
+        p, a = scope[f.var], scope[f.arg]
+        return lambda fr, env: env[p] >> env[a] & 1
+    if kind is NotF:
+        arg = _compile_fo(f.arg, scope, size)
+        return lambda fr, env: not arg(fr, env)
+    if kind is AndF or kind is OrF or kind is ImpF:
+        left, right = _compile_fo(f.left, scope, size), _compile_fo(f.right, scope, size)
+        if kind is AndF:
+            return lambda fr, env: left(fr, env) and right(fr, env)
+        if kind is OrF:
+            return lambda fr, env: left(fr, env) or right(fr, env)
+        return lambda fr, env: not left(fr, env) or right(fr, env)
+    if kind is Forall or kind is Exists or kind is Forall2:
+        slot = size[0]
+        size[0] += 1
+        body = _compile_fo(f.body, {**scope, f.var: slot}, size)
+        one = f.var.sort == SORT1
+        if kind is Forall2:
+            def forall2(fr, env):
+                for m in range((fr.full1 if one else fr.fulld) + 1):
+                    env[slot] = m
+                    if not body(fr, env):
+                        return False
+                return True
+            return forall2
+        if kind is Exists:
+            def exists(fr, env):
+                for e in range(fr.n1 if one else fr.nd):
+                    env[slot] = e
+                    if body(fr, env):
+                        return True
+                return False
+            return exists
+
+        def forall(fr, env):
+            for e in range(fr.n1 if one else fr.nd):
+                env[slot] = e
+                if not body(fr, env):
+                    return False
+            return True
+        return forall
+    raise TypeError(f"not a first-order formula: {f!r}")
+
+
 # ---------------------------------------------------------------------------
 # Validity and the correspondence oracle
 # ---------------------------------------------------------------------------
 
 def sequent_valuations(frame: FiniteFrame, s: Sequent):
     """All stable-set valuations of the sequent's variables."""
-    from .syntax import dfml_vars
     var_ids = sorted(set(dfml_vars(s.lhs)) | set(dfml_vars(s.rhs)))
     for combo in itertools.product(frame.stable1, repeat=len(var_ids)):
         yield dict(zip(var_ids, combo))
@@ -914,16 +1116,46 @@ def correspondence_oracle(frame: FiniteFrame, s: Sequent, anchor: IVar,
     """Compare pointwise sequent validity against the first-order formula.
 
     Returns None on agreement at every point of the anchor sort, else the
-    first disagreeing point (its name).
+    first disagreeing point (its name).  The sides and the formula are
+    compiled once per (sequent, anchor, formula) objects, and every
+    valuation is evaluated once for all points; the per-point loop of
+    ``local_validity`` and ``eval_fo`` is the reference.
     """
-    n = frame.n1 if anchor.sort == SORT1 else frame.nd
-    names = frame.z1 if anchor.sort == SORT1 else frame.zd
-    for w in range(n):
-        lhs = local_validity(frame, s, w, anchor.sort)
-        rhs = eval_fo(frame, corr, {anchor: w})
-        if lhs != rhs:
-            return names[w]
+    lhs, rhs, n_vars, holds = _oracle_plan(s, anchor, corr)
+    stable = frame.stable1
+    polar, polard = frame._polar1_table, frame._polard_table
+    for a in stable:
+        if polard[polar[a]] != a:
+            raise ValueError(f"valuation value {a} is not a stable set")
+    failing = 0      # points where some valuation refutes the (dual) sequent
+    if anchor.sort == SORT1:
+        for row in itertools.product(stable, repeat=n_vars):
+            failing |= lhs(frame, row) & ~rhs(frame, row)
+        names = frame.z1
+    else:
+        for row in itertools.product(stable, repeat=n_vars):
+            failing |= polar[rhs(frame, row)] & ~polar[lhs(frame, row)]
+        names = frame.zd
+    for w, name in enumerate(names):
+        if (not failing >> w & 1) != holds(frame, (w,)):
+            return name
     return None
+
+
+# The last (sequent, anchor, formula, plan), replaced as one tuple.  The
+# objects are compared by identity: hashing the formula trees on every frame
+# would cost more than the oracle, and a run checks one triple on every frame.
+_last_oracle_plan: list = [(None, None, None, None)]
+
+
+def _oracle_plan(s: Sequent, anchor: IVar, corr: FoFormula):
+    last_s, last_anchor, last_corr, plan = _last_oracle_plan[0]
+    if last_s is not s or last_anchor is not anchor or last_corr is not corr:
+        var_ids = sorted(set(dfml_vars(s.lhs)) | set(dfml_vars(s.rhs)))
+        plan = (compile_dfml(s.lhs, var_ids), compile_dfml(s.rhs, var_ids),
+                len(var_ids), compile_fo(corr, (anchor,)))
+        _last_oracle_plan[0] = (s, anchor, corr, plan)
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -969,14 +1201,6 @@ def load_frame(path: str, validate: bool = True) -> FiniteFrame:
 # Frame enumeration (for the oracle suites and the verify command)
 # ---------------------------------------------------------------------------
 
-def _masks_to_pairs(row_masks, of_row):
-    pairs = []
-    for a, mask in enumerate(row_masks):
-        for b in bits(mask):
-            pairs.append(of_row(a, b))
-    return pairs
-
-
 def separated_i_masks(n1: int, nd: int):
     """All I relations (as per-x row masks) giving a separated frame.
 
@@ -995,6 +1219,142 @@ def separated_i_masks(n1: int, nd: int):
         yield rows
 
 
+# Base relation -> (its pair-set attribute, result sort, argument sorts,
+# the attributes of its result sections and of their polars).  Bit k of a
+# relation's pattern is its k-th tuple (result, *arguments) in
+# lexicographic order; the fields of the listed relations follow one
+# another from bit 0.
+_BASE_RELATIONS = {
+    "Rdia": ("r_dia", SORT1, (SORT1,), "rdia_sec", "rpdia"),
+    "Rbox": ("r_box", SORTD, (SORTD,), "rbox_sec", "rpbox"),
+    "Rneg": ("r_neg", SORTD, (SORT1,), "rneg_sec", "rpneg"),
+    "T": ("t_rel", SORTD, (SORT1, SORTD), "t_sec", "tprime"),
+}
+
+# Modal connective -> the base relation its semantics reads.
+_RELATION_OF = {Box: "Rbox", Dia: "Rdia", Neg: "Rneg", Imp: "T"}
+
+
+def relations_needed(s: Sequent) -> tuple[str, ...]:
+    """The base relations the sequent's connectives read, in the order
+    Rbox, Rdia, Rneg, T, which fixes ``enumerate_frames``' bit layout."""
+    kinds = set()
+    todo = [s.lhs, s.rhs]
+    while todo:
+        f = todo.pop()
+        kinds.add(type(f))
+        todo.extend(getattr(f, name) for name in f._subs)
+    return tuple(rel for kind, rel in _RELATION_OF.items() if kind in kinds)
+
+
+class _Polarity:
+    """One I-relation's tables, built once and shared, immutable, by every
+    frame ``enumerate_frames`` yields over it.
+
+    The axioms F0 and F1 depend on I alone and are judged once, by the
+    reference ``check_axioms``.  F2 and F3 are conjunctions of conditions
+    on each base relation's sections, so ``judge`` decides them for one
+    relation's pattern at a time; the reference is ``check_axioms`` on the
+    built frame.
+    """
+
+    def __init__(self, z1: tuple, zd: tuple, i_rows, require):
+        fr = FiniteFrame(z1, zd, validate=False,
+                         i_rel=[(z1[x], zd[y]) for x, row in enumerate(i_rows) for y in bits(row)])
+        self.ok = all(ok for ok, _ in fr.check_axioms(
+            tuple(ax for ax in require if ax not in ("F2", "F3"))).values())
+        self.smooth, self.monotone = "F2" in require, "F3" in require
+        self.size = {SORT1: fr.n1, SORTD: fr.nd}
+        self.polar = {SORT1: bytes(fr._polar1_table), SORTD: bytes(fr._polard_table)}
+        self.closed = {SORT1: bytes(fr.close1(m) for m in range(fr.full1 + 1)),
+                       SORTD: bytes(fr.closed(m) for m in range(fr.fulld + 1))}
+        self.up = {SORT1: tuple(fr.up1), SORTD: tuple(fr.upd)}
+        self.shared = {
+            "z1": fr.z1, "zd": fr.zd, "n1": fr.n1, "nd": fr.nd, "name": None,
+            "full1": fr.full1, "fulld": fr.fulld, "i_rel": fr.i_rel,
+            "r_dia": frozenset(), "r_box": frozenset(), "r_neg": frozenset(),
+            "t_rel": frozenset(), "irow": tuple(fr.irow), "icol": tuple(fr.icol),
+            "_polar1_table": self.polar[SORT1], "_polard_table": self.polar[SORTD],
+            "stable1": tuple(fr.stable1), "stabled": tuple(fr.stabled),
+            "up1": self.up[SORT1], "upd": self.up[SORTD],
+        }
+
+    def judge(self, rel: str, pattern: int, space: list) -> dict | None:
+        """The frame attributes of ``rel`` with the given pattern over its
+        tuples ``space``, or None when the pattern fails F2 or F3 (if
+        required)."""
+        pairs_attr, res_sort, arg_sorts, sec_attr, polar_attr = _BASE_RELATIONS[rel]
+        arg_ns = [self.size[sort] for sort in arg_sorts]
+        n_args = len(space) // self.size[res_sort]
+        secs = [0] * n_args          # secs[a] = {r : (r, *args a) in rel}
+        for r in range(self.size[res_sort]):
+            row = pattern >> r * n_args
+            for a in range(n_args):
+                if row >> a & 1:
+                    secs[a] |= 1 << r
+        if self.monotone and not self._monotone(res_sort, arg_sorts, arg_ns, secs):
+            return None
+        polar = self.polar[res_sort]
+        pols = [polar[sec] for sec in secs]
+        # Smooth: along each argument, the others fixed, the arguments whose
+        # polar holds a given point form a stable set of that argument's sort.
+        stride = 1
+        lines = []
+        for sort, n in zip(reversed(arg_sorts), reversed(arg_ns)):
+            closed = self.closed[sort]
+            for p in range(self.size[flip(res_sort)]):
+                for start in range(n_args):
+                    if start // stride % n:
+                        continue
+                    line = 0
+                    for i in range(n):
+                        line |= (pols[start + i * stride] >> p & 1) << i
+                    if self.smooth and closed[line] != line:
+                        return None
+                    lines.append(line)
+            stride *= n
+        if len(arg_ns) == 1:
+            polars = tuple(lines)       # R' rows: polar point -> its arguments
+            sections = tuple(secs)
+        else:
+            n_v = arg_ns[1]
+            polars = tuple(tuple(pols[x * n_v:(x + 1) * n_v]) for x in range(arg_ns[0]))
+            sections = tuple(tuple(secs[x * n_v:(x + 1) * n_v]) for x in range(arg_ns[0]))
+        return {pairs_attr: frozenset(t for k, t in enumerate(space) if pattern >> k & 1),
+                sec_attr: sections, polar_attr: polars}
+
+    def kept(self, rel: str, space: list):
+        """The records of the patterns of ``rel`` that pass, in pattern order."""
+        for pattern in range(1 << len(space)):
+            rec = self.judge(rel, pattern, space)
+            if rec is not None:
+                yield rec
+
+    def _monotone(self, res_sort, arg_sorts, arg_ns, secs) -> bool:
+        """F3 for one relation: each section is an up-set, and sections
+        shrink as an argument grows."""
+        up = self.up[res_sort]
+        if any(up[r] & ~sec for sec in secs for r in bits(sec)):
+            return False
+        stride = 1
+        for sort, n in zip(reversed(arg_sorts), reversed(arg_ns)):
+            ups = self.up[sort]
+            for a, sec in enumerate(secs):
+                d = a // stride % n
+                for d2 in range(n):
+                    if ups[d2] >> d & 1 and sec & ~secs[a + (d2 - d) * stride]:
+                        return False
+            stride *= n
+        return True
+
+    def frame(self, records) -> FiniteFrame:
+        fr = FiniteFrame.__new__(FiniteFrame)
+        fr.__dict__.update(self.shared)
+        for rec in records:
+            fr.__dict__.update(rec)
+        return fr
+
+
 def enumerate_frames(n1: int, nd: int, relations: tuple[str, ...],
                      require=("F1", "F2"), sample: int | None = None,
                      seed: int = 0):
@@ -1004,67 +1364,64 @@ def enumerate_frames(n1: int, nd: int, relations: tuple[str, ...],
     correspondents that only mention the listed relations.  ``sample`` caps
     the number of relation combinations tried, drawn from a seeded generator
     (used for the ternary relation, whose full space is intractable).
+
+    Frames come in the order of (I-relation, relation bits) candidates,
+    named ``a<i>`` and ``b<i>``, and are those on which ``FiniteFrame``'s
+    ``check_axioms(require)`` passes; each I-relation's tables are built
+    once (``_Polarity``) and a rejected candidate is never built.
     """
     import random
 
-    z1 = [f"a{i}" for i in range(n1)]
-    zd = [f"b{i}" for i in range(nd)]
-    rel_spaces = []
+    spaces = []
     for rel in relations:
-        if rel == "Rdia":
-            rel_spaces.append([(x, z) for x in range(n1) for z in range(n1)])
-        elif rel == "Rbox":
-            rel_spaces.append([(w, y) for w in range(nd) for y in range(nd)])
-        elif rel == "Rneg":
-            rel_spaces.append([(y, x) for y in range(nd) for x in range(n1)])
-        elif rel == "T":
-            rel_spaces.append([(y, x, v) for y in range(nd) for x in range(n1)
-                               for v in range(nd)])
-        else:
+        if rel not in _BASE_RELATIONS:
             raise ValueError(f"unknown relation {rel!r}")
-
+        _, res_sort, arg_sorts, _, _ = _BASE_RELATIONS[rel]
+        sizes = [n1 if sort == SORT1 else nd for sort in (res_sort, *arg_sorts)]
+        spaces.append(list(itertools.product(*map(range, sizes))))
+    if not (1 <= n1 <= MAX_SORT_SIZE and 1 <= nd <= MAX_SORT_SIZE):
+        return
+    z1 = tuple(f"a{i}" for i in range(n1))
+    zd = tuple(f"b{i}" for i in range(nd))
     i_options = list(separated_i_masks(n1, nd))
-    total_bits = sum(len(s) for s in rel_spaces)
-
-    def build(i_rows, rel_bits):
-        kwargs = {"i_rel": [(z1[x], zd[y]) for x in range(n1) for y in bits(i_rows[x])]}
-        ofs = 0
-        for rel, space in zip(relations, rel_spaces):
-            chosen = [space[k] for k in range(len(space)) if rel_bits & (1 << (ofs + k))]
-            ofs += len(space)
-            if rel == "Rdia":
-                kwargs["r_dia"] = [(z1[a], z1[b]) for a, b in chosen]
-            elif rel == "Rbox":
-                kwargs["r_box"] = [(zd[a], zd[b]) for a, b in chosen]
-            elif rel == "Rneg":
-                kwargs["r_neg"] = [(zd[a], z1[b]) for a, b in chosen]
-            elif rel == "T":
-                kwargs["t_rel"] = [(zd[a], z1[b], zd[c]) for a, b, c in chosen]
-        try:
-            fr = FiniteFrame(z1, zd, validate=False, **kwargs)
-        except (FrameValidationError, FrameSizeError):
-            return None
-        report = fr.check_axioms(require)
-        if all(ok for ok, _ in report.values()):
-            return fr
-        return None
-
     if not i_options:
         return
-    if sample is None:
-        combos = ((i_rows, rel_bits) for i_rows in i_options
-                  for rel_bits in range(1 << total_bits))
-    else:
-        rng = random.Random(seed)
-        def sampled():
-            for _ in range(sample):
-                yield (rng.choice(i_options), rng.getrandbits(total_bits))
-        combos = sampled()
 
-    for i_rows, rel_bits in combos:
-        fr = build(i_rows, rel_bits)
-        if fr is not None:
-            yield fr
+    if sample is None:
+        for i_rows in i_options:
+            pol = _Polarity(z1, zd, i_rows, require)
+            if not pol.ok:
+                continue
+            # The first relation holds the lowest bits, so it varies fastest;
+            # the last one's patterns are judged as they come.
+            inner = [list(pol.kept(rel, space))
+                     for rel, space in zip(relations[:-1], spaces[:-1])]
+            outer = pol.kept(relations[-1], spaces[-1]) if relations else ({},)
+            for last in outer:
+                for records in itertools.product(*reversed(inner)):
+                    yield pol.frame((last, *records))
+        return
+
+    total_bits = sum(len(space) for space in spaces)
+    rng = random.Random(seed)
+    polarities: dict = {}       # bounded: a sample may meet hundreds of I-relations
+    for _ in range(sample):
+        i_rows, rel_bits = rng.choice(i_options), rng.getrandbits(total_bits)
+        pol = polarities.get(i_rows)
+        if pol is None:
+            if len(polarities) >= 32:
+                polarities.clear()
+            pol = polarities[i_rows] = _Polarity(z1, zd, i_rows, require)
+        if not pol.ok:
+            continue
+        records = []
+        for rel, space in zip(relations, spaces):
+            records.append(pol.judge(rel, rel_bits & ((1 << len(space)) - 1), space))
+            rel_bits >>= len(space)
+            if records[-1] is None:
+                break
+        else:
+            yield pol.frame(records)
 
 
 def kripke_frame(n: int, r_dia=(), r_box=(), r_neg=(), t_rel=(),

@@ -38,7 +38,7 @@ from dfmlcorr.reduction import (
 from dfmlcorr.semantics import (
     FiniteFrame, bits, correspondence_oracle, enumerate_frames, eval_fo,
     frame_to_json, frame_validity, kripke_frame, local_validity,
-    system_equivalence_witness,
+    relations_needed, system_equivalence_witness,
 )
 from dfmlcorr.syntax import (
     SORT1, SORTD, IVar, dfml_vars, fo_alpha_eq, parse_dfml, parse_fo,
@@ -52,24 +52,11 @@ def corpus_entry(name):
     return next(e for e in CORPUS if e.name == name)
 
 
-def relations_of(sequent_text: str) -> tuple[str, ...]:
-    rels = []
-    if "box" in sequent_text:
-        rels.append("Rbox")
-    if "dia" in sequent_text:
-        rels.append("Rdia")
-    if "neg" in sequent_text:
-        rels.append("Rneg")
-    if "->" in sequent_text:
-        rels.append("T")
-    return tuple(rels)
-
-
 def pointwise_survey(sequent_text, corr_formula, anchor, sizes, require=("F1", "F2"),
                      sample=None, seed=0):
     """(frames checked, list of (frame, witness point)) for the pointwise oracle."""
     s = parse_dfml(sequent_text)
-    rels = relations_of(sequent_text)
+    rels = relations_needed(s)
     checked, bad = 0, []
     for n1, nd in sizes:
         for fr in enumerate_frames(n1, nd, rels, require=require,

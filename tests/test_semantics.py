@@ -11,18 +11,23 @@ from dfmlcorr.corpus import CORPUS
 from dfmlcorr.correspondence import compute_correspondent
 from dfmlcorr.reduction import ChangeOfVariables, FormalInequality, InequalitySystem
 from dfmlcorr.semantics import (
-    FiniteFrame, FrameSizeError, FrameValidationError, bits, compile_sorted,
-    correspondence_oracle, enumerate_frames, eval_fo, frame_to_json,
-    kripke_frame, load_frame, local_validity, model_check_dfml,
-    model_check_sorted, separated_i_masks, system_equivalence_witness,
-    system_holds, system_valuations,
+    MAX_SORT_SIZE, FiniteFrame, FrameSizeError, FrameValidationError, bits,
+    compile_dfml, compile_fo, compile_sorted, correspondence_oracle,
+    enumerate_frames, eval_fo, frame_to_json, kripke_frame, load_frame,
+    local_validity, model_check_dfml, model_check_sorted, relations_needed,
+    separated_i_masks, system_equivalence_witness, system_holds,
+    system_valuations,
 )
 from dfmlcorr.syntax import (
-    SORT1, SORTD, BoxD, BoxMinus, BoxVert, BTDown, Box1, Cap, Cup, DiaMinus,
-    DiaVert, IVar, NotF, Odot, Prime, PVar, RelAtom, RSpoon, SBot, STop,
-    SortedVar, TDown, TRight, flip, parse_dfml, parse_dfml_formula, parse_fo,
-    parse_sorted, sorted_vars,
+    REL_SIG, SORT1, SORTD, AndF, BoxD, BoxMinus, BoxVert, BTDown, Box1, Cap,
+    Cup, DiaMinus, DiaVert, Eq, Exists, FalseF, Forall, Forall2, ImpF, IVar,
+    NotF, Odot, OrF, PredApp, Prime, PVar, RelAtom, RSpoon, SBot, STop,
+    SortedVar, TDown, TRight, TrueF, flip, parse_dfml,
+    parse_dfml_formula, parse_fo, parse_sorted, rel_signature, sorted_vars,
+    word_rel,
 )
+
+from test_syntax import dfml_trees
 
 
 def polarity_frame(**kw):
@@ -680,3 +685,252 @@ def test_kripke_modal_collapse_is_classical():
                            for z in range(n)):
                         want |= 1 << w
                 assert got == want
+
+
+# -- the compiled oracle and the shared-polarity enumerator against the references --
+
+_IVARS = [IVar(i, sort) for sort in (SORT1, SORTD) for i in range(3)]
+_PVARS = [PVar(i, sort) for sort in (SORT1, SORTD) for i in range(2)]
+_RELS = [r for r in REL_SIG if r != "<="] + ["<="] + [
+    word_rel(w) for w in (("box", "box"), ("box", "neg"), ("neg", "dia"),
+                          ("dia", "dia"), ("box", "neg", "dia"))]
+
+
+def _atom(rel):
+    """Atoms of ``rel`` over the variable pool, with well-sorted arguments."""
+    if rel == "<=":
+        sorts = st.sampled_from([(SORT1, SORT1), (SORTD, SORTD)])
+    else:
+        sorts = st.just(rel_signature(rel))
+    return sorts.flatmap(lambda sig: st.tuples(
+        *(st.sampled_from([v for v in _IVARS if v.sort == s]) for s in sig)
+    ).map(lambda args: RelAtom(rel, args)))
+
+
+@lru_cache(maxsize=None)
+def fo_formulas(depth):
+    """First-order formulas over every node type, every relation symbol and
+    some double-dual words; binders reuse the pool's names, so they shadow."""
+    leaves = st.one_of(
+        st.sampled_from([TrueF(), FalseF()]),
+        st.sampled_from(_IVARS).flatmap(lambda v: st.sampled_from(
+            [w for w in _IVARS if w.sort == v.sort]).map(lambda w: Eq(v, w))),
+        st.sampled_from(_RELS).flatmap(_atom),
+        st.sampled_from(_PVARS).flatmap(lambda p: st.sampled_from(
+            [v for v in _IVARS if v.sort == p.sort]).map(lambda v: PredApp(p, v))))
+    if depth == 0:
+        return leaves
+    sub = fo_formulas(depth - 1)
+    return st.one_of(
+        leaves, sub.map(NotF),
+        st.builds(AndF, sub, sub), st.builds(OrF, sub, sub), st.builds(ImpF, sub, sub),
+        st.builds(Forall, st.sampled_from(_IVARS), sub),
+        st.builds(Exists, st.sampled_from(_IVARS), sub),
+        st.builds(Forall2, st.sampled_from(_PVARS), sub))
+
+
+@given(fr=separated_frames(), data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_compile_fo_matches_eval_fo(fr, data):
+    f = data.draw(fo_formulas(3))
+    env = {v: data.draw(st.integers(0, (fr.n1 if v.sort == SORT1 else fr.nd) - 1))
+           for v in _IVARS}
+    penv = {p: data.draw(st.integers(0, fr.full1 if p.sort == SORT1 else fr.fulld))
+            for p in _PVARS}
+    free = tuple(_IVARS + _PVARS)
+    got = compile_fo(f, free)(fr, [env.get(v, penv.get(v)) for v in free])
+    assert got is eval_fo(fr, f, env, penv)
+
+
+def test_compile_fo_scopes_each_binder():
+    """A binder that shadows a variable leaves the outer value in place."""
+    fr = kripke_frame(2)
+    x0, x1 = IVar(0, SORT1), IVar(1, SORT1)
+    for f in (AndF(Forall(x0, TrueF()), Eq(x0, x1)),
+              AndF(Exists(x0, NotF(Eq(x0, x1))), Eq(x0, x1)),
+              Forall(x0, AndF(Exists(x0, TrueF()), Forall(x1, OrF(Eq(x0, x0), FalseF()))))):
+        for a, b in itertools.product(range(2), repeat=2):
+            want = eval_fo(fr, f, {x0: a, x1: b})
+            assert compile_fo(f, (x0, x1))(fr, (a, b)) is want
+
+
+def test_compile_fo_unbound_variables_raise_when_evaluated():
+    fr = kripke_frame(2)
+    x0, y3 = IVar(0, SORT1), IVar(3, SORTD)
+    short = OrF(Eq(x0, x0), Eq(y3, y3))          # never reaches y3, like eval_fo
+    assert compile_fo(short, (x0,))(fr, (1,)) is eval_fo(fr, short, {x0: 1})
+    for f in (Eq(y3, y3), RelAtom("I", (x0, y3)), PredApp(PVar(0, SORT1), x0)):
+        with pytest.raises(KeyError):
+            eval_fo(fr, f, {x0: 0})
+        with pytest.raises(KeyError):
+            compile_fo(f, (x0,))(fr, (0,))
+
+
+@given(fr=separated_frames(), f=dfml_trees(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_compile_dfml_matches_model_check_dfml(fr, f, data):
+    var_ids = [0, 1, 2]
+    row = [data.draw(st.sampled_from(fr.stable1)) for _ in var_ids]
+    want, _ = model_check_dfml(fr, dict(zip(var_ids, row)), f)
+    assert compile_dfml(f, var_ids)(fr, row) == want
+
+
+def test_compile_dfml_constants_at_edgeless_points():
+    """``bot`` holds at a point with no I-edge, and ``top``'s
+    co-interpretation at such a point of the other sort."""
+    fr = FiniteFrame(["a0", "a1"], ["b0", "b1"], i_rel=[("a0", "b0")], validate=False)
+    for text in ("bot", "top", "bot /\\ p", "p -> bot", "neg top", "dia bot"):
+        f = parse_dfml_formula(text)
+        for a in fr.stable1:
+            assert compile_dfml(f, [0])(fr, [a]) == model_check_dfml(fr, {0: a}, f)[0]
+    assert compile_dfml(parse_dfml_formula("bot"), [])(fr, []) == 0b10
+
+
+def reference_oracle(fr, s, anchor, corr):
+    """The oracle as first specified: per point, every valuation again."""
+    names = fr.z1 if anchor.sort == SORT1 else fr.zd
+    for w, name in enumerate(names):
+        if local_validity(fr, s, w, anchor.sort) != eval_fo(fr, corr, {anchor: w}):
+            return name
+    return None
+
+
+def corpus_frames(s, sizes=((1, 1), (1, 2), (2, 1), (2, 2))):
+    """Every frame over the sequent's relations at the sizes, or a seeded
+    sample of 600 candidates where a size has more than 12 relation bits."""
+    rels = relations_needed(s)
+    out = []
+    for n1, nd in sizes:
+        n_bits = sum({"Rdia": n1 * n1, "Rbox": nd * nd, "Rneg": n1 * nd,
+                      "T": nd * n1 * nd}[r] for r in rels)
+        out += enumerate_frames(n1, nd, rels, sample=None if n_bits <= 12 else 600)
+    return out
+
+
+def test_one_pass_oracle_matches_per_point_reference():
+    """For each corpus sequent, on its frames up to 2+2, at both anchor
+    sorts: the correspondents, a formula for an anchor sort that none has,
+    and their negations (which disagree somewhere) give the reference's
+    verdict."""
+    generic = {SORT1: (IVar(0, SORT1), parse_fo("exists_d y1. (x0 I y1 /\\ x0 R''_box x0)")),
+               SORTD: (IVar(0, SORTD), parse_fo("forall_1 x1. (x1 I y0 -> y0 R''_dia y0)"))}
+    checked = disagreements = 0
+    for entry in CORPUS:
+        s = parse_dfml(entry.sequent)
+        formulas = [(c.anchor, c.formula) for c in compute_correspondent(s).correspondents]
+        formulas += [generic[sort] for sort in (SORT1, SORTD)
+                     if sort not in {anchor.sort for anchor, _ in formulas}]
+        formulas += [(anchor, NotF(f)) for anchor, f in formulas]
+        assert {anchor.sort for anchor, _ in formulas} == {SORT1, SORTD}
+        for fr in corpus_frames(s):
+            for anchor, f in formulas:
+                want = reference_oracle(fr, s, anchor, f)
+                assert correspondence_oracle(fr, s, anchor, f) == want
+                checked += 1
+                disagreements += want is not None
+    assert disagreements and checked - disagreements
+
+
+def test_oracle_rejects_an_unstable_valuation_value():
+    fr = skew_frame()
+    s = parse_dfml("p |- p")
+    unstable = next(m for m in range(fr.full1 + 1) if fr.close1(m) != m)
+    with pytest.raises(ValueError):
+        model_check_dfml(fr, {0: unstable}, s.lhs)
+    fr.__dict__["stable1"] = [unstable]
+    with pytest.raises(ValueError):
+        correspondence_oracle(fr, s, IVar(0, SORT1), parse_fo("x0 = x0"))
+
+
+def reference_enumerate(n1, nd, relations, require=("F1", "F2"), sample=None, seed=0):
+    """The enumerator as first specified: every (I-relation, relation bits)
+    candidate built by name as a ``FiniteFrame`` and kept when
+    ``check_axioms(require)`` passes."""
+    z1 = [f"a{i}" for i in range(n1)]
+    zd = [f"b{i}" for i in range(nd)]
+    spaces = {"Rdia": [(z1[x], z1[z]) for x in range(n1) for z in range(n1)],
+              "Rbox": [(zd[w], zd[y]) for w in range(nd) for y in range(nd)],
+              "Rneg": [(zd[y], z1[x]) for y in range(nd) for x in range(n1)],
+              "T": [(zd[y], z1[x], zd[v]) for y in range(nd) for x in range(n1)
+                    for v in range(nd)]}
+    kwarg = {"Rdia": "r_dia", "Rbox": "r_box", "Rneg": "r_neg", "T": "t_rel"}
+    i_options = list(separated_i_masks(n1, nd))
+    total = sum(len(spaces[r]) for r in relations)
+    if sample is None:
+        combos = [(i, b) for i in i_options for b in range(1 << total)]
+    else:
+        rng = random.Random(seed)
+        combos = [(rng.choice(i_options), rng.getrandbits(total)) for _ in range(sample)]
+    for i_rows, rel_bits in combos:
+        kwargs = {"i_rel": [(z1[x], zd[y]) for x in range(n1) for y in bits(i_rows[x])]}
+        for rel in relations:
+            space = spaces[rel]
+            kwargs[kwarg[rel]] = [t for k, t in enumerate(space) if rel_bits >> k & 1]
+            rel_bits >>= len(space)
+        fr = FiniteFrame(z1, zd, validate=False, **kwargs)
+        if all(ok for ok, _ in fr.check_axioms(require).values()):
+            yield fr
+
+
+def test_enumerator_matches_reference():
+    """The same frames, in the same order, as building and checking every
+    candidate: every size up to 2+2 for each relation set of the corpus,
+    with and without F3, and F3 without F2 (a seeded sample above 12
+    relation bits), and samples at 3+3 over T."""
+    rel_sets = sorted({relations_needed(parse_dfml(e.sequent)) for e in CORPUS})
+    assert ("Rbox", "Rdia") in rel_sets and ("Rbox", "Rdia", "T") in rel_sets
+    cases = []
+    for rels in rel_sets + [()]:
+        for n1, nd in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            n_bits = sum({"Rdia": n1 * n1, "Rbox": nd * nd, "Rneg": n1 * nd,
+                          "T": nd * n1 * nd}[r] for r in rels)
+            for require in (("F1", "F2"), ("F0", "F1", "F2", "F3"), ("F1", "F3")):
+                cases.append((n1, nd, rels, require, None if n_bits <= 12 else 2000, 0))
+    cases += [(3, 3, ("T",), ("F1", "F2"), 600, seed) for seed in (0, 1, 2)]
+    cases += [(3, 3, ("Rbox", "Rdia", "Rneg", "T"), ("F1", "F2", "F3"), 600, 5)]
+    kept = 0
+    for n1, nd, rels, require, sample, seed in cases:
+        got = [frame_to_json(fr) for fr in enumerate_frames(
+            n1, nd, rels, require=require, sample=sample, seed=seed)]
+        want = [frame_to_json(fr) for fr in reference_enumerate(
+            n1, nd, rels, require=require, sample=sample, seed=seed)]
+        assert got == want, (n1, nd, rels, require, sample, seed)
+        kept += len(got)
+    assert kept > 5000
+
+
+def test_enumerated_frames_share_immutable_polarity_tables():
+    frames = list(enumerate_frames(2, 2, ("Rbox",)))
+    first = frames[0]
+    for attr in ("irow", "icol", "_polar1_table", "_polard_table", "stable1",
+                 "stabled", "up1", "upd"):
+        assert isinstance(first.__dict__[attr], (tuple, bytes)), attr
+    same_i = [fr for fr in frames if fr.i_rel == first.i_rel]
+    assert len(same_i) > 1 and all(fr._polar1_table is first._polar1_table for fr in same_i)
+    for fr in frames[:50]:
+        rebuilt = FiniteFrame(fr.z1, fr.zd, validate=False, **{
+            k: [tuple(p) for p in v] for k, v in (
+                ("i_rel", frame_to_json(fr)["I"]), ("r_box", frame_to_json(fr)["Rbox"]))})
+        for attr in ("irow", "icol", "_polar1_table", "stable1", "up1", "upd",
+                     "rbox_sec", "rpbox", "rdbox"):
+            assert list(getattr(fr, attr)) == list(getattr(rebuilt, attr)), attr
+
+
+def test_enumerator_edge_cases():
+    assert list(enumerate_frames(0, 1, ("Rbox",))) == []
+    assert list(enumerate_frames(MAX_SORT_SIZE + 1, 1, ())) == []
+    with pytest.raises(ValueError):
+        list(enumerate_frames(1, 1, ("Rbogus",)))
+    with pytest.raises(ValueError):
+        list(enumerate_frames(1, 1, ("Rbox",), require=("F9",)))
+
+
+def test_relations_needed_walks_the_sequent():
+    assert relations_needed(parse_dfml("p |- p")) == ()
+    assert relations_needed(parse_dfml("dia p /\\ box q |- dia (p /\\ q)")) == ("Rbox", "Rdia")
+    assert relations_needed(parse_dfml("neg (p -> q) |- box top")) == ("Rbox", "Rneg", "T")
+    for entry in CORPUS:
+        text = str(parse_dfml(entry.sequent))
+        by_text = tuple(r for r, mark in (("Rbox", "box"), ("Rdia", "dia"),
+                                          ("Rneg", "neg"), ("T", "->")) if mark in text)
+        assert relations_needed(parse_dfml(entry.sequent)) == by_text

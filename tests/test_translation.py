@@ -3,9 +3,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dfmlcorr.corpus import CORPUS
 from dfmlcorr.semantics import (
-    FiniteFrame, enumerate_frames, kripke_frame, model_check_dfml,
-    model_check_sorted,
+    FiniteFrame, compile_fo, enumerate_frames, frame_to_json, frame_validity,
+    kripke_frame, model_check_dfml, model_check_sorted,
 )
 from dfmlcorr.syntax import (
     SORT1, SORTD, Bot, Box, Dia, IVar, PropVar, SortedVar, Top, dfml_vars,
@@ -17,6 +18,7 @@ from dfmlcorr.translation import (
     translate_circle, translate_sequent,
 )
 
+from test_semantics import corpus_frames
 from test_syntax import dfml_trees
 
 
@@ -206,3 +208,51 @@ def test_st_rspoon_clause():
     want = parse_fo("forall_1 x1. (forall_1 x2. "
                     "(R111(x2, x1, x0) /\\ P0(x1) -> P1(x2)))")
     assert fo_alpha_eq(got, want)
+
+
+# -- a second semantic route: frame validity against the second-order translation --
+
+def _translation_disagreements(text):
+    """(frames, those on which the 1-sequent's and on which the d-sequent's
+    second-order translation disagree with ``frame_validity``), over the
+    sequent's frames up to 2+2.  ``compile_fo`` evaluates the translations;
+    it equals ``eval_fo`` (``test_compile_fo_matches_eval_fo``) and is faster."""
+    s = parse_dfml(text)
+    halves = [compile_fo(second_order_translation(half)) for half in translate_sequent(s)]
+    frames = corpus_frames(s)
+    bad = [[fr for fr in frames if frame_validity(fr, s) != half(fr, ())] for half in halves]
+    return frames, bad[0], bad[1]
+
+
+def test_second_order_translation_agrees_with_frame_validity():
+    """Every corpus sequent is valid on exactly the frames up to 2+2 on
+    which both halves of its translation hold, bar the gap pinned below."""
+    for entry in CORPUS:
+        frames, bad1, badd = _translation_disagreements(entry.sequent)
+        assert frames and not badd, entry.name
+        if entry.name != "pseudo-complement":
+            assert not bad1, entry.name
+
+
+def test_bot_and_top_translation_gap_witnessed():
+    """``translate_bullet`` sends ``bot`` to the empty sort-1 set, but its
+    value is the polar of the full sort-d carrier, which holds every point
+    with no I-edge; ``translate_circle`` likewise sends ``top`` to the empty
+    sort-d set, but the co-interpretation of ``top`` is the polar of the
+    full sort-1 carrier.  On frames with an edgeless point the translation
+    therefore misreads the sequent: pseudo-complement's 1-sequent on 20 of
+    its 124 frames up to 2+2, and the d-sequent of ``top |- p`` on 1 of 16,
+    both first on the 1+1 frame with empty I."""
+    empty_i = {"version": 1, "z1": ["a0"], "zd": ["b0"], "I": [], "Rdia": [],
+               "Rbox": [], "Rneg": [], "T": []}
+    frames, bad1, badd = _translation_disagreements("p /\\ neg p |- bot")
+    assert (len(frames), len(bad1), len(badd)) == (124, 20, 0)
+    assert frame_to_json(bad1[0]) == empty_i
+    frames, bad1, badd = _translation_disagreements("top |- p")
+    assert (len(frames), len(bad1), len(badd)) == (16, 0, 1)
+    assert frame_to_json(badd[0]) == empty_i
+    fr = FiniteFrame(["a0"], ["b0"], validate=False)
+    assert model_check_dfml(fr, {}, Bot())[0] == fr.polard(fr.fulld) == 1
+    assert model_check_sorted(fr, {}, translate_bullet(Bot())) == 0
+    assert model_check_dfml(fr, {}, Top())[1] == fr.polar1(fr.full1) == 1
+    assert model_check_sorted(fr, {}, translate_circle(Top())) == 0
