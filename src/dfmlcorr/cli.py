@@ -349,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-frame", help="validate a frame file against the axioms")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--no-validate", action="store_true")
     p.set_defaults(func=cmd_check_frame)
 
     p = sub.add_parser("corpus", help="replay the golden example corpus")

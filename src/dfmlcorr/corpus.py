@@ -10,10 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .correspondence import compute_correspondent
-from .reduction import (
-    Classification, InequalitySystem, classify, canonical_key,
-    parse_inequality_system,
-)
+from .reduction import InequalitySystem, canonical_key, parse_inequality_system
 from .syntax import fo_alpha_eq, parse_dfml, parse_fo
 
 

@@ -9,13 +9,12 @@ pass simplifies witnessed order-atoms under the monotonicity frame axiom.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .syntax import (
     SORT1, SORTD, AndF, Eq, Exists, FalseF, FoFormula, Forall, Forall2,
-    ImpF, IVar, LambdaPredicate, NotF, OrF, PredApp, PVar, RelAtom, Leq,
-    Sequent, TrueF, VarNamer, and_all, fo_children, fo_rebuild, or_all,
-    word_rel,
+    ImpF, IVar, LambdaPredicate, NotF, PredApp, PVar, RelAtom, Leq,
+    Sequent, VarNamer, and_all, fo_children, fo_rebuild, or_all, word_rel,
 )
 from .reduction import (
     Classification, InequalitySystem, ReductionStep, SOUND_ON_SMOOTH, ThreadResult,

@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 from .syntax import (
     SORT1, SORTD, BTDown, BoxD, Box1, BoxMinus, BoxVert, Cap, Cup, DiaMinus,
     DiaVert, Odot, Positivity, Prime, RSpoon, SBot, STop, Sequent,
-    SortedFormula, SortedSequent, SortedVar, TDown, TRight, children, flip,
+    SortedFormula, SortedVar, TDown, TRight, children, flip,
     positive_occurrences, prime_depths, rebuild, replace_at, rspoon_free,
-    sorted_to_text, sorted_vars, subterm_at, subterms,
+    sorted_to_text, sorted_vars, subterms,
 )
 from .translation import (BOX_BOXMINUS, BOX_PRIME, IMP_RSPOON, IMP_TRIGHT,
                           translate_sequent)
@@ -89,8 +89,14 @@ class InequalitySystem:
         cs = ", ".join([str(c) for c in self.stb] + [str(c) for c in self.cvc])
         return f"< {cs} | {self.main} >" if cs else f"< | {self.main} >"
 
-    def constrained(self) -> set[SortedVar]:
-        return {c.var for c in self.stb} | {c.var for c in self.cvc}
+    def constrained(self) -> frozenset[SortedVar]:
+        # Every rewrite matcher reads this set; build it once per system.
+        try:
+            return self._constrained
+        except AttributeError:
+            cons = frozenset([c.var for c in self.stb] + [c.var for c in self.cvc])
+            object.__setattr__(self, "_constrained", cons)
+            return cons
 
 
 def system_for(ineq: FormalInequality) -> InequalitySystem:
@@ -294,86 +300,144 @@ points at which it holds.  R5.9, R8 and R9 are left out; each has an
 application and a separated+smooth frame on which it does not preserve
 equivalence."""
 
-_REWRITE_RULES = {"R5.1a", "R5.1b", "R5.2a", "R5.2b", "R5.3a", "R5.3b", "R5.4",
-                  "R5.5a", "R5.5b", "R5.6a", "R5.6b", "R5.7a", "R5.7b",
-                  "R5.8", "R5.9"}
+
+# Rewrite rules.  A matcher takes a node that the dispatch tables below send
+# to its rule, the system's constrained variables and the system, and returns
+# the rule's right-hand side at that redex, or None when the node does not
+# match.
+
+def _box_of_closed(box):
+    """R5.1a/b: (dia X')' rewrites to box X''."""
+    def match(node, cons, sys):
+        inner = node.arg.arg
+        if isinstance(inner, Prime):
+            return box(Prime(Prime(inner.arg)))
+        return None
+    return match
 
 
-def _rewrite_once(rule: str, node: SortedFormula, sys: InequalitySystem):
-    """The right-hand side of a rewrite rule at a matching redex, else None."""
-    cons = sys.constrained()
-    if rule == "R5.1a":
-        if isinstance(node, Prime) and isinstance(node.arg, DiaMinus) \
-                and isinstance(node.arg.arg, Prime):
-            alpha = node.arg.arg.arg
-            return BoxMinus(Prime(Prime(alpha)))
-    elif rule == "R5.1b":
-        if isinstance(node, Prime) and isinstance(node.arg, DiaVert) \
-                and isinstance(node.arg.arg, Prime):
-            beta = node.arg.arg.arg
-            return BoxVert(Prime(Prime(beta)))
-    elif rule == "R5.2a":
-        if isinstance(node, Prime) and isinstance(node.arg, DiaMinus) \
-                and isinstance(node.arg.arg, SortedVar) and node.arg.arg in cons:
-            return BoxMinus(Prime(node.arg.arg))
-    elif rule == "R5.2b":
-        if isinstance(node, Prime) and isinstance(node.arg, DiaVert) \
-                and isinstance(node.arg.arg, SortedVar) and node.arg.arg in cons:
-            return BoxVert(Prime(node.arg.arg))
-    elif rule == "R5.3a":
-        if isinstance(node, Prime) and isinstance(node.arg, Prime) \
-                and isinstance(node.arg.arg, BoxMinus) \
-                and isinstance(node.arg.arg.arg, SortedVar) and node.arg.arg.arg in cons:
-            return node.arg.arg
-    elif rule == "R5.3b":
-        if isinstance(node, Prime) and isinstance(node.arg, Prime) \
-                and isinstance(node.arg.arg, BoxVert) \
-                and isinstance(node.arg.arg.arg, SortedVar) and node.arg.arg.arg in cons:
-            return node.arg.arg
-    elif rule == "R5.4":
-        if isinstance(node, Prime) and isinstance(node.arg, Prime) \
-                and isinstance(node.arg.arg, Prime) and isinstance(node.arg.arg.arg, SortedVar):
-            return Prime(node.arg.arg.arg)
-    elif rule == "R5.5a":
-        if isinstance(node, BoxMinus) and isinstance(node.arg, Cap):
-            return Cap(BoxMinus(node.arg.left), BoxMinus(node.arg.right))
-    elif rule == "R5.5b":
-        if isinstance(node, BoxVert) and isinstance(node.arg, Cap):
-            return Cap(BoxVert(node.arg.left), BoxVert(node.arg.right))
-    elif rule == "R5.6a":
-        # Closure distributes over an intersection of stable-valued terms
-        # only; over arbitrary terms the two sides can differ.
-        if isinstance(node, Prime) and isinstance(node.arg, Prime) \
-                and isinstance(node.arg.arg, Cap):
-            cap = node.arg.arg
-            if g_stable(cap.left, sys) and g_stable(cap.right, sys):
-                return Cap(Prime(Prime(cap.left)), Prime(Prime(cap.right)))
-    elif rule == "R5.6b":
-        if isinstance(node, Prime) and isinstance(node.arg, Cup):
-            cup = node.arg
-            return Cap(Prime(cup.left), Prime(cup.right))
-    elif rule == "R5.7a":
-        if isinstance(node, Prime) and isinstance(node.arg, TDown) \
-                and isinstance(node.arg.arg, Prime) and isinstance(node.arg.arg.arg, Prime):
-            alpha = node.arg.arg.arg.arg
-            return BTDown(Prime(alpha))
-    elif rule == "R5.7b":
-        if isinstance(node, Prime) and isinstance(node.arg, TDown) \
-                and isinstance(node.arg.arg, SortedVar) and node.arg.arg in cons:
-            return BTDown(Prime(node.arg.arg))
-    elif rule == "R5.8":
-        if isinstance(node, RSpoon) and isinstance(node.left, SortedVar) \
-                and isinstance(node.right, SortedVar) \
-                and node.left in cons and node.right in cons:
-            return Prime(TRight(node.left, Prime(node.right)))
-    elif rule == "R5.9":
-        if isinstance(node, RSpoon) and isinstance(node.left, SortedVar) \
-                and isinstance(node.right, RSpoon) \
-                and isinstance(node.right.left, SortedVar) \
-                and isinstance(node.right.right, SortedVar):
-            p2, p1, q = node.left, node.right.left, node.right.right
-            return RSpoon(Odot(p1, p2), q)
+def _box_of_constrained(box):
+    """R5.2a/b and R5.7b: (dia P)' rewrites to box P' for a constrained P."""
+    def match(node, cons, sys):
+        var = node.arg.arg
+        if isinstance(var, SortedVar) and var in cons:
+            return box(Prime(var))
+        return None
+    return match
+
+
+def _unclosed_box(box):
+    """R5.3a/b: (box P)'' rewrites to box P for a constrained P."""
+    def match(node, cons, sys):
+        inner = node.arg.arg
+        if isinstance(inner, box) and isinstance(inner.arg, SortedVar) and inner.arg in cons:
+            return inner
+        return None
+    return match
+
+
+def _triple_prime(node, cons, sys):
+    """R5.4: P''' rewrites to P'."""
+    inner = node.arg.arg
+    if isinstance(inner, Prime) and isinstance(inner.arg, SortedVar):
+        return inner
     return None
+
+
+def _box_over_cap(box):
+    """R5.5a/b: box (X cap Y) rewrites to box X cap box Y."""
+    def match(node, cons, sys):
+        if isinstance(node.arg, Cap):
+            return Cap(box(node.arg.left), box(node.arg.right))
+        return None
+    return match
+
+
+def _closure_over_cap(node, cons, sys):
+    """R5.6a: (X cap Y)'' rewrites to X'' cap Y''.  Closure distributes over
+    an intersection of stable-valued terms only; over arbitrary terms the two
+    sides can differ."""
+    cap = node.arg.arg
+    if isinstance(cap, Cap) and g_stable(cap.left, sys) and g_stable(cap.right, sys):
+        return Cap(Prime(Prime(cap.left)), Prime(Prime(cap.right)))
+    return None
+
+
+def _prime_of_cup(node, cons, sys):
+    """R5.6b: (X cup Y)' rewrites to X' cap Y'."""
+    return Cap(Prime(node.arg.left), Prime(node.arg.right))
+
+
+def _tdown_of_closed(node, cons, sys):
+    """R5.7a: (tdown X'')' rewrites to btdown X'."""
+    inner = node.arg.arg
+    if isinstance(inner, Prime) and isinstance(inner.arg, Prime):
+        return BTDown(Prime(inner.arg.arg))
+    return None
+
+
+def _rspoon_of_constrained(node, cons, sys):
+    """R5.8: P rspoon Q rewrites to (P tright Q')' for constrained P and Q."""
+    if isinstance(node.left, SortedVar) and isinstance(node.right, SortedVar) \
+            and node.left in cons and node.right in cons:
+        return Prime(TRight(node.left, Prime(node.right)))
+    return None
+
+
+def _rspoon_rebracket(node, cons, sys):
+    """R5.9: P2 rspoon (P1 rspoon Q) rewrites to (P1 odot P2) rspoon Q."""
+    right = node.right
+    if isinstance(node.left, SortedVar) and isinstance(right, RSpoon) \
+            and isinstance(right.left, SortedVar) and isinstance(right.right, SortedVar):
+        return RSpoon(Odot(right.left, node.left), right.right)
+    return None
+
+
+_REWRITES = {
+    "R5.1a": _box_of_closed(BoxMinus), "R5.1b": _box_of_closed(BoxVert),
+    "R5.2a": _box_of_constrained(BoxMinus), "R5.2b": _box_of_constrained(BoxVert),
+    "R5.3a": _unclosed_box(BoxMinus), "R5.3b": _unclosed_box(BoxVert),
+    "R5.4": _triple_prime,
+    "R5.5a": _box_over_cap(BoxMinus), "R5.5b": _box_over_cap(BoxVert),
+    "R5.6a": _closure_over_cap, "R5.6b": _prime_of_cup,
+    "R5.7a": _tdown_of_closed, "R5.7b": _box_of_constrained(BTDown),
+    "R5.8": _rspoon_of_constrained, "R5.9": _rspoon_rebracket,
+}
+
+# The rewrite rules that can match a node: a Prime node by the type of its
+# argument, any other node by its own type.
+_PRIMED_DISPATCH = {
+    DiaMinus: ("R5.1a", "R5.2a"), DiaVert: ("R5.1b", "R5.2b"),
+    Prime: ("R5.3a", "R5.3b", "R5.4", "R5.6a"), Cup: ("R5.6b",),
+    TDown: ("R5.7a", "R5.7b"),
+}
+_DISPATCH = {BoxMinus: ("R5.5a",), BoxVert: ("R5.5b",), RSpoon: ("R5.8", "R5.9")}
+
+
+def _rules_at(node: SortedFormula) -> tuple[str, ...]:
+    if isinstance(node, Prime):
+        return _PRIMED_DISPATCH.get(type(node.arg), ())
+    return _DISPATCH.get(type(node), ())
+
+
+def _redexes(sys: InequalitySystem) -> dict[str, list]:
+    """Every rewrite redex of the main inequality, from one pre-order walk
+    per side: rule -> [(side, path, rewritten node)] in (side, path) order."""
+    cons = sys.constrained()
+    found: dict[str, list] = {}
+    for side in ("lhs", "rhs"):
+        for path, node in subterms(getattr(sys.main, side)):
+            for rule in _rules_at(node):
+                new = _REWRITES[rule](node, cons, sys)
+                if new is not None:
+                    found.setdefault(rule, []).append((side, path, new))
+    return found
+
+
+def _rewritten(sys: InequalitySystem, side: str, path: tuple[int, ...],
+               new: SortedFormula) -> InequalitySystem:
+    root = replace_at(getattr(sys.main, side), path, new)
+    return replace(sys, main=replace(sys.main, **{side: root}))
 
 
 def _subst_var_under_primes(f: SortedFormula, var: SortedVar, depth: int,
@@ -398,97 +462,120 @@ def _is_prime_chain(g: SortedFormula, var: SortedVar, depth: int) -> bool:
     return isinstance(g, SortedVar) and g == var
 
 
-def applicable_moves(sys: InequalitySystem):
-    """All rule applications in deterministic (rule, site) order."""
+# Rules on the whole system.  Each takes the system and ``_var_depths`` of
+# its main inequality, and yields (site, child).
+
+def _r4(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
     main = sys.main
+    for var, ds in depths.items():
+        if var in sys.constrained():
+            continue
+        if all(d == 2 for d in ds):
+            new_main = FormalInequality(
+                main.sort,
+                _subst_var_under_primes(main.lhs, var, 2, var),
+                _subst_var_under_primes(main.rhs, var, 2, var))
+            yield var, replace(sys, stb=sys.stb + (StabilityConstraint(var),), main=new_main)
+
+
+def _r6(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
+    main = sys.main
+    for var, ds in depths.items():
+        if all(d == 1 for d in ds):
+            fresh = SortedVar(sys.fresh_counter, flip(var.sort))
+            new_main = FormalInequality(
+                main.sort,
+                _subst_var_under_primes(main.lhs, var, 1, fresh),
+                _subst_var_under_primes(main.rhs, var, 1, fresh))
+            yield var, replace(sys, cvc=sys.cvc + (ChangeOfVariables(fresh, var),),
+                               main=new_main, fresh_counter=sys.fresh_counter + 1)
+
+
+def _r1(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
+    for i, c in enumerate(sys.stb):
+        if c.var not in depths:
+            yield i, replace(sys, stb=sys.stb[:i] + sys.stb[i + 1:])
+
+
+def _r2(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
+    main = sys.main
+    if _is_pp(main.lhs) and all(g_stable(c, sys) for c in _cap_conjuncts(main.rhs)):
+        yield None, replace(sys, main=replace(main, lhs=main.lhs.arg.arg))
+
+
+def _r3(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
+    main = sys.main
+    if _is_pp(main.lhs) and _is_pp(main.rhs):
+        yield None, replace(sys, main=replace(main, lhs=main.lhs.arg.arg))
+
+
+def _r7a(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
+    main = sys.main
+    if isinstance(main.rhs, RSpoon):
+        new_main = FormalInequality(SORT1, Odot(main.rhs.left, main.lhs), main.rhs.right)
+        yield None, replace(sys, main=new_main)
+
+
+def _r7b(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
+    main = sys.main
+    if isinstance(main.lhs, DiaVert) and _is_pp(main.lhs.arg):
+        yield None, replace(sys, main=FormalInequality(SORT1, main.lhs.arg, Box1(main.rhs)))
+
+
+def _r7c(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
+    main = sys.main
+    if isinstance(main.lhs, DiaMinus) and _is_pp(main.lhs.arg):
+        yield None, replace(sys, main=FormalInequality(SORTD, main.lhs.arg, BoxD(main.rhs)))
+
+
+def _r8(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
+    main = sys.main
+    if isinstance(main.lhs, RSpoon) and isinstance(main.rhs, RSpoon) \
+            and isinstance(main.lhs.right, SortedVar) \
+            and main.lhs.right == main.rhs.right:
+        p = main.lhs.right
+        zeta, xi = main.lhs.left, main.rhs.left
+        if p not in sorted_vars(zeta) and p not in sorted_vars(xi):
+            yield None, replace(sys, main=FormalInequality(main.sort, xi, zeta))
+
+
+def _r9(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
+    main = sys.main
+    if isinstance(main.lhs, Cap):
+        sides = [(main.lhs.left, main.lhs.right, 0), (main.lhs.right, main.lhs.left, 1)]
+        for cand, other, which in sides:
+            if _is_pp(cand) and _is_boxplus_atom(other, sys) \
+                    and all(g_stable(c, sys) for c in _cap_conjuncts(main.rhs)):
+                kids = [None, None]
+                kids[which] = cand.arg.arg
+                kids[1 - which] = other
+                yield which, replace(sys, main=replace(main, lhs=Cap(kids[0], kids[1])))
+
+
+_SYSTEM_RULES = {"R4": _r4, "R6": _r6, "R1": _r1, "R2": _r2, "R3": _r3,
+                 "R7a": _r7a, "R7b": _r7b, "R7c": _r7c, "R8": _r8, "R9": _r9}
+
+
+def applicable_moves(sys: InequalitySystem):
+    """All rule applications in deterministic (rule, site) order.
+
+    One walk per side finds every rewrite redex; each child system is built
+    only when it is yielded, since the search may stop at the first."""
+    redexes = _redexes(sys)
+    depths = _var_depths(sys.main)
     for rule in RULE_ORDER:
-        if rule in _REWRITE_RULES:
-            for side, root in (("lhs", main.lhs), ("rhs", main.rhs)):
-                for path, node in subterms(root):
-                    new_node = _rewrite_once(rule, node, sys)
-                    if new_node is None:
-                        continue
-                    new_root = replace_at(root, path, new_node)
-                    new_main = replace(main, **{side: new_root})
-                    yield rule, (side, path), replace(sys, main=new_main)
-        elif rule == "R4":
-            for var in _vars_in_order(main):
-                if var in sys.constrained():
-                    continue
-                depths = prime_depths(main.lhs, var) + prime_depths(main.rhs, var)
-                if depths and all(d == 2 for d in depths):
-                    new_main = FormalInequality(
-                        main.sort,
-                        _subst_var_under_primes(main.lhs, var, 2, var),
-                        _subst_var_under_primes(main.rhs, var, 2, var))
-                    yield rule, var, replace(
-                        sys, stb=sys.stb + (StabilityConstraint(var),), main=new_main)
-        elif rule == "R6":
-            for var in _vars_in_order(main):
-                depths = prime_depths(main.lhs, var) + prime_depths(main.rhs, var)
-                if depths and all(d == 1 for d in depths):
-                    fresh = SortedVar(sys.fresh_counter, flip(var.sort))
-                    new_main = FormalInequality(
-                        main.sort,
-                        _subst_var_under_primes(main.lhs, var, 1, fresh),
-                        _subst_var_under_primes(main.rhs, var, 1, fresh))
-                    yield rule, var, replace(
-                        sys, cvc=sys.cvc + (ChangeOfVariables(fresh, var),),
-                        main=new_main, fresh_counter=sys.fresh_counter + 1)
-        elif rule == "R1":
-            occurring = set(_vars_in_order(main))
-            for i, c in enumerate(sys.stb):
-                if c.var not in occurring:
-                    yield rule, i, replace(sys, stb=sys.stb[:i] + sys.stb[i + 1:])
-        elif rule == "R2":
-            if _is_pp(main.lhs) and all(g_stable(c, sys) for c in _cap_conjuncts(main.rhs)):
-                new_main = replace(main, lhs=main.lhs.arg.arg)
-                yield rule, None, replace(sys, main=new_main)
-        elif rule == "R3":
-            if _is_pp(main.lhs) and _is_pp(main.rhs):
-                new_main = replace(main, lhs=main.lhs.arg.arg)
-                yield rule, None, replace(sys, main=new_main)
-        elif rule == "R7a":
-            if isinstance(main.rhs, RSpoon):
-                new_main = FormalInequality(SORT1, Odot(main.rhs.left, main.lhs),
-                                            main.rhs.right)
-                yield rule, None, replace(sys, main=new_main)
-        elif rule == "R7b":
-            if isinstance(main.lhs, DiaVert) and _is_pp(main.lhs.arg):
-                new_main = FormalInequality(SORT1, main.lhs.arg, Box1(main.rhs))
-                yield rule, None, replace(sys, main=new_main)
-        elif rule == "R7c":
-            if isinstance(main.lhs, DiaMinus) and _is_pp(main.lhs.arg):
-                new_main = FormalInequality(SORTD, main.lhs.arg, BoxD(main.rhs))
-                yield rule, None, replace(sys, main=new_main)
-        elif rule == "R8":
-            if isinstance(main.lhs, RSpoon) and isinstance(main.rhs, RSpoon) \
-                    and isinstance(main.lhs.right, SortedVar) \
-                    and main.lhs.right == main.rhs.right:
-                p = main.lhs.right
-                zeta, xi = main.lhs.left, main.rhs.left
-                if p not in sorted_vars(zeta) and p not in sorted_vars(xi):
-                    new_main = FormalInequality(main.sort, xi, zeta)
-                    yield rule, None, replace(sys, main=new_main)
-        elif rule == "R9":
-            if isinstance(main.lhs, Cap):
-                sides = [(main.lhs.left, main.lhs.right, 0), (main.lhs.right, main.lhs.left, 1)]
-                for cand, other, which in sides:
-                    if _is_pp(cand) and _is_boxplus_atom(other, sys) \
-                            and all(g_stable(c, sys) for c in _cap_conjuncts(main.rhs)):
-                        kids = [None, None]
-                        kids[which] = cand.arg.arg
-                        kids[1 - which] = other
-                        new_main = replace(main, lhs=Cap(kids[0], kids[1]))
-                        yield rule, which, replace(sys, main=new_main)
+        if rule in _REWRITES:
+            for side, path, new in redexes.get(rule, ()):
+                yield rule, (side, path), _rewritten(sys, side, path, new)
+        else:
+            for site, child in _SYSTEM_RULES[rule](sys, depths):
+                yield rule, site, child
 
 
-def _vars_in_order(main: FormalInequality) -> list[SortedVar]:
-    out = sorted_vars(main.lhs)
-    for v in sorted_vars(main.rhs):
-        if v not in out:
-            out.append(v)
-    return sorted(out, key=lambda v: (v.sort, v.index))
+def _var_depths(main: FormalInequality) -> dict[SortedVar, list[int]]:
+    """``prime_depths`` of both sides, the variables ordered by (sort, index)."""
+    depths = prime_depths(main.lhs, main.rhs)
+    return {v: depths[v] for v in sorted(depths, key=lambda v: (v.sort, v.index))}
 
 
 def _is_pp(f: SortedFormula) -> bool:
@@ -500,11 +587,35 @@ def _is_boxplus_atom(f: SortedFormula, sys: InequalitySystem) -> bool:
         and f.arg in sys.constrained()
 
 
+def _node_at(sys: InequalitySystem, site) -> SortedFormula | None:
+    """The subterm a rewrite site (side, path) names, else None."""
+    if not (isinstance(site, tuple) and len(site) == 2 and site[0] in ("lhs", "rhs")
+            and isinstance(site[1], tuple)):
+        return None
+    node = getattr(sys.main, site[0])
+    for i in site[1]:
+        kids = children(node)
+        if not (isinstance(i, int) and 0 <= i < len(kids)):
+            return None
+        node = kids[i]
+    return node
+
+
 def apply_rule(sys: InequalitySystem, rule: str, site) -> InequalitySystem | None:
-    """One rule application at the named site; None when inapplicable."""
-    for r, s, out in applicable_moves(sys):
-        if r == rule and s == site:
-            return out
+    """One rule application at the named site; None when inapplicable.
+
+    A rewrite rule is matched at that site alone; a rule on the whole system
+    is looked up among that rule's own applications."""
+    if rule in _REWRITES:
+        node = _node_at(sys, site)
+        if node is None or rule not in _rules_at(node):
+            return None
+        new = _REWRITES[rule](node, sys.constrained(), sys)
+        return None if new is None else _rewritten(sys, site[0], site[1], new)
+    if rule in _SYSTEM_RULES:
+        for s, child in _SYSTEM_RULES[rule](sys, _var_depths(sys.main)):
+            if s == site:
+                return child
     return None
 
 
@@ -583,7 +694,7 @@ def normalize_canonical(sys: InequalitySystem, trace: list[ReductionStep]) -> In
         changed = False
         base = measure(sys)
         for rule, _site, child in applicable_moves(sys):
-            if rule not in _REWRITE_RULES:
+            if rule not in _REWRITES:
                 continue
             if measure(child) >= base:
                 continue

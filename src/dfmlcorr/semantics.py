@@ -1231,20 +1231,38 @@ _BASE_RELATIONS = {
     "T": ("t_rel", SORTD, (SORT1, SORTD), "t_sec", "tprime"),
 }
 
-# Modal connective -> the base relation its semantics reads.
+# Modal connective or sorted operator -> the base relation its semantics
+# reads, listed in the order Rbox, Rdia, Rneg, T.
 _RELATION_OF = {Box: "Rbox", Dia: "Rdia", Neg: "Rneg", Imp: "T"}
+_SORTED_RELATION_OF = {
+    DiaMinus: "Rbox", BoxMinus: "Rbox", BoxD: "Rbox",
+    DiaVert: "Rdia", BoxVert: "Rdia", Box1: "Rdia",
+    TDown: "Rneg", BTDown: "Rneg",
+    Odot: "T", RSpoon: "T", TRight: "T",
+}
 
 
 def relations_needed(s: Sequent) -> tuple[str, ...]:
     """The base relations the sequent's connectives read, in the order
     Rbox, Rdia, Rneg, T, which fixes ``enumerate_frames``' bit layout."""
+    return _relations_read((s.lhs, s.rhs), _RELATION_OF)
+
+
+def system_relations_needed(*systems) -> tuple[str, ...]:
+    """The base relations the operators of the inequality systems' main
+    inequalities read, in the order of ``relations_needed``."""
+    return _relations_read([f for sys in systems for f in (sys.main.lhs, sys.main.rhs)],
+                           _SORTED_RELATION_OF)
+
+
+def _relations_read(roots, relation_of: dict) -> tuple[str, ...]:
     kinds = set()
-    todo = [s.lhs, s.rhs]
+    todo = list(roots)
     while todo:
         f = todo.pop()
         kinds.add(type(f))
         todo.extend(getattr(f, name) for name in f._subs)
-    return tuple(rel for kind, rel in _RELATION_OF.items() if kind in kinds)
+    return tuple(dict.fromkeys(rel for kind, rel in relation_of.items() if kind in kinds))
 
 
 class _Polarity:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 SORT1 = "1"
 SORTD = "d"
@@ -302,9 +302,11 @@ def subterms(f: SortedFormula):
     """Yield (path, node) pairs in pre-order; paths index into children."""
     stack = [((), f)]
     while stack:
-        path, node = stack.pop(0)
+        path, node = stack.pop()
         yield path, node
-        stack[0:0] = [(path + (i,), kid) for i, kid in enumerate(children(node))]
+        kids = children(node)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((path + (i,), kids[i]))
 
 
 def subterm_at(f: SortedFormula, path: tuple[int, ...]) -> SortedFormula:
@@ -323,21 +325,17 @@ def replace_at(f: SortedFormula, path: tuple[int, ...], new: SortedFormula) -> S
 
 def sorted_vars(f: SortedFormula) -> list[SortedVar]:
     """Variables in first-occurrence order."""
-    out: list[SortedVar] = []
-    for _, node in subterms(f):
-        if isinstance(node, SortedVar) and node not in out:
-            out.append(node)
-    return out
+    return list(dict.fromkeys(node for _, node in subterms(f) if isinstance(node, SortedVar)))
 
 
-def prime_depths(f: SortedFormula, var: SortedVar) -> list[int]:
-    """For each occurrence of ``var``: number of Prime nodes immediately above it."""
-    out: list[int] = []
+def prime_depths(*roots: SortedFormula) -> dict[SortedVar, list[int]]:
+    """Each variable of ``roots`` in first-occurrence order, with the number
+    of Prime nodes immediately above each of its occurrences."""
+    out: dict[SortedVar, list[int]] = {}
 
     def walk(g: SortedFormula, above: int) -> None:
         if isinstance(g, SortedVar):
-            if g == var:
-                out.append(above)
+            out.setdefault(g, []).append(above)
             return
         if isinstance(g, Prime):
             walk(g.arg, above + 1)
@@ -345,7 +343,8 @@ def prime_depths(f: SortedFormula, var: SortedVar) -> list[int]:
         for kid in children(g):
             walk(kid, 0)
 
-    walk(f, 0)
+    for root in roots:
+        walk(root, 0)
     return out
 
 

@@ -9,8 +9,6 @@ bullet side (through the ternary image operator, or through rspoon); the
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .syntax import (
     SORT1, SORTD, And, AndF, BoxD, Box1, BoxMinus, BoxVert, BTDown, Bot, Box,
     Cap, Cup, Dia, DiaMinus, DiaVert, DfmlFormula, Eq, Exists, FalseF,

@@ -38,7 +38,7 @@ from dfmlcorr.reduction import (
 from dfmlcorr.semantics import (
     FiniteFrame, bits, correspondence_oracle, enumerate_frames, eval_fo,
     frame_to_json, frame_validity, kripke_frame, local_validity,
-    relations_needed, system_equivalence_witness,
+    relations_needed, system_equivalence_witness, system_relations_needed,
 )
 from dfmlcorr.syntax import (
     SORT1, SORTD, IVar, dfml_vars, fo_alpha_eq, parse_dfml, parse_fo,
@@ -387,20 +387,6 @@ def _collect_applications():
     return apps
 
 
-def _sorted_rels(sys):
-    text = str(sys)
-    rels = []
-    if "diav" in text or "boxv" in text or "box1" in text:
-        rels.append("Rdia")
-    if "diam" in text or "boxm" in text or "boxd" in text:
-        rels.append("Rbox")
-    if "tdown" in text or "btdown" in text:
-        rels.append("Rneg")
-    if "odot" in text or "rspoon" in text or "tright" in text:
-        rels.append("T")
-    return tuple(rels)
-
-
 _FRAME_FAMILIES: dict = {}
 
 
@@ -425,7 +411,7 @@ def _check_application(rule, before, after, require=("F1", "F2")):
     key = (rule, canonical_key(before), canonical_key(after), require)
     if key in _APP_VERDICTS:
         return _APP_VERDICTS[key]
-    rels = tuple(sorted(set(_sorted_rels(before)) | set(_sorted_rels(after))))
+    rels = system_relations_needed(before, after)
     verdict = None
     for fr in _frames_for(rels, require):
         val = system_equivalence_witness(fr, before, after)

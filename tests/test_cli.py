@@ -96,6 +96,9 @@ def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "classify", "box p |- $")
     assert code == 3
     assert "syntax error" in err and "grammar" in err
+    code, _, err = run(capsys, "check-frame", "frames/polarity-2x2.json", "--no-validate")
+    assert code == 3
+    assert "unrecognized arguments: --no-validate" in err
 
 
 def test_budget_exit_code(capsys):

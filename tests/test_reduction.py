@@ -1,12 +1,23 @@
+from dataclasses import replace
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dfmlcorr.reduction import (
-    ChangeOfVariables, FormalInequality, InequalitySystem, NodeBudgetExceeded,
-    StabilityConstraint, apply_rule, applicable_moves, canonical_key,
-    classify, is_canonical_form, is_simple_sahlqvist, parse_formal_inequality,
-    parse_inequality_system, reduce_search, system_for,
+    RULE_ORDER, ChangeOfVariables, FormalInequality, InequalitySystem,
+    NodeBudgetExceeded, StabilityConstraint, _cap_conjuncts, _is_pp,
+    _subst_var_under_primes, apply_rule, applicable_moves, canonical_key,
+    classify, g_stable, is_canonical_form, is_simple_sahlqvist,
+    parse_formal_inequality, parse_inequality_system, reduce_search, system_for,
 )
-from dfmlcorr.syntax import SORT1, SORTD, SortedVar, parse_dfml, parse_sorted
+from dfmlcorr.syntax import (
+    SORT1, SORTD, BTDown, Box1, BoxD, BoxMinus, BoxVert, Cap, Cup, DiaMinus,
+    DiaVert, Odot, Prime, RSpoon, SortedVar, TDown, TRight, children, flip,
+    parse_dfml, parse_sorted, prime_depths, replace_at, sorted_vars, subterms,
+)
+
+from test_semantics import sorted_formulas
 
 
 def ineq(text):
@@ -181,3 +192,312 @@ def test_canonical_key_renaming_insensitive():
     assert canonical_key(a) == canonical_key(b)
     c = system("P0'' <=1 P0 | boxm P0 <=1 diav P0")
     assert canonical_key(a) != canonical_key(c)
+
+
+# -- the one-walk move generator against the per-rule scan ----------------------
+#
+# ``_reference_moves`` is the move generator as it was before the dispatch
+# tables: every rewrite rule scans every subterm of both sides through one
+# if-chain, and the rules on the whole system recompute variables and prime
+# depths per rule.  ``applicable_moves`` must yield the same list.
+
+def _reference_rewrite(rule, node, sys):
+    cons = {c.var for c in sys.stb} | {c.var for c in sys.cvc}
+    if rule == "R5.1a":
+        if isinstance(node, Prime) and isinstance(node.arg, DiaMinus) \
+                and isinstance(node.arg.arg, Prime):
+            return BoxMinus(Prime(Prime(node.arg.arg.arg)))
+    elif rule == "R5.1b":
+        if isinstance(node, Prime) and isinstance(node.arg, DiaVert) \
+                and isinstance(node.arg.arg, Prime):
+            return BoxVert(Prime(Prime(node.arg.arg.arg)))
+    elif rule == "R5.2a":
+        if isinstance(node, Prime) and isinstance(node.arg, DiaMinus) \
+                and isinstance(node.arg.arg, SortedVar) and node.arg.arg in cons:
+            return BoxMinus(Prime(node.arg.arg))
+    elif rule == "R5.2b":
+        if isinstance(node, Prime) and isinstance(node.arg, DiaVert) \
+                and isinstance(node.arg.arg, SortedVar) and node.arg.arg in cons:
+            return BoxVert(Prime(node.arg.arg))
+    elif rule == "R5.3a":
+        if isinstance(node, Prime) and isinstance(node.arg, Prime) \
+                and isinstance(node.arg.arg, BoxMinus) \
+                and isinstance(node.arg.arg.arg, SortedVar) and node.arg.arg.arg in cons:
+            return node.arg.arg
+    elif rule == "R5.3b":
+        if isinstance(node, Prime) and isinstance(node.arg, Prime) \
+                and isinstance(node.arg.arg, BoxVert) \
+                and isinstance(node.arg.arg.arg, SortedVar) and node.arg.arg.arg in cons:
+            return node.arg.arg
+    elif rule == "R5.4":
+        if isinstance(node, Prime) and isinstance(node.arg, Prime) \
+                and isinstance(node.arg.arg, Prime) and isinstance(node.arg.arg.arg, SortedVar):
+            return Prime(node.arg.arg.arg)
+    elif rule == "R5.5a":
+        if isinstance(node, BoxMinus) and isinstance(node.arg, Cap):
+            return Cap(BoxMinus(node.arg.left), BoxMinus(node.arg.right))
+    elif rule == "R5.5b":
+        if isinstance(node, BoxVert) and isinstance(node.arg, Cap):
+            return Cap(BoxVert(node.arg.left), BoxVert(node.arg.right))
+    elif rule == "R5.6a":
+        if isinstance(node, Prime) and isinstance(node.arg, Prime) \
+                and isinstance(node.arg.arg, Cap):
+            cap = node.arg.arg
+            if g_stable(cap.left, sys) and g_stable(cap.right, sys):
+                return Cap(Prime(Prime(cap.left)), Prime(Prime(cap.right)))
+    elif rule == "R5.6b":
+        if isinstance(node, Prime) and isinstance(node.arg, Cup):
+            return Cap(Prime(node.arg.left), Prime(node.arg.right))
+    elif rule == "R5.7a":
+        if isinstance(node, Prime) and isinstance(node.arg, TDown) \
+                and isinstance(node.arg.arg, Prime) and isinstance(node.arg.arg.arg, Prime):
+            return BTDown(Prime(node.arg.arg.arg.arg))
+    elif rule == "R5.7b":
+        if isinstance(node, Prime) and isinstance(node.arg, TDown) \
+                and isinstance(node.arg.arg, SortedVar) and node.arg.arg in cons:
+            return BTDown(Prime(node.arg.arg))
+    elif rule == "R5.8":
+        if isinstance(node, RSpoon) and isinstance(node.left, SortedVar) \
+                and isinstance(node.right, SortedVar) \
+                and node.left in cons and node.right in cons:
+            return Prime(TRight(node.left, Prime(node.right)))
+    elif rule == "R5.9":
+        if isinstance(node, RSpoon) and isinstance(node.left, SortedVar) \
+                and isinstance(node.right, RSpoon) \
+                and isinstance(node.right.left, SortedVar) \
+                and isinstance(node.right.right, SortedVar):
+            return RSpoon(Odot(node.right.left, node.left), node.right.right)
+    return None
+
+
+def _reference_depths(f, var, above=0):
+    """The number of primes immediately above each occurrence of ``var``."""
+    if isinstance(f, SortedVar):
+        return [above] if f == var else []
+    if isinstance(f, Prime):
+        return _reference_depths(f.arg, var, above + 1)
+    return [d for kid in children(f) for d in _reference_depths(kid, var)]
+
+
+def _reference_moves(sys):
+    main = sys.main
+    cons = {c.var for c in sys.stb} | {c.var for c in sys.cvc}
+    vs = []
+    for v in sorted_vars(main.lhs) + sorted_vars(main.rhs):
+        if v not in vs:
+            vs.append(v)
+    vs.sort(key=lambda v: (v.sort, v.index))
+    for rule in RULE_ORDER:
+        if rule.startswith("R5."):
+            for side, root in (("lhs", main.lhs), ("rhs", main.rhs)):
+                for path, node in subterms(root):
+                    new_node = _reference_rewrite(rule, node, sys)
+                    if new_node is not None:
+                        new_main = replace(main, **{side: replace_at(root, path, new_node)})
+                        yield rule, (side, path), replace(sys, main=new_main)
+        elif rule in ("R4", "R6"):
+            depth = 2 if rule == "R4" else 1
+            for var in vs:
+                if rule == "R4" and var in cons:
+                    continue
+                depths = _reference_depths(main.lhs, var) + _reference_depths(main.rhs, var)
+                if depths and all(d == depth for d in depths):
+                    new = var if rule == "R4" else SortedVar(sys.fresh_counter, flip(var.sort))
+                    new_main = FormalInequality(
+                        main.sort,
+                        _subst_var_under_primes(main.lhs, var, depth, new),
+                        _subst_var_under_primes(main.rhs, var, depth, new))
+                    if rule == "R4":
+                        yield rule, var, replace(
+                            sys, stb=sys.stb + (StabilityConstraint(var),), main=new_main)
+                    else:
+                        yield rule, var, replace(
+                            sys, cvc=sys.cvc + (ChangeOfVariables(new, var),),
+                            main=new_main, fresh_counter=sys.fresh_counter + 1)
+        elif rule == "R1":
+            for i, c in enumerate(sys.stb):
+                if c.var not in vs:
+                    yield rule, i, replace(sys, stb=sys.stb[:i] + sys.stb[i + 1:])
+        elif rule == "R2":
+            if _is_pp(main.lhs) and all(g_stable(c, sys) for c in _cap_conjuncts(main.rhs)):
+                yield rule, None, replace(sys, main=replace(main, lhs=main.lhs.arg.arg))
+        elif rule == "R3":
+            if _is_pp(main.lhs) and _is_pp(main.rhs):
+                yield rule, None, replace(sys, main=replace(main, lhs=main.lhs.arg.arg))
+        elif rule == "R7a":
+            if isinstance(main.rhs, RSpoon):
+                yield rule, None, replace(sys, main=FormalInequality(
+                    SORT1, Odot(main.rhs.left, main.lhs), main.rhs.right))
+        elif rule == "R7b":
+            if isinstance(main.lhs, DiaVert) and _is_pp(main.lhs.arg):
+                yield rule, None, replace(sys, main=FormalInequality(
+                    SORT1, main.lhs.arg, Box1(main.rhs)))
+        elif rule == "R7c":
+            if isinstance(main.lhs, DiaMinus) and _is_pp(main.lhs.arg):
+                yield rule, None, replace(sys, main=FormalInequality(
+                    SORTD, main.lhs.arg, BoxD(main.rhs)))
+        elif rule == "R8":
+            if isinstance(main.lhs, RSpoon) and isinstance(main.rhs, RSpoon) \
+                    and isinstance(main.lhs.right, SortedVar) \
+                    and main.lhs.right == main.rhs.right:
+                p = main.lhs.right
+                zeta, xi = main.lhs.left, main.rhs.left
+                if p not in sorted_vars(zeta) and p not in sorted_vars(xi):
+                    yield rule, None, replace(sys, main=FormalInequality(main.sort, xi, zeta))
+        elif rule == "R9":
+            if isinstance(main.lhs, Cap):
+                sides = [(main.lhs.left, main.lhs.right, 0), (main.lhs.right, main.lhs.left, 1)]
+                for cand, other, which in sides:
+                    if _is_pp(cand) and isinstance(other, (BoxMinus, BoxVert)) \
+                            and isinstance(other.arg, SortedVar) and other.arg in cons \
+                            and all(g_stable(c, sys) for c in _cap_conjuncts(main.rhs)):
+                        kids = [None, None]
+                        kids[which] = cand.arg.arg
+                        kids[1 - which] = other
+                        yield rule, which, replace(
+                            sys, main=replace(main, lhs=Cap(kids[0], kids[1])))
+
+
+def _assert_same_moves(sys):
+    """``applicable_moves`` equals the reference, and ``apply_rule`` returns
+    each move's child, or None at a site no move of that rule has."""
+    want = list(_reference_moves(sys))
+    assert list(applicable_moves(sys)) == want, str(sys)
+    sites = {site for _, site, _ in want} | {None, 0, ("lhs", ()), ("rhs", (0, 0)),
+                                             ("lhs", (9,)), ("mid", ())}
+    for rule in RULE_ORDER:
+        for site in sites:
+            expect = next((child for r, s, child in want if (r, s) == (rule, site)), None)
+            assert apply_rule(sys, rule, site) == expect, (rule, site, str(sys))
+    return want
+
+
+def test_moves_match_reference_on_corpus_searches(monkeypatch):
+    """Every system the corpus searches expand, and every child of those."""
+    from dfmlcorr import reduction
+    from dfmlcorr.corpus import CORPUS
+    visited = {}
+    real = reduction.applicable_moves
+
+    def recording(sys):
+        visited.setdefault(sys, None)
+        return real(sys)
+
+    monkeypatch.setattr(reduction, "applicable_moves", recording)
+    for entry in CORPUS:
+        classify(parse_dfml(entry.sequent))
+    monkeypatch.undo()
+    fired = set()
+    fan_out = {}
+    for sys in visited:
+        for rule, _site, child in _assert_same_moves(sys):
+            fired.add(rule)
+            fan_out.setdefault(child, None)
+    for child in fan_out:
+        if child not in visited:
+            fired.update(rule for rule, _, _ in _assert_same_moves(child))
+    assert len(visited) > 800
+    assert fired >= {"R4", "R6", "R1", "R5.2a", "R5.2b", "R5.8", "R5.9", "R8", "R9"}
+
+
+def _var(sort):
+    return st.integers(0, 2).map(lambda i: SortedVar(i, sort))
+
+
+@lru_cache(maxsize=None)
+def _redex_rich(sort, depth):
+    """Formulas of ``sort`` over every node type, often holding a redex of
+    some rewrite rule: each rule's left-hand side is a template whose holes
+    are filled recursively."""
+    if depth == 0:
+        return sorted_formulas(sort, 0)
+    sub = lambda s: _redex_rich(s, depth - 1)
+    one, d = SORT1, SORTD
+    templates = {
+        one: [st.builds(lambda x: Prime(DiaMinus(Prime(x))), sub(one)),
+              st.builds(lambda v: Prime(DiaMinus(v)), _var(d)),
+              st.builds(lambda v: Prime(Prime(BoxMinus(v))), _var(one)),
+              st.builds(lambda x, y: BoxMinus(Cap(x, y)), sub(one), sub(one)),
+              st.builds(lambda x: Prime(TDown(Prime(Prime(x)))), sub(one)),
+              st.builds(lambda v: Prime(TDown(v)), _var(one)),
+              st.builds(RSpoon, _var(one), _var(one)),
+              st.builds(lambda a, b, c: RSpoon(a, RSpoon(b, c)), _var(one), _var(one), _var(one))],
+        d: [st.builds(lambda x: Prime(DiaVert(Prime(x))), sub(d)),
+            st.builds(lambda v: Prime(DiaVert(v)), _var(one)),
+            st.builds(lambda v: Prime(Prime(BoxVert(v))), _var(d)),
+            st.builds(lambda x, y: BoxVert(Cap(x, y)), sub(d), sub(d))],
+    }[sort]
+    templates += [st.builds(lambda v: Prime(Prime(Prime(v))), _var(flip(sort))),
+                  st.builds(lambda x, y: Prime(Prime(Cap(x, y))), sub(sort), sub(sort)),
+                  st.builds(lambda x, y: Prime(Cup(x, y)), sub(flip(sort)), sub(flip(sort))),
+                  st.builds(lambda x: Prime(Prime(x)), sub(sort))]
+    return st.one_of([sorted_formulas(sort, depth)] + templates)
+
+
+@st.composite
+def systems(draw):
+    sort = draw(st.sampled_from([SORT1, SORTD]))
+    lhs, rhs = draw(_redex_rich(sort, 3)), draw(_redex_rich(sort, 3))
+    pool = [SortedVar(i, s) for s in (SORT1, SORTD) for i in range(3)]
+    stb = [v for v in pool if draw(st.booleans())]
+    cvc = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool))
+                        .filter(lambda p: p[0].sort != p[1].sort),
+                        unique_by=lambda p: p[0], max_size=3))
+    return InequalitySystem(
+        tuple(StabilityConstraint(v) for v in stb),
+        tuple(ChangeOfVariables(v, source) for v, source in cvc),
+        FormalInequality(sort, lhs, rhs), 3)
+
+
+@given(sys=systems())
+@settings(max_examples=400, deadline=None)
+def test_moves_match_reference_on_random_systems(sys):
+    for _rule, _site, child in _assert_same_moves(sys):
+        _assert_same_moves(child)
+
+
+def test_random_systems_reach_every_rewrite_rule():
+    """The strategy above is not vacuous: its draws fire every rewrite rule."""
+    fired = set()
+
+    @given(sys=systems())
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    def collect(sys):
+        fired.update(rule for rule, _, _ in applicable_moves(sys))
+
+    collect()
+    assert fired >= {r for r in RULE_ORDER if r.startswith("R5.")}
+
+
+def test_constrained_is_cached_and_exact():
+    sys = system("P0'' <=1 P0, P^1 =d P2' | P0 <=1 P2")
+    assert sys.constrained() == {SortedVar(0, SORT1), SortedVar(1, SORTD)}
+    assert sys.constrained() is sys.constrained()
+    assert replace(sys, stb=()).constrained() == {SortedVar(1, SORTD)}
+
+
+# -- tree walks -----------------------------------------------------------------
+
+def _reference_subterms(f, path=()):
+    yield path, f
+    for i, kid in enumerate(children(f)):
+        yield from _reference_subterms(kid, path + (i,))
+
+
+@given(f=st.one_of(sorted_formulas(SORT1, 4), sorted_formulas(SORTD, 4)))
+@settings(max_examples=200, deadline=None)
+def test_subterms_is_preorder(f):
+    assert list(subterms(f)) == list(_reference_subterms(f))
+    firsts = []
+    for _, node in _reference_subterms(f):
+        if isinstance(node, SortedVar) and node not in firsts:
+            firsts.append(node)
+    assert sorted_vars(f) == firsts
+    depths = prime_depths(f)
+    assert list(depths) == firsts
+    assert all(depths[v] == _reference_depths(f, v) for v in firsts)
+
+
+def test_sorted_vars_first_occurrence_order():
+    f = parse_sorted("(P2 odot P^0') odot (P0 odot P2)")
+    assert sorted_vars(f) == [SortedVar(2, SORT1), SortedVar(0, SORTD), SortedVar(0, SORT1)]

@@ -9,14 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from dfmlcorr.corpus import CORPUS
 from dfmlcorr.correspondence import compute_correspondent
-from dfmlcorr.reduction import ChangeOfVariables, FormalInequality, InequalitySystem
+from dfmlcorr.reduction import (
+    ChangeOfVariables, FormalInequality, InequalitySystem, applicable_moves,
+)
 from dfmlcorr.semantics import (
     MAX_SORT_SIZE, FiniteFrame, FrameSizeError, FrameValidationError, bits,
     compile_dfml, compile_fo, compile_sorted, correspondence_oracle,
     enumerate_frames, eval_fo, frame_to_json, kripke_frame, load_frame,
     local_validity, model_check_dfml, model_check_sorted, relations_needed,
     separated_i_masks, system_equivalence_witness, system_holds,
-    system_valuations,
+    system_relations_needed, system_valuations,
 )
 from dfmlcorr.syntax import (
     REL_SIG, SORT1, SORTD, AndF, BoxD, BoxMinus, BoxVert, BTDown, Box1, Cap,
@@ -543,13 +545,6 @@ def reference_valuations(fr, systems):
             yield val
 
 
-def _rels_of(*systems):
-    marks = {"Rdia": ("diav", "boxv", "box1"), "Rbox": ("diam", "boxm", "boxd"),
-             "Rneg": ("tdown",), "T": ("odot", "rspoon", "tright")}
-    text = " ".join(str(s) for s in systems)
-    return tuple(r for r, ops in marks.items() if any(op in text for op in ops))
-
-
 def test_witness_is_first_reference_disagreement_on_corpus_steps():
     """On every separated+smooth frame up to 2+1 and 1+2, for every trace
     step of the corpus: the valuations are the reference ones, in order and
@@ -564,7 +559,7 @@ def test_witness_is_first_reference_disagreement_on_corpus_steps():
     families = {}
     witnessed = 0
     for step in steps.values():
-        rels = _rels_of(step.before, step.after)
+        rels = system_relations_needed(step.before, step.after)
         if rels not in families:
             families[rels] = [fr for n1, nd in ((1, 1), (1, 2), (2, 1))
                               for fr in enumerate_frames(n1, nd, rels)]
@@ -923,6 +918,33 @@ def test_enumerator_edge_cases():
         list(enumerate_frames(1, 1, ("Rbogus",)))
     with pytest.raises(ValueError):
         list(enumerate_frames(1, 1, ("Rbox",), require=("F9",)))
+
+
+def test_system_relations_needed_matches_the_printed_operators():
+    """On every system of the corpus traces and its one-step fan-out, the
+    walk finds the relations whose operators the printed system shows."""
+    marks = {"Rbox": ("diam", "boxm", "boxd"), "Rdia": ("diav", "boxv", "box1"),
+             "Rneg": ("tdown",), "T": ("odot", "rspoon", "tright")}
+    traced = []
+    for entry in CORPUS:
+        res = compute_correspondent(parse_dfml(entry.sequent))
+        for trace in [r.trace for r in res.classification.successes] + \
+                [c.trace for c in res.correspondents]:
+            traced += [sys for step in trace for sys in (step.before, step.after)]
+    systems = dict.fromkeys(traced)
+    for sys in traced:
+        systems.update(dict.fromkeys(child for _, _, child in applicable_moves(sys)))
+    def by_text(*systems):
+        text = " ".join(str(sys) for sys in systems)
+        return tuple(rel for rel, ops in marks.items() if any(op in text for op in ops))
+
+    seen = set()
+    for sys in systems:
+        assert system_relations_needed(sys) == by_text(sys), str(sys)
+        seen.update(system_relations_needed(sys))
+    for a, b in zip(traced, traced[1:]):
+        assert system_relations_needed(a, b) == by_text(a, b)
+    assert len(systems) > 150 and seen == set(marks)
 
 
 def test_relations_needed_walks_the_sequent():
