@@ -57,24 +57,26 @@ def _trace_json(trace) -> list[dict]:
             for st in trace]
 
 
-def _result_json(res, assume_f3: bool) -> dict:
-    doc = {
-        "input": str(res.sequent),
-        "verdict": "sahlqvist" if res.sahlqvist else "not-sahlqvist",
-        "threads": [],
-    }
-    for r in res.classification.results:
-        entry = {
-            "thread": r.thread,
-            "imp": r.imp,
-            "box": r.box,
-            "start": str(r.start),
-            "reduced": r.reduced,
-        }
+def _classification_json(cls, start: bool) -> dict:
+    """Input, verdict and one entry per thread result; ``start`` adds each
+    thread's starting inequality."""
+    threads = []
+    for r in cls.results:
+        entry = {"thread": r.thread, "imp": r.imp, "box": r.box}
+        if start:
+            entry["start"] = str(r.start)
+        entry["reduced"] = r.reduced
         if r.reduced:
             entry["system"] = str(r.system)
             entry["trace"] = _trace_json(r.trace)
-        doc["threads"].append(entry)
+        threads.append(entry)
+    return {"input": str(cls.sequent),
+            "verdict": "sahlqvist" if cls.sahlqvist else "not-sahlqvist",
+            "threads": threads}
+
+
+def _result_json(res, assume_f3: bool) -> dict:
+    doc = _classification_json(res.classification, start=True)
     doc["correspondents"] = []
     for c in res.correspondents:
         entry = {
@@ -110,17 +112,7 @@ def cmd_classify(args) -> int:
     s = parse_dfml(args.sequent)
     cls = classify(s, max_nodes=args.max_nodes, threads=_threads(args.thread))
     if args.json:
-        doc = {
-            "input": str(s),
-            "verdict": "sahlqvist" if cls.sahlqvist else "not-sahlqvist",
-            "threads": [{
-                "thread": r.thread, "imp": r.imp, "box": r.box,
-                "reduced": r.reduced,
-                **({"system": str(r.system), "trace": _trace_json(r.trace)}
-                   if r.reduced else {}),
-            } for r in cls.results],
-        }
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(_classification_json(cls, start=False), indent=2))
     else:
         print("sahlqvist" if cls.sahlqvist else "not-sahlqvist")
         for r in cls.results:
@@ -136,17 +128,7 @@ def cmd_reduce(args) -> int:
     s = parse_dfml(args.sequent)
     cls = classify(s, max_nodes=args.max_nodes, threads=_threads(args.thread))
     if args.json:
-        doc = {
-            "input": str(s),
-            "verdict": "sahlqvist" if cls.sahlqvist else "not-sahlqvist",
-            "threads": [{
-                "thread": r.thread, "imp": r.imp, "box": r.box,
-                "start": str(r.start), "reduced": r.reduced,
-                **({"system": str(r.system), "trace": _trace_json(r.trace)}
-                   if r.reduced else {}),
-            } for r in cls.results],
-        }
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(_classification_json(cls, start=True), indent=2))
     else:
         for r in cls.results:
             tag = f"{r.thread} ({r.imp}/{r.box})"

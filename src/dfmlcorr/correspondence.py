@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .syntax import (
     SORT1, SORTD, AndF, Eq, Exists, FalseF, FoFormula, Forall, Forall2,
     ImpF, IVar, LambdaPredicate, NotF, PredApp, PVar, RelAtom, Leq,
-    Sequent, VarNamer, and_all, fo_children, fo_rebuild, or_all, word_rel,
+    Sequent, VarNamer, and_all, children, rebuild, or_all, word_rel,
 )
 from .reduction import (
     Classification, InequalitySystem, ReductionStep, SOUND_ON_SMOOTH, ThreadResult,
@@ -129,7 +129,7 @@ def fo_positive_in(f: FoFormula, p: PVar, pol: int = 1) -> bool:
         return fo_positive_in(f.arg, p, -pol)
     if isinstance(f, ImpF):
         return fo_positive_in(f.left, p, -pol) and fo_positive_in(f.right, p, pol)
-    kids = fo_children(f)
+    kids = children(f)
     return all(fo_positive_in(k, p, pol) for k in kids)
 
 
@@ -246,8 +246,8 @@ def _subst_ivars(f: FoFormula, mapping: dict, namer: VarNamer) -> FoFormula:
         return type(f)(fresh, _subst_ivars(f.body, inner, namer))
     if isinstance(f, Forall2):
         return Forall2(f.var, _subst_ivars(f.body, mapping, namer))
-    kids = [_subst_ivars(k, mapping, namer) for k in fo_children(f)]
-    return fo_rebuild(f, kids)
+    kids = [_subst_ivars(k, mapping, namer) for k in children(f)]
+    return rebuild(f, kids)
 
 
 def beta_apply(lam: LambdaPredicate, term: IVar, namer: VarNamer) -> FoFormula:
@@ -267,9 +267,9 @@ def eliminate(g: GuardedSO, d: Decomposition, inst: dict) -> FoFormula:
                 return beta_apply(inst[f.var], f.arg, g.namer)
             return FalseF()
         if isinstance(f, (Forall, Exists, Forall2)):
-            return fo_rebuild(f, [subst(f.body)])
-        kids = [subst(k) for k in fo_children(f)]
-        return fo_rebuild(f, kids)
+            return rebuild(f, [subst(f.body)])
+        kids = [subst(k) for k in children(f)]
+        return rebuild(f, kids)
 
     pos = subst(d.pos)
     core = pos if not d.rel else ImpF(and_all(list(d.rel)), pos)
@@ -300,9 +300,9 @@ def simplify_f3(f: FoFormula) -> FoFormula:
     ``exists u (R(u,a) /\\ u <= x)  ->  R(x,a)``.
     """
     if isinstance(f, (Forall, Exists, Forall2)):
-        new = fo_rebuild(f, [simplify_f3(f.body)])
+        new = rebuild(f, [simplify_f3(f.body)])
     elif f._subs:
-        new = fo_rebuild(f, [simplify_f3(k) for k in fo_children(f)])
+        new = rebuild(f, [simplify_f3(k) for k in children(f)])
     else:
         new = f
     if isinstance(new, Exists):

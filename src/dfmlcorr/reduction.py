@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 from .syntax import (
     SORT1, SORTD, BTDown, BoxD, Box1, BoxMinus, BoxVert, Cap, Cup, DiaMinus,
     DiaVert, Odot, Positivity, Prime, RSpoon, SBot, STop, Sequent,
-    SortedFormula, SortedVar, TDown, TRight, children, flip,
+    SortedFormula, SortedVar, TDown, TRight, children, flip, occurrences,
     positive_occurrences, prime_depths, rebuild, replace_at, rspoon_free,
-    sorted_to_text, sorted_vars, subterms,
+    shape, sorted_to_text, sorted_vars, subterms,
 )
 from .translation import (BOX_BOXMINUS, BOX_PRIME, IMP_RSPOON, IMP_TRIGHT,
                           translate_sequent)
@@ -76,8 +76,9 @@ class InequalitySystem:
     fresh_counter: int
 
     def __hash__(self) -> int:
-        # Systems key memoised semantic plans; hashing the formula trees
-        # again on every lookup cost a tenth of a rule audit.
+        # Systems key memoised semantic plans.  Sorted nodes hash by
+        # identity, but a fresh hash still calls each constraint's and the
+        # inequality's dataclass hash: about 9% of a rule audit.
         try:
             return self._hash
         except AttributeError:
@@ -158,25 +159,23 @@ ReductionTrace = tuple[ReductionStep, ...]
 
 
 def canonical_key(sys: InequalitySystem) -> tuple:
-    """Structure key, insensitive to variable numbering within each sort."""
-    order: dict[tuple[int, str], int] = {}
+    """Structure key, insensitive to variable numbering within each sort.
+
+    The shapes of the two sides (interned, so compared by identity) and
+    each variable occurrence numbered by the first occurrence of its
+    variable, in pre-order of the main inequality and then the constraints.
+    Its cost is the number of variable occurrences."""
+    main = sys.main
+    order: dict[SortedVar, int] = {}
+    occ = tuple([order.setdefault(v, len(order))
+                 for v in occurrences(main.lhs) + occurrences(main.rhs)])
 
     def num(v: SortedVar) -> tuple[str, int]:
-        k = (v.index, v.sort)
-        if k not in order:
-            order[k] = len(order)
-        return (v.sort, order[k])
+        return (v.sort, order.setdefault(v, len(order)))
 
-    def walk(f: SortedFormula):
-        if isinstance(f, SortedVar):
-            return ("v",) + num(f)
-        return (type(f).__name__, getattr(f, "sort", None)) + tuple(
-            walk(k) for k in children(f))
-
-    main = (walk(sys.main.lhs), sys.main.sort, walk(sys.main.rhs))
     stb = tuple(sorted(num(c.var) for c in sys.stb))
     cvc = tuple(sorted((num(c.var), num(c.source)) for c in sys.cvc))
-    return (stb, cvc, main)
+    return (stb, cvc, shape(main.lhs), main.sort, shape(main.rhs), occ)
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +221,10 @@ def _simple_premiss(f: SortedFormula) -> bool:
 def is_simple_sahlqvist(ineq: FormalInequality) -> bool:
     """Positive consequent; premiss generated from top, bot and boxed atoms
     under intersection and the additive operators of its sort."""
-    if not rspoon_free(ineq.rhs) or not rspoon_free(ineq.lhs):
+    if not (rspoon_free(ineq.rhs) and rspoon_free(ineq.lhs) and _simple_premiss(ineq.lhs)):
         return False
-    for v in sorted_vars(ineq.rhs):
-        if positive_occurrences(ineq.rhs, v) == Positivity.MIXED:
-            return False
-    return _simple_premiss(ineq.lhs)
+    return all(positive_occurrences(ineq.rhs, v) != Positivity.MIXED
+               for v in sorted_vars(ineq.rhs))
 
 
 def _occurs_primed(f: SortedFormula, var: SortedVar) -> bool:
@@ -436,8 +433,16 @@ def _redexes(sys: InequalitySystem) -> dict[str, list]:
 
 def _rewritten(sys: InequalitySystem, side: str, path: tuple[int, ...],
                new: SortedFormula) -> InequalitySystem:
-    root = replace_at(getattr(sys.main, side), path, new)
-    return replace(sys, main=replace(sys.main, **{side: root}))
+    main = sys.main
+    if side == "lhs":
+        return _with_main(sys, main.sort, replace_at(main.lhs, path, new), main.rhs)
+    return _with_main(sys, main.sort, main.lhs, replace_at(main.rhs, path, new))
+
+
+def _with_main(sys: InequalitySystem, sort: str, lhs: SortedFormula,
+               rhs: SortedFormula) -> InequalitySystem:
+    return InequalitySystem(sys.stb, sys.cvc, FormalInequality(sort, lhs, rhs),
+                            sys.fresh_counter)
 
 
 def _subst_var_under_primes(f: SortedFormula, var: SortedVar, depth: int,
@@ -445,6 +450,8 @@ def _subst_var_under_primes(f: SortedFormula, var: SortedVar, depth: int,
     """Replace each occurrence of var under exactly ``depth`` primes by ``new``."""
 
     def walk(g: SortedFormula) -> SortedFormula:
+        if var not in occurrences(g):
+            return g
         if _is_prime_chain(g, var, depth):
             return new
         if isinstance(g, SortedVar):
@@ -500,32 +507,31 @@ def _r1(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
 def _r2(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
     main = sys.main
     if _is_pp(main.lhs) and all(g_stable(c, sys) for c in _cap_conjuncts(main.rhs)):
-        yield None, replace(sys, main=replace(main, lhs=main.lhs.arg.arg))
+        yield None, _with_main(sys, main.sort, main.lhs.arg.arg, main.rhs)
 
 
 def _r3(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
     main = sys.main
     if _is_pp(main.lhs) and _is_pp(main.rhs):
-        yield None, replace(sys, main=replace(main, lhs=main.lhs.arg.arg))
+        yield None, _with_main(sys, main.sort, main.lhs.arg.arg, main.rhs)
 
 
 def _r7a(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
     main = sys.main
     if isinstance(main.rhs, RSpoon):
-        new_main = FormalInequality(SORT1, Odot(main.rhs.left, main.lhs), main.rhs.right)
-        yield None, replace(sys, main=new_main)
+        yield None, _with_main(sys, SORT1, Odot(main.rhs.left, main.lhs), main.rhs.right)
 
 
 def _r7b(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
     main = sys.main
     if isinstance(main.lhs, DiaVert) and _is_pp(main.lhs.arg):
-        yield None, replace(sys, main=FormalInequality(SORT1, main.lhs.arg, Box1(main.rhs)))
+        yield None, _with_main(sys, SORT1, main.lhs.arg, Box1(main.rhs))
 
 
 def _r7c(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
     main = sys.main
     if isinstance(main.lhs, DiaMinus) and _is_pp(main.lhs.arg):
-        yield None, replace(sys, main=FormalInequality(SORTD, main.lhs.arg, BoxD(main.rhs)))
+        yield None, _with_main(sys, SORTD, main.lhs.arg, BoxD(main.rhs))
 
 
 def _r8(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
@@ -535,8 +541,8 @@ def _r8(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
             and main.lhs.right == main.rhs.right:
         p = main.lhs.right
         zeta, xi = main.lhs.left, main.rhs.left
-        if p not in sorted_vars(zeta) and p not in sorted_vars(xi):
-            yield None, replace(sys, main=FormalInequality(main.sort, xi, zeta))
+        if p not in occurrences(zeta) and p not in occurrences(xi):
+            yield None, _with_main(sys, main.sort, xi, zeta)
 
 
 def _r9(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
@@ -549,7 +555,7 @@ def _r9(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
                 kids = [None, None]
                 kids[which] = cand.arg.arg
                 kids[1 - which] = other
-                yield which, replace(sys, main=replace(main, lhs=Cap(kids[0], kids[1])))
+                yield which, _with_main(sys, main.sort, Cap(kids[0], kids[1]), main.rhs)
 
 
 _SYSTEM_RULES = {"R4": _r4, "R6": _r6, "R1": _r1, "R2": _r2, "R3": _r3,

@@ -1261,7 +1261,7 @@ def _relations_read(roots, relation_of: dict) -> tuple[str, ...]:
     while todo:
         f = todo.pop()
         kinds.add(type(f))
-        todo.extend(getattr(f, name) for name in f._subs)
+        todo.extend(f._kids)
     return tuple(dict.fromkeys(rel for kind, rel in relation_of.items() if kind in kinds))
 
 

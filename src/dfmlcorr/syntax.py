@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, replace
+import weakref
+from dataclasses import dataclass, fields, replace
 
 SORT1 = "1"
 SORTD = "d"
@@ -37,8 +38,14 @@ class ParseError(Exception):
 # Modal source language
 # ---------------------------------------------------------------------------
 
+# Children of a modal or first-order node, read from the fields its class
+# names in ``_subs``; a sorted node stores its tuple once (``_cache_facts``).
+_kids_of_subs = property(lambda self: tuple(getattr(self, name) for name in self._subs))
+
+
 class DfmlFormula:
     _subs: tuple[str, ...] = ()
+    _kids = _kids_of_subs
 
     def __str__(self) -> str:
         return dfml_to_text(self)
@@ -132,12 +139,77 @@ def dfml_vars(f: DfmlFormula) -> list[int]:
 # Sorted companion language
 # ---------------------------------------------------------------------------
 
+# Every sorted node is interned: constructing a node structurally equal to a
+# live one returns that object, so equality and hashing are by identity and
+# the facts below are computed once per node, when it is first built.
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class SortedFormula:
     _subs: tuple[str, ...] = ()
+    _fields: tuple[str, ...] = ()
     sort: str
+    # Facts of a leaf; a compound node stores its own in ``_cache_facts``.
+    # No node stores a reference to itself, which would make a cycle that
+    # only the cycle collector frees: ``_shape`` is None when the node is its
+    # own shape, and a variable's ``_occ`` is a property.
+    _kids: tuple = ()
+    _occ: tuple = ()
+    _rspoon_free = True
+    _shape = None
+
+    def __new__(cls, *args, **kwargs):
+        """The interned node of ``cls`` with these fields, built, checked by
+        ``__post_init__`` and entered in ``_INTERNED`` if there is none; a
+        construction that raises enters nothing."""
+        if kwargs:
+            rest = cls._fields[len(args):]
+            if kwargs.keys() != set(rest):
+                raise _fields_error(cls)
+            args += tuple(kwargs[name] for name in rest)
+        key = (cls, *args)
+        node = _INTERNED.get(key)
+        if node is None:
+            if len(args) != len(cls._fields):
+                raise _fields_error(cls)
+            node = object.__new__(cls)
+            node.__dict__.update(zip(cls._fields, args))
+            node.__post_init__()
+            node._cache_facts()
+            _INTERNED[key] = node
+        return node
 
     def __str__(self) -> str:
         return sorted_to_text(self)
+
+    def __reduce__(self):
+        # copy, deepcopy and unpickling construct again: the interned node
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def _cache_facts(self) -> None:
+        kids = tuple(getattr(self, name) for name in self._subs)
+        if not kids:
+            return
+        facts = self.__dict__
+        facts["_kids"] = kids
+        facts["_occ"] = kids[0]._occ if len(kids) == 1 else kids[0]._occ + kids[1]._occ
+        if isinstance(self, RSpoon) or not all(k._rspoon_free for k in kids):
+            facts["_rspoon_free"] = False
+        shapes = tuple(k._shape or k for k in kids)
+        if shapes != kids:
+            facts["_shape"] = type(self)(*shapes)
+
+
+def _fields_error(cls) -> TypeError:
+    return TypeError(f"{cls.__name__} takes the fields {', '.join(cls._fields)}")
+
+
+def _node(cls):
+    """A sorted node class: a frozen dataclass, compared by identity, whose
+    instances ``SortedFormula.__new__`` interns."""
+    cls = dataclass(frozen=True, eq=False, init=False)(cls)
+    cls._fields = tuple(f.name for f in fields(cls))
+    return cls
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -145,7 +217,7 @@ def _require(cond: bool, msg: str) -> None:
         raise SortError(msg)
 
 
-@dataclass(frozen=True)
+@_node
 class SortedVar(SortedFormula):
     index: int
     sort: str
@@ -155,8 +227,16 @@ class SortedVar(SortedFormula):
         if self.index < 0:
             raise ValueError("variable index must be >= 0")
 
+    @property
+    def _occ(self) -> tuple:
+        return (self,)
 
-@dataclass(frozen=True)
+    def _cache_facts(self) -> None:
+        if self.index:
+            self.__dict__["_shape"] = SortedVar(0, self.sort)
+
+
+@_node
 class STop(SortedFormula):
     sort: str
 
@@ -164,7 +244,7 @@ class STop(SortedFormula):
         _require(self.sort in (SORT1, SORTD), "bad sort tag")
 
 
-@dataclass(frozen=True)
+@_node
 class SBot(SortedFormula):
     sort: str
 
@@ -172,7 +252,7 @@ class SBot(SortedFormula):
         _require(self.sort in (SORT1, SORTD), "bad sort tag")
 
 
-@dataclass(frozen=True)
+@_node
 class Cap(SortedFormula):
     left: SortedFormula
     right: SortedFormula
@@ -180,13 +260,10 @@ class Cap(SortedFormula):
 
     def __post_init__(self):
         _require(self.left.sort == self.right.sort, "cap needs equal sorts")
-
-    @property
-    def sort(self) -> str:
-        return self.left.sort
+        self.__dict__["sort"] = self.left.sort
 
 
-@dataclass(frozen=True)
+@_node
 class Cup(SortedFormula):
     left: SortedFormula
     right: SortedFormula
@@ -194,26 +271,22 @@ class Cup(SortedFormula):
 
     def __post_init__(self):
         _require(self.left.sort == self.right.sort, "cup needs equal sorts")
-
-    @property
-    def sort(self) -> str:
-        return self.left.sort
+        self.__dict__["sort"] = self.left.sort
 
 
-@dataclass(frozen=True)
+@_node
 class Prime(SortedFormula):
     """Galois-connection map; flips the sort."""
 
     arg: SortedFormula
     _subs = ("arg",)
 
-    @property
-    def sort(self) -> str:
-        return flip(self.arg.sort)
+    def __post_init__(self):
+        self.__dict__["sort"] = flip(self.arg.sort)
 
 
 def _unary(name: str, arg_sort: str, res_sort: str):
-    @dataclass(frozen=True)
+    @_node
     class Node(SortedFormula):
         arg: SortedFormula
         _subs = ("arg",)
@@ -237,7 +310,7 @@ TDown = _unary("TDown", SORT1, SORTD)          # additive image of R_neg
 BTDown = _unary("BTDown", SORTD, SORT1)        # box over R''_neg
 
 
-@dataclass(frozen=True)
+@_node
 class Odot(SortedFormula):
     left: SortedFormula
     right: SortedFormula
@@ -249,7 +322,7 @@ class Odot(SortedFormula):
                  "odot needs sort-1 arguments")
 
 
-@dataclass(frozen=True)
+@_node
 class RSpoon(SortedFormula):
     left: SortedFormula
     right: SortedFormula
@@ -261,7 +334,7 @@ class RSpoon(SortedFormula):
                  "rspoon needs sort-1 arguments")
 
 
-@dataclass(frozen=True)
+@_node
 class TRight(SortedFormula):
     left: SortedFormula       # sort 1
     right: SortedFormula      # sort d
@@ -288,13 +361,17 @@ class SortedSequent:
         return f"{sorted_to_text(self.lhs)} {sep} {sorted_to_text(self.rhs)}"
 
 
-def children(f):
-    return tuple(getattr(f, name) for name in f._subs)
+def children(f) -> tuple:
+    """The subformulas of a node of any of the three languages, in field order."""
+    return f._kids
 
 
 def rebuild(f, kids):
+    """``f`` with its subformulas replaced by ``kids``."""
     if not f._subs:
         return f
+    if isinstance(f, SortedFormula):
+        return type(f)(*kids)
     return replace(f, **dict(zip(f._subs, kids)))
 
 
@@ -304,28 +381,32 @@ def subterms(f: SortedFormula):
     while stack:
         path, node = stack.pop()
         yield path, node
-        kids = children(node)
+        kids = node._kids
         for i in range(len(kids) - 1, -1, -1):
             stack.append((path + (i,), kids[i]))
-
-
-def subterm_at(f: SortedFormula, path: tuple[int, ...]) -> SortedFormula:
-    for i in path:
-        f = children(f)[i]
-    return f
 
 
 def replace_at(f: SortedFormula, path: tuple[int, ...], new: SortedFormula) -> SortedFormula:
     if not path:
         return new
-    kids = list(children(f))
+    kids = list(f._kids)
     kids[path[0]] = replace_at(kids[path[0]], path[1:], new)
     return rebuild(f, kids)
 
 
+def occurrences(f: SortedFormula) -> tuple[SortedVar, ...]:
+    """Every variable occurrence of ``f``, in pre-order."""
+    return f._occ
+
+
+def shape(f: SortedFormula) -> SortedFormula:
+    """``f`` with every variable renamed to index 0 of its sort."""
+    return f._shape or f
+
+
 def sorted_vars(f: SortedFormula) -> list[SortedVar]:
     """Variables in first-occurrence order."""
-    return list(dict.fromkeys(node for _, node in subterms(f) if isinstance(node, SortedVar)))
+    return list(dict.fromkeys(f._occ))
 
 
 def prime_depths(*roots: SortedFormula) -> dict[SortedVar, list[int]]:
@@ -384,7 +465,7 @@ def positive_occurrences(f: SortedFormula, var: SortedVar) -> Positivity:
 
 
 def rspoon_free(f: SortedFormula) -> bool:
-    return all(not isinstance(node, RSpoon) for _, node in subterms(f))
+    return f._rspoon_free
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +537,7 @@ class PVar:
 
 class FoFormula:
     _subs: tuple[str, ...] = ()
+    _kids = _kids_of_subs
 
     def __str__(self) -> str:
         return fo_to_text(self)
@@ -574,16 +656,6 @@ class LambdaPredicate:
         return f"lam {self.param}. ({fo_to_text(self.body)})"
 
 
-def fo_children(f: FoFormula):
-    return tuple(getattr(f, name) for name in f._subs)
-
-
-def fo_rebuild(f: FoFormula, kids):
-    if not f._subs:
-        return f
-    return replace(f, **dict(zip(f._subs, kids)))
-
-
 def and_all(conjs: list[FoFormula]) -> FoFormula:
     if not conjs:
         return TrueF()
@@ -612,7 +684,7 @@ def free_ivars(f: FoFormula) -> set[IVar]:
     if isinstance(f, (Forall, Exists)):
         return free_ivars(f.body) - {f.var}
     out: set[IVar] = set()
-    for kid in fo_children(f):
+    for kid in children(f):
         out |= free_ivars(kid)
     return out
 
@@ -639,7 +711,7 @@ def fo_alpha_key(f: FoFormula, env: dict | None = None, counter: list | None = N
         inner[f.var] = ("bound", counter[0])
         counter[0] += 1
         return (tag, f.var.sort, fo_alpha_key(f.body, inner, counter))
-    return (type(f).__name__,) + tuple(fo_alpha_key(k, env, counter) for k in f._subs and fo_children(f))
+    return (type(f).__name__,) + tuple(fo_alpha_key(k, env, counter) for k in children(f))
 
 
 def fo_alpha_eq(f: FoFormula, g: FoFormula) -> bool:

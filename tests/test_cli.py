@@ -47,6 +47,18 @@ def test_json_outputs_are_json(capsys):
         assert doc["input"] == "box p0 |- p0"
 
 
+def test_json_thread_entries(capsys):
+    """classify omits each thread's start; reduce and correspond give it."""
+    keys = {}
+    for cmd in ("classify", "reduce", "correspond"):
+        code, out, _ = run(capsys, cmd, "box p |- p", "--json")
+        assert code == 0
+        keys[cmd] = [list(t) for t in json.loads(out)["threads"]]
+    assert keys["classify"][0] == ["thread", "imp", "box", "reduced", "system", "trace"]
+    assert keys["reduce"][0] == ["thread", "imp", "box", "start", "reduced", "system", "trace"]
+    assert keys["correspond"] == keys["reduce"]
+
+
 def test_json_k2_trace_rules(capsys):
     code, out, _ = run(capsys, "classify", "box (p \\/ q) |- dia p \\/ box q", "--json")
     doc = json.loads(out)

@@ -226,12 +226,12 @@ def test_discharged_conjuncts_evaluate_true():
         d = decompose(g)
 
         def subst(f):
-            from dfmlcorr.syntax import fo_children, fo_rebuild, FalseF, Exists, Forall2
+            from dfmlcorr.syntax import children, rebuild, FalseF, Exists, Forall2
             if isinstance(f, PredApp):
                 return beta_apply(inst[f.var], f.arg, g.namer) if f.var in inst else FalseF()
             if isinstance(f, (Forall, Exists, Forall2)):
-                return fo_rebuild(f, [subst(f.body)])
-            return fo_rebuild(f, [subst(k) for k in fo_children(f)])
+                return rebuild(f, [subst(f.body)])
+            return rebuild(f, [subst(k) for k in children(f)])
 
         conjuncts = [subst(g.t_inv)]
         conjuncts += [subst(b) for b in _boxed_formulas(g)]

@@ -1,5 +1,8 @@
+import json
+import random
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,12 +13,15 @@ from dfmlcorr.reduction import (
     _subst_var_under_primes, apply_rule, applicable_moves, canonical_key,
     classify, g_stable, is_canonical_form, is_simple_sahlqvist,
     parse_formal_inequality, parse_inequality_system, reduce_search, system_for,
+    thread_inequality,
 )
 from dfmlcorr.syntax import (
     SORT1, SORTD, BTDown, Box1, BoxD, BoxMinus, BoxVert, Cap, Cup, DiaMinus,
     DiaVert, Odot, Prime, RSpoon, SortedVar, TDown, TRight, children, flip,
-    parse_dfml, parse_sorted, prime_depths, replace_at, sorted_vars, subterms,
+    parse_dfml, parse_sorted, prime_depths, rebuild, replace_at, sorted_vars,
+    subterms,
 )
+from dfmlcorr.translation import BOX_BOXMINUS, BOX_PRIME, IMP_RSPOON, IMP_TRIGHT
 
 from test_semantics import sorted_formulas
 
@@ -501,3 +507,129 @@ def test_subterms_is_preorder(f):
 def test_sorted_vars_first_occurrence_order():
     f = parse_sorted("(P2 odot P^0') odot (P0 odot P2)")
     assert sorted_vars(f) == [SortedVar(2, SORT1), SortedVar(0, SORTD), SortedVar(0, SORT1)]
+
+
+# -- the shape key against the tree key ------------------------------------------
+#
+# ``_reference_key`` is ``canonical_key`` as it was before sorted nodes were
+# interned: a nested tuple built from the whole tree, every node's sort read
+# on the way.  Both keys must split any set of systems into the same classes.
+
+def _reference_key(sys):
+    order = {}
+
+    def num(v):
+        k = (v.index, v.sort)
+        if k not in order:
+            order[k] = len(order)
+        return (v.sort, order[k])
+
+    def walk(f):
+        if isinstance(f, SortedVar):
+            return ("v",) + num(f)
+        return (type(f).__name__, getattr(f, "sort", None)) + tuple(
+            walk(k) for k in children(f))
+
+    main = (walk(sys.main.lhs), sys.main.sort, walk(sys.main.rhs))
+    stb = tuple(sorted(num(c.var) for c in sys.stb))
+    cvc = tuple(sorted((num(c.var), num(c.source)) for c in sys.cvc))
+    return (stb, cvc, main)
+
+
+def _assert_same_partition(systems):
+    """Each class of the new key is one class of the reference key and back;
+    returns the number of classes."""
+    ref_of, new_of = {}, {}
+    for sys in systems:
+        new, ref = canonical_key(sys), _reference_key(sys)
+        assert ref_of.setdefault(new, ref) == ref, str(sys)
+        assert new_of.setdefault(ref, new) == new, str(sys)
+    return len(ref_of)
+
+
+def _searched_systems(monkeypatch, sequents, max_nodes):
+    """Every system the searches of ``sequents`` key: both threads under
+    each rendering policy, each search run on its own so that one over
+    budget does not cut the others short."""
+    from dfmlcorr import reduction
+    keyed = {}
+    real = reduction.canonical_key
+
+    def recording(sys):
+        keyed.setdefault(sys, None)
+        return real(sys)
+
+    monkeypatch.setattr(reduction, "canonical_key", recording)
+    for text in sequents:
+        for thread in ("translation", "cotranslation"):
+            for imp in (IMP_RSPOON, IMP_TRIGHT):
+                for box in (BOX_BOXMINUS, BOX_PRIME):
+                    start = thread_inequality(parse_dfml(text), thread, imp, box)
+                    try:
+                        reduce_search(start, max_nodes=max_nodes)
+                    except NodeBudgetExceeded:
+                        pass
+    monkeypatch.undo()
+    return list(keyed)
+
+
+def test_key_partition_matches_reference_on_searches(monkeypatch):
+    """The systems the 14 corpus searches generate, and those of a seeded
+    40-sequent slice of the benchmark's recorded symbolic pool at its
+    150-node budget."""
+    from dfmlcorr.corpus import CORPUS
+    corpus = _searched_systems(monkeypatch, [e.sequent for e in CORPUS], 100_000)
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    symbolic = json.loads(reference.read_text())["symbolic"]
+    picked = random.Random(6).sample([e["sequent"] for e in symbolic["pool"]], 40)
+    pool = _searched_systems(monkeypatch, picked, symbolic["max_nodes"])
+    # searches meet: distinct systems (another fresh counter, or the same
+    # start reached from two threads) share a class, so both directions bite
+    assert 800 < _assert_same_partition(corpus) < len(corpus)
+    assert 2_000 < _assert_same_partition(corpus + pool) < len(corpus) + len(pool)
+
+
+def _renamed(sys, perm):
+    """``sys`` with variable i of sort s renamed to perm[s][i]."""
+    def var(v):
+        return SortedVar(perm[v.sort][v.index], v.sort)
+
+    def walk(f):
+        return var(f) if isinstance(f, SortedVar) else rebuild(f, [walk(k) for k in children(f)])
+
+    return InequalitySystem(
+        tuple(StabilityConstraint(var(c.var)) for c in sys.stb),
+        tuple(ChangeOfVariables(var(c.var), var(c.source)) for c in sys.cvc),
+        FormalInequality(sys.main.sort, walk(sys.main.lhs), walk(sys.main.rhs)),
+        sys.fresh_counter)
+
+
+def _refilled(sys, rng):
+    """``sys`` with each variable occurrence of its main inequality replaced
+    by variable 0 or 1 of its sort, drawn by ``rng``."""
+    def walk(f):
+        if isinstance(f, SortedVar):
+            return SortedVar(rng.randrange(2), f.sort)
+        return rebuild(f, [walk(k) for k in children(f)])
+
+    main = sys.main
+    return InequalitySystem(sys.stb, sys.cvc,
+                            FormalInequality(main.sort, walk(main.lhs), walk(main.rhs)),
+                            sys.fresh_counter)
+
+
+@given(sys=systems(), perm1=st.permutations(range(6)), permd=st.permutations(range(6)),
+       rng=st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_key_partition_matches_reference_on_random_systems(sys, perm1, permd, rng):
+    """Drawn systems, their children, copies of both with the variables
+    renamed within each sort, and refills of the drawn system's occurrences
+    (same shapes, other variable patterns): a renamed copy falls in its
+    original's class."""
+    perm = {SORT1: perm1, SORTD: permd}
+    family = [sys] + [child for _, _, child in applicable_moves(sys)]
+    renamed = [_renamed(s, perm) for s in family]
+    refills = [_refilled(sys, rng) for _ in range(8)]
+    _assert_same_partition(family + renamed + refills)
+    for s, r in zip(family, renamed):
+        assert canonical_key(s) == canonical_key(r)

@@ -1,3 +1,8 @@
+import copy
+import gc
+import pickle
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +13,7 @@ from dfmlcorr.syntax import (
     Sequent, SortError, SortedVar, STop, SBot, TDown, TRight, Top, dfml_to_text,
     fo_to_text, parse_dfml, parse_dfml_formula, parse_fo, parse_sorted,
     parse_sorted_sequent, positive_occurrences, sorted_to_text,
+    _INTERNED, children, flip, occurrences, rspoon_free, shape,
 )
 
 P = SortedVar(0, SORT1)
@@ -256,3 +262,95 @@ def fo_trees():
 @settings(max_examples=250)
 def test_fo_round_trip_random(f):
     assert parse_fo(fo_to_text(f)) == f
+
+
+# -- interned sorted nodes -----------------------------------------------------
+
+def test_equal_constructions_are_one_object():
+    a = Cap(Prime(DiaMinus(Pd)), BoxMinus(Q))
+    b = Cap(left=Prime(arg=DiaMinus(Pd)), right=BoxMinus(SortedVar(index=1, sort=SORT1)))
+    assert a is b
+    assert Cap(Prime(DiaMinus(Pd)), right=BoxMinus(Q)) is a
+    assert SortedVar(0, sort=SORT1) is P
+    assert parse_sorted("(diam P^0)' cap boxm Q") is a
+    assert Cap(P, Q) is not Cap(Q, P)
+    for bad in (lambda: Cap(P, left=Q), lambda: Cap(P, middle=Q), lambda: Cap(P),
+                lambda: Cap(P, Q, Q), lambda: SortedVar(0, SORT1, extra=1)):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_copies_and_pickles_are_the_interned_node():
+    f = parse_sorted("(P0 tright P^1)' cup top")
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    assert copy.deepcopy([f, Pd]) == [f, Pd]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(f, protocol)) is f
+
+
+def test_bad_sort_adds_nothing_to_the_table():
+    one, dual = SortedVar(40, SORT1), SortedVar(41, SORTD)
+    before = len(_INTERNED)
+    with pytest.raises(SortError):
+        Cap(one, dual)
+    with pytest.raises(SortError):
+        TDown(dual)
+    with pytest.raises(SortError):
+        SortedVar(42, "x")
+    assert (Cap, one, dual) not in _INTERNED
+    assert (TDown, dual) not in _INTERNED
+    assert (SortedVar, 42, "x") not in _INTERNED
+    assert len(_INTERNED) <= before
+
+
+def test_table_entry_dies_with_the_node():
+    v = SortedVar(987_654, SORTD)
+    f = BoxVert(Prime(Prime(v)))
+    refs = [weakref.ref(v), weakref.ref(f)]
+    assert _INTERNED[(SortedVar, 987_654, SORTD)] is v
+    del v, f
+    gc.collect()
+    assert all(r() is None for r in refs)
+    assert (SortedVar, 987_654, SORTD) not in _INTERNED
+    assert not any(987_654 in {getattr(n, "index", None) for n in occurrences(node)}
+                   for node in list(_INTERNED.values()))
+
+
+def _reference_sort(f):
+    if isinstance(f, (Cap, Cup)):
+        return _reference_sort(f.left)
+    if isinstance(f, Prime):
+        return flip(_reference_sort(f.arg))
+    if isinstance(f, (SortedVar, STop, SBot)):
+        return f.sort
+    return type(f).sort
+
+
+def _reference_occurrences(f):
+    if isinstance(f, SortedVar):
+        return [f]
+    return [v for name in f._subs for v in _reference_occurrences(getattr(f, name))]
+
+
+def _reference_shape(f):
+    if isinstance(f, SortedVar):
+        return SortedVar(0, f.sort)
+    return type(f)(*[_reference_shape(getattr(f, name)) for name in f._subs]) if f._subs else f
+
+
+def _drawn_formulas():
+    from test_semantics import sorted_formulas     # which imports this module
+    return st.one_of(sorted_formulas(SORT1, 4), sorted_formulas(SORTD, 4))
+
+
+@given(f=st.deferred(_drawn_formulas))
+@settings(max_examples=300, deadline=None)
+def test_cached_facts_match_fresh_computation(f):
+    for node in [f] + [getattr(f, name) for name in f._subs]:
+        assert node.sort == _reference_sort(node)
+        assert children(node) == tuple(getattr(node, name) for name in node._subs)
+        assert occurrences(node) == tuple(_reference_occurrences(node))
+        assert rspoon_free(node) == ("rspoon" not in sorted_to_text(node))
+        assert shape(node) is _reference_shape(node)
+        assert shape(shape(node)) is shape(node)
