@@ -11,7 +11,7 @@ deterministic rule/site ordering.
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .syntax import (
     SORT1, SORTD, BTDown, BoxD, Box1, BoxMinus, BoxVert, Cap, Cup, DiaMinus,
@@ -141,11 +141,10 @@ def parse_inequality_system(text: str) -> InequalitySystem:
         else:
             raise ValueError(f"unrecognised constraint {piece!r}")
     main = parse_formal_inequality(main_text)
-    sys = InequalitySystem(tuple(stb), tuple(cvc), main, 0)
     occurring = [v.index for c in stb for v in (c.var,)]
     occurring += [v.index for c in cvc for v in (c.var, c.source)]
     occurring += [v.index for v in sorted_vars(main.lhs) + sorted_vars(main.rhs)]
-    return replace(sys, fresh_counter=1 + max(occurring, default=-1))
+    return InequalitySystem(tuple(stb), tuple(cvc), main, 1 + max(occurring, default=-1))
 
 
 @dataclass(frozen=True)
@@ -227,26 +226,20 @@ def is_simple_sahlqvist(ineq: FormalInequality) -> bool:
                for v in sorted_vars(ineq.rhs))
 
 
-def _occurs_primed(f: SortedFormula, var: SortedVar) -> bool:
-    return any(isinstance(node, Prime) and node.arg == var for _, node in subterms(f))
-
-
 def is_canonical_form(sys: InequalitySystem) -> bool:
     """Simple Sahlqvist main inequality, and every constrained variable occurs
     only unprimed in it (it may still sit inside a primed compound)."""
     if not is_simple_sahlqvist(sys.main):
         return False
-    for v in sys.constrained():
-        if _occurs_primed(sys.main.lhs, v) or _occurs_primed(sys.main.rhs, v):
-            return False
-    return True
+    depths = prime_depths(sys.main.lhs, sys.main.rhs)
+    return all(d == 0 for v in sys.constrained() for d in depths.get(v, ()))
 
 
 # ---------------------------------------------------------------------------
 # Syntactic stability (used by the closure-stripping rules)
 # ---------------------------------------------------------------------------
 
-def g_stable(f: SortedFormula, sys: InequalitySystem) -> bool:
+def g_stable(f: SortedFormula) -> bool:
     """The value of ``f`` is a Galois set under every constraint-satisfying
     valuation: primed terms, top, constrained variables, box operators over
     such terms, and intersections thereof.
@@ -262,9 +255,9 @@ def g_stable(f: SortedFormula, sys: InequalitySystem) -> bool:
     if isinstance(f, STop):
         return True
     if isinstance(f, Cap):
-        return g_stable(f.left, sys) and g_stable(f.right, sys)
+        return g_stable(f.left) and g_stable(f.right)
     if isinstance(f, (BoxMinus, BoxVert, BTDown, BoxD)):
-        return g_stable(f.arg, sys)
+        return g_stable(f.arg)
     return False
 
 
@@ -299,13 +292,14 @@ equivalence."""
 
 
 # Rewrite rules.  A matcher takes a node that the dispatch tables below send
-# to its rule, the system's constrained variables and the system, and returns
-# the rule's right-hand side at that redex, or None when the node does not
-# match.
+# to its rule and the system's constrained variables, and returns the rule's
+# right-hand side at that redex, or None when the node does not match.  It
+# reads nothing else, so the redexes of a side depend on the side and the
+# constrained set alone.
 
 def _box_of_closed(box):
     """R5.1a/b: (dia X')' rewrites to box X''."""
-    def match(node, cons, sys):
+    def match(node, cons):
         inner = node.arg.arg
         if isinstance(inner, Prime):
             return box(Prime(Prime(inner.arg)))
@@ -315,7 +309,7 @@ def _box_of_closed(box):
 
 def _box_of_constrained(box):
     """R5.2a/b and R5.7b: (dia P)' rewrites to box P' for a constrained P."""
-    def match(node, cons, sys):
+    def match(node, cons):
         var = node.arg.arg
         if isinstance(var, SortedVar) and var in cons:
             return box(Prime(var))
@@ -325,7 +319,7 @@ def _box_of_constrained(box):
 
 def _unclosed_box(box):
     """R5.3a/b: (box P)'' rewrites to box P for a constrained P."""
-    def match(node, cons, sys):
+    def match(node, cons):
         inner = node.arg.arg
         if isinstance(inner, box) and isinstance(inner.arg, SortedVar) and inner.arg in cons:
             return inner
@@ -333,7 +327,7 @@ def _unclosed_box(box):
     return match
 
 
-def _triple_prime(node, cons, sys):
+def _triple_prime(node, cons):
     """R5.4: P''' rewrites to P'."""
     inner = node.arg.arg
     if isinstance(inner, Prime) and isinstance(inner.arg, SortedVar):
@@ -343,29 +337,29 @@ def _triple_prime(node, cons, sys):
 
 def _box_over_cap(box):
     """R5.5a/b: box (X cap Y) rewrites to box X cap box Y."""
-    def match(node, cons, sys):
+    def match(node, cons):
         if isinstance(node.arg, Cap):
             return Cap(box(node.arg.left), box(node.arg.right))
         return None
     return match
 
 
-def _closure_over_cap(node, cons, sys):
+def _closure_over_cap(node, cons):
     """R5.6a: (X cap Y)'' rewrites to X'' cap Y''.  Closure distributes over
     an intersection of stable-valued terms only; over arbitrary terms the two
     sides can differ."""
     cap = node.arg.arg
-    if isinstance(cap, Cap) and g_stable(cap.left, sys) and g_stable(cap.right, sys):
+    if isinstance(cap, Cap) and g_stable(cap.left) and g_stable(cap.right):
         return Cap(Prime(Prime(cap.left)), Prime(Prime(cap.right)))
     return None
 
 
-def _prime_of_cup(node, cons, sys):
+def _prime_of_cup(node, cons):
     """R5.6b: (X cup Y)' rewrites to X' cap Y'."""
     return Cap(Prime(node.arg.left), Prime(node.arg.right))
 
 
-def _tdown_of_closed(node, cons, sys):
+def _tdown_of_closed(node, cons):
     """R5.7a: (tdown X'')' rewrites to btdown X'."""
     inner = node.arg.arg
     if isinstance(inner, Prime) and isinstance(inner.arg, Prime):
@@ -373,7 +367,7 @@ def _tdown_of_closed(node, cons, sys):
     return None
 
 
-def _rspoon_of_constrained(node, cons, sys):
+def _rspoon_of_constrained(node, cons):
     """R5.8: P rspoon Q rewrites to (P tright Q')' for constrained P and Q."""
     if isinstance(node.left, SortedVar) and isinstance(node.right, SortedVar) \
             and node.left in cons and node.right in cons:
@@ -381,7 +375,7 @@ def _rspoon_of_constrained(node, cons, sys):
     return None
 
 
-def _rspoon_rebracket(node, cons, sys):
+def _rspoon_rebracket(node, cons):
     """R5.9: P2 rspoon (P1 rspoon Q) rewrites to (P1 odot P2) rspoon Q."""
     right = node.right
     if isinstance(node.left, SortedVar) and isinstance(right, RSpoon) \
@@ -417,17 +411,36 @@ def _rules_at(node: SortedFormula) -> tuple[str, ...]:
     return _DISPATCH.get(type(node), ())
 
 
-def _redexes(sys: InequalitySystem) -> dict[str, list]:
-    """Every rewrite redex of the main inequality, from one pre-order walk
-    per side: rule -> [(side, path, rewritten node)] in (side, path) order."""
-    cons = sys.constrained()
-    found: dict[str, list] = {}
-    for side in ("lhs", "rhs"):
-        for path, node in subterms(getattr(sys.main, side)):
+class _SearchMemo:
+    """What one ``reduce_search`` reuses across the systems it expands: the
+    redexes of a side under a constrained set, and R4/R6 substitutions.
+    Keys hold interned nodes, so a key names one tree for as long as the
+    memo lives, which is as long as its search."""
+
+    def __init__(self):
+        self.redexes: dict = {}
+        self.subst: dict = {}
+
+
+# The memo of the running ``reduce_search``, None outside one.  It is module
+# state, set and reset by ``reduce_search`` alone, so that the search reaches
+# each system through ``applicable_moves(sys)`` like every other caller.
+_memo: _SearchMemo | None = None
+
+
+def _redexes(root: SortedFormula, cons: frozenset[SortedVar]) -> dict[str, list]:
+    """Every rewrite redex of one side, from one pre-order walk:
+    rule -> [(path, rewritten node)] in path order."""
+    table = {} if _memo is None else _memo.redexes
+    key = (root, cons)
+    found = table.get(key)
+    if found is None:
+        found = table[key] = {}
+        for path, node in subterms(root):
             for rule in _rules_at(node):
-                new = _REWRITES[rule](node, cons, sys)
+                new = _REWRITES[rule](node, cons)
                 if new is not None:
-                    found.setdefault(rule, []).append((side, path, new))
+                    found.setdefault(rule, []).append((path, new))
     return found
 
 
@@ -448,17 +461,20 @@ def _with_main(sys: InequalitySystem, sort: str, lhs: SortedFormula,
 def _subst_var_under_primes(f: SortedFormula, var: SortedVar, depth: int,
                             new: SortedFormula) -> SortedFormula:
     """Replace each occurrence of var under exactly ``depth`` primes by ``new``."""
-
-    def walk(g: SortedFormula) -> SortedFormula:
-        if var not in occurrences(g):
-            return g
-        if _is_prime_chain(g, var, depth):
-            return new
-        if isinstance(g, SortedVar):
-            return g
-        return rebuild(g, [walk(k) for k in children(g)])
-
-    return walk(f)
+    if var not in occurrences(f):
+        return f
+    table = {} if _memo is None else _memo.subst
+    key = (f, var, depth, new)
+    out = table.get(key)
+    if out is None:
+        if _is_prime_chain(f, var, depth):
+            out = new
+        elif isinstance(f, SortedVar):
+            out = f
+        else:
+            out = rebuild(f, [_subst_var_under_primes(k, var, depth, new) for k in children(f)])
+        table[key] = out
+    return out
 
 
 def _is_prime_chain(g: SortedFormula, var: SortedVar, depth: int) -> bool:
@@ -482,7 +498,8 @@ def _r4(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
                 main.sort,
                 _subst_var_under_primes(main.lhs, var, 2, var),
                 _subst_var_under_primes(main.rhs, var, 2, var))
-            yield var, replace(sys, stb=sys.stb + (StabilityConstraint(var),), main=new_main)
+            yield var, InequalitySystem(sys.stb + (StabilityConstraint(var),), sys.cvc,
+                                        new_main, sys.fresh_counter)
 
 
 def _r6(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
@@ -494,19 +511,20 @@ def _r6(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
                 main.sort,
                 _subst_var_under_primes(main.lhs, var, 1, fresh),
                 _subst_var_under_primes(main.rhs, var, 1, fresh))
-            yield var, replace(sys, cvc=sys.cvc + (ChangeOfVariables(fresh, var),),
-                               main=new_main, fresh_counter=sys.fresh_counter + 1)
+            yield var, InequalitySystem(sys.stb, sys.cvc + (ChangeOfVariables(fresh, var),),
+                                        new_main, sys.fresh_counter + 1)
 
 
 def _r1(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
     for i, c in enumerate(sys.stb):
         if c.var not in depths:
-            yield i, replace(sys, stb=sys.stb[:i] + sys.stb[i + 1:])
+            yield i, InequalitySystem(sys.stb[:i] + sys.stb[i + 1:], sys.cvc, sys.main,
+                                      sys.fresh_counter)
 
 
 def _r2(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
     main = sys.main
-    if _is_pp(main.lhs) and all(g_stable(c, sys) for c in _cap_conjuncts(main.rhs)):
+    if _is_pp(main.lhs) and all(g_stable(c) for c in _cap_conjuncts(main.rhs)):
         yield None, _with_main(sys, main.sort, main.lhs.arg.arg, main.rhs)
 
 
@@ -551,7 +569,7 @@ def _r9(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
         sides = [(main.lhs.left, main.lhs.right, 0), (main.lhs.right, main.lhs.left, 1)]
         for cand, other, which in sides:
             if _is_pp(cand) and _is_boxplus_atom(other, sys) \
-                    and all(g_stable(c, sys) for c in _cap_conjuncts(main.rhs)):
+                    and all(g_stable(c) for c in _cap_conjuncts(main.rhs)):
                 kids = [None, None]
                 kids[which] = cand.arg.arg
                 kids[1 - which] = other
@@ -565,14 +583,17 @@ _SYSTEM_RULES = {"R4": _r4, "R6": _r6, "R1": _r1, "R2": _r2, "R3": _r3,
 def applicable_moves(sys: InequalitySystem):
     """All rule applications in deterministic (rule, site) order.
 
-    One walk per side finds every rewrite redex; each child system is built
-    only when it is yielded, since the search may stop at the first."""
-    redexes = _redexes(sys)
+    One walk per side finds every rewrite redex (within a search, once per
+    side and constrained set); each child system is built only when it is
+    yielded, since the search may stop at the first."""
+    cons = sys.constrained()
+    sides = (("lhs", _redexes(sys.main.lhs, cons)), ("rhs", _redexes(sys.main.rhs, cons)))
     depths = _var_depths(sys.main)
     for rule in RULE_ORDER:
         if rule in _REWRITES:
-            for side, path, new in redexes.get(rule, ()):
-                yield rule, (side, path), _rewritten(sys, side, path, new)
+            for side, redexes in sides:
+                for path, new in redexes.get(rule, ()):
+                    yield rule, (side, path), _rewritten(sys, side, path, new)
         else:
             for site, child in _SYSTEM_RULES[rule](sys, depths):
                 yield rule, site, child
@@ -616,7 +637,7 @@ def apply_rule(sys: InequalitySystem, rule: str, site) -> InequalitySystem | Non
         node = _node_at(sys, site)
         if node is None or rule not in _rules_at(node):
             return None
-        new = _REWRITES[rule](node, sys.constrained(), sys)
+        new = _REWRITES[rule](node, sys.constrained())
         return None if new is None else _rewritten(sys, site[0], site[1], new)
     if rule in _SYSTEM_RULES:
         for s, child in _SYSTEM_RULES[rule](sys, _var_depths(sys.main)):
@@ -652,7 +673,17 @@ def reduce_search(start: FormalInequality | InequalitySystem,
     Returns (system, trace) for the first canonical system in search order,
     with trailing R1 steps dropping stability constraints whose variable no
     longer occurs; returns None when no reachable system is canonical.
+    Redexes and substitutions are memoised for this search alone.
     """
+    global _memo
+    _memo = _SearchMemo()
+    try:
+        return _search(start, max_nodes)
+    finally:
+        _memo = None
+
+
+def _search(start: FormalInequality | InequalitySystem, max_nodes: int):
     sys0 = start if isinstance(start, InequalitySystem) else system_for(start)
     if is_canonical_form(sys0):
         steps: list[ReductionStep] = []

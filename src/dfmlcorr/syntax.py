@@ -152,9 +152,11 @@ class SortedFormula:
     # Facts of a leaf; a compound node stores its own in ``_cache_facts``.
     # No node stores a reference to itself, which would make a cycle that
     # only the cycle collector frees: ``_shape`` is None when the node is its
-    # own shape, and a variable's ``_occ`` is a property.
+    # own shape, and a variable's ``_occ`` is a property.  ``_depths`` is
+    # aligned with ``_occ``: the primes immediately above each occurrence.
     _kids: tuple = ()
     _occ: tuple = ()
+    _depths: tuple = ()
     _rspoon_free = True
     _shape = None
 
@@ -192,12 +194,27 @@ class SortedFormula:
             return
         facts = self.__dict__
         facts["_kids"] = kids
-        facts["_occ"] = kids[0]._occ if len(kids) == 1 else kids[0]._occ + kids[1]._occ
+        if len(kids) == 1:
+            facts["_occ"] = kids[0]._occ
+            if isinstance(self, Prime) and _is_chain(kids[0]):
+                facts["_depths"] = (kids[0]._depths[0] + 1,)
+            else:
+                facts["_depths"] = kids[0]._depths
+        else:
+            facts["_occ"] = kids[0]._occ + kids[1]._occ
+            facts["_depths"] = kids[0]._depths + kids[1]._depths
         if isinstance(self, RSpoon) or not all(k._rspoon_free for k in kids):
             facts["_rspoon_free"] = False
         shapes = tuple(k._shape or k for k in kids)
         if shapes != kids:
             facts["_shape"] = type(self)(*shapes)
+
+
+def _is_chain(f: SortedFormula) -> bool:
+    """``f`` is a variable under zero or more primes."""
+    while isinstance(f, Prime):
+        f = f.arg
+    return isinstance(f, SortedVar)
 
 
 def _fields_error(cls) -> TypeError:
@@ -221,6 +238,7 @@ def _require(cond: bool, msg: str) -> None:
 class SortedVar(SortedFormula):
     index: int
     sort: str
+    _depths = (0,)
 
     def __post_init__(self):
         _require(self.sort in (SORT1, SORTD), "bad sort tag")
@@ -413,19 +431,9 @@ def prime_depths(*roots: SortedFormula) -> dict[SortedVar, list[int]]:
     """Each variable of ``roots`` in first-occurrence order, with the number
     of Prime nodes immediately above each of its occurrences."""
     out: dict[SortedVar, list[int]] = {}
-
-    def walk(g: SortedFormula, above: int) -> None:
-        if isinstance(g, SortedVar):
-            out.setdefault(g, []).append(above)
-            return
-        if isinstance(g, Prime):
-            walk(g.arg, above + 1)
-            return
-        for kid in children(g):
-            walk(kid, 0)
-
     for root in roots:
-        walk(root, 0)
+        for var, depth in zip(root._occ, root._depths):
+            out.setdefault(var, []).append(depth)
     return out
 
 

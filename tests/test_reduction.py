@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from dataclasses import replace
@@ -249,7 +250,7 @@ def _reference_rewrite(rule, node, sys):
         if isinstance(node, Prime) and isinstance(node.arg, Prime) \
                 and isinstance(node.arg.arg, Cap):
             cap = node.arg.arg
-            if g_stable(cap.left, sys) and g_stable(cap.right, sys):
+            if g_stable(cap.left) and g_stable(cap.right):
                 return Cap(Prime(Prime(cap.left)), Prime(Prime(cap.right)))
     elif rule == "R5.6b":
         if isinstance(node, Prime) and isinstance(node.arg, Cup):
@@ -325,7 +326,7 @@ def _reference_moves(sys):
                 if c.var not in vs:
                     yield rule, i, replace(sys, stb=sys.stb[:i] + sys.stb[i + 1:])
         elif rule == "R2":
-            if _is_pp(main.lhs) and all(g_stable(c, sys) for c in _cap_conjuncts(main.rhs)):
+            if _is_pp(main.lhs) and all(g_stable(c) for c in _cap_conjuncts(main.rhs)):
                 yield rule, None, replace(sys, main=replace(main, lhs=main.lhs.arg.arg))
         elif rule == "R3":
             if _is_pp(main.lhs) and _is_pp(main.rhs):
@@ -356,7 +357,7 @@ def _reference_moves(sys):
                 for cand, other, which in sides:
                     if _is_pp(cand) and isinstance(other, (BoxMinus, BoxVert)) \
                             and isinstance(other.arg, SortedVar) and other.arg in cons \
-                            and all(g_stable(c, sys) for c in _cap_conjuncts(main.rhs)):
+                            and all(g_stable(c) for c in _cap_conjuncts(main.rhs)):
                         kids = [None, None]
                         kids[which] = cand.arg.arg
                         kids[1 - which] = other
@@ -404,6 +405,96 @@ def test_moves_match_reference_on_corpus_searches(monkeypatch):
             fired.update(rule for rule, _, _ in _assert_same_moves(child))
     assert len(visited) > 800
     assert fired >= {"R4", "R6", "R1", "R5.2a", "R5.2b", "R5.8", "R5.9", "R8", "R9"}
+
+
+def _pool_slice(seed, k):
+    """``k`` sequents of the benchmark's recorded symbolic pool, drawn by
+    ``seed``, and the pool's node budget."""
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    symbolic = json.loads(reference.read_text())["symbolic"]
+    picked = random.Random(seed).sample([e["sequent"] for e in symbolic["pool"]], k)
+    return picked, symbolic["max_nodes"]
+
+
+def _search_all(sequents, max_nodes):
+    """Both threads of each sequent under each rendering policy, each search
+    run on its own so that one over budget does not cut the others short."""
+    for text in sequents:
+        for thread in ("translation", "cotranslation"):
+            for imp in (IMP_RSPOON, IMP_TRIGHT):
+                for box in (BOX_BOXMINUS, BOX_PRIME):
+                    start = thread_inequality(parse_dfml(text), thread, imp, box)
+                    try:
+                        reduce_search(start, max_nodes=max_nodes)
+                    except NodeBudgetExceeded:
+                        pass
+
+
+def test_moves_match_reference_with_a_warm_memo(monkeypatch):
+    """The moves each search took, found while its memo was warm, equal the
+    reference computed after the searches, with no memo: on every system the
+    corpus searches and a seeded 20-sequent slice of the recorded pool
+    expand."""
+    from dfmlcorr import reduction
+    from dfmlcorr.corpus import CORPUS
+    used = {}
+    calls = redex_hits = subst_warm = 0
+    real = reduction.applicable_moves
+
+    def recording(sys):
+        nonlocal calls, redex_hits, subst_warm
+        memo = reduction._memo
+        calls += 1
+        redex_hits += (sys.main.lhs, sys.constrained()) in memo.redexes
+        subst_warm += bool(memo.subst)
+        moves = tuple(real(sys))
+        used.setdefault((sys, moves), None)
+        return iter(moves)
+
+    monkeypatch.setattr(reduction, "applicable_moves", recording)
+    _search_all([e.sequent for e in CORPUS], 100_000)
+    _search_all(*_pool_slice(7, 20))
+    monkeypatch.undo()
+    assert reduction._memo is None
+    for sys, moves in used:
+        assert list(moves) == list(_reference_moves(sys)), str(sys)
+    assert len(used) > 2_000
+    assert redex_hits > calls // 4 and subst_warm > calls // 2
+
+
+def _live_memos():
+    from dfmlcorr import reduction
+    return [o for o in gc.get_objects() if isinstance(o, reduction._SearchMemo)]
+
+
+def test_memo_does_not_outlive_its_search(monkeypatch):
+    """A search's memo is gone when it returns and when it raises, while the
+    exception's traceback still holds the search's frames; moves and rule
+    applications outside a search make none."""
+    from dfmlcorr import reduction
+    sizes = []
+    real = reduction.applicable_moves
+
+    def recording(sys):
+        sizes.append(len(reduction._memo.redexes))
+        return real(sys)
+
+    monkeypatch.setattr(reduction, "applicable_moves", recording)
+    assert reduce_search(ineq("(diav P0'')' <=d (diav (diav P0'')'')'")) is not None
+    assert max(sizes) > 0
+    assert reduction._memo is None and _live_memos() == []
+    with pytest.raises(NodeBudgetExceeded) as raised:
+        reduce_search(ineq("(diav (diav P0'')'')'' <=1 (diav P0'')''"), max_nodes=5)
+    assert raised.tb is not None
+    assert reduction._memo is None and _live_memos() == []
+    monkeypatch.undo()
+    sys = system("P0'' <=1 P0 | boxv P0' <=d P0'")
+    moves = applicable_moves(sys)
+    next(moves)
+    assert reduction._memo is None and _live_memos() == []
+    list(moves)
+    assert apply_rule(sys, "R6", SortedVar(0, SORT1)) is not None
+    assert reduction._memo is None and _live_memos() == []
 
 
 def _var(sort):
@@ -548,9 +639,7 @@ def _assert_same_partition(systems):
 
 
 def _searched_systems(monkeypatch, sequents, max_nodes):
-    """Every system the searches of ``sequents`` key: both threads under
-    each rendering policy, each search run on its own so that one over
-    budget does not cut the others short."""
+    """Every system the searches of ``sequents`` key (see ``_search_all``)."""
     from dfmlcorr import reduction
     keyed = {}
     real = reduction.canonical_key
@@ -560,15 +649,7 @@ def _searched_systems(monkeypatch, sequents, max_nodes):
         return real(sys)
 
     monkeypatch.setattr(reduction, "canonical_key", recording)
-    for text in sequents:
-        for thread in ("translation", "cotranslation"):
-            for imp in (IMP_RSPOON, IMP_TRIGHT):
-                for box in (BOX_BOXMINUS, BOX_PRIME):
-                    start = thread_inequality(parse_dfml(text), thread, imp, box)
-                    try:
-                        reduce_search(start, max_nodes=max_nodes)
-                    except NodeBudgetExceeded:
-                        pass
+    _search_all(sequents, max_nodes)
     monkeypatch.undo()
     return list(keyed)
 
@@ -579,10 +660,7 @@ def test_key_partition_matches_reference_on_searches(monkeypatch):
     150-node budget."""
     from dfmlcorr.corpus import CORPUS
     corpus = _searched_systems(monkeypatch, [e.sequent for e in CORPUS], 100_000)
-    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-    symbolic = json.loads(reference.read_text())["symbolic"]
-    picked = random.Random(6).sample([e["sequent"] for e in symbolic["pool"]], 40)
-    pool = _searched_systems(monkeypatch, picked, symbolic["max_nodes"])
+    pool = _searched_systems(monkeypatch, *_pool_slice(6, 40))
     # searches meet: distinct systems (another fresh counter, or the same
     # start reached from two threads) share a class, so both directions bite
     assert 800 < _assert_same_partition(corpus) < len(corpus)

@@ -333,6 +333,14 @@ def _reference_occurrences(f):
     return [v for name in f._subs for v in _reference_occurrences(getattr(f, name))]
 
 
+def _reference_depths(f, above=0):
+    if isinstance(f, SortedVar):
+        return [above]
+    if isinstance(f, Prime):
+        return _reference_depths(f.arg, above + 1)
+    return [d for name in f._subs for d in _reference_depths(getattr(f, name))]
+
+
 def _reference_shape(f):
     if isinstance(f, SortedVar):
         return SortedVar(0, f.sort)
@@ -351,6 +359,7 @@ def test_cached_facts_match_fresh_computation(f):
         assert node.sort == _reference_sort(node)
         assert children(node) == tuple(getattr(node, name) for name in node._subs)
         assert occurrences(node) == tuple(_reference_occurrences(node))
+        assert node._depths == tuple(_reference_depths(node))
         assert rspoon_free(node) == ("rspoon" not in sorted_to_text(node))
         assert shape(node) is _reference_shape(node)
         assert shape(shape(node)) is shape(node)
