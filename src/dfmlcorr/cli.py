@@ -21,7 +21,7 @@ from .reduction import (
     THREAD_TRANSLATION, classify,
 )
 from .semantics import (
-    FrameSizeError, FrameValidationError, correspondence_oracle,
+    MAX_SORT_SIZE, FrameSizeError, FrameValidationError, correspondence_oracle,
     enumerate_frames, frame_to_json, load_frame, relations_needed,
 )
 from .syntax import ParseError, parse_dfml
@@ -41,6 +41,14 @@ def _threads(arg: str) -> tuple[str, ...]:
     if arg == "cotranslation":
         return (THREAD_COTRANSLATION,)
     return (THREAD_TRANSLATION, THREAD_COTRANSLATION)
+
+
+def _positive(text: str) -> int:
+    """An argparse type: a positive integer, since a count of zero or less
+    would verify nothing and report it as agreement."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+    return int(text)
 
 
 def _trace_lines(trace) -> list[str]:
@@ -176,12 +184,18 @@ def cmd_correspond(args) -> int:
 
 
 def _frames_from_args(args, s):
+    """The (name, frame) pairs to verify on, lazily; carriers over
+    ``MAX_SORT_SIZE`` raise ``FrameSizeError`` here, before any frame."""
     if args.frames:
-        for name in sorted(os.listdir(args.frames)):
-            if name.endswith(".json"):
-                yield name, load_frame(os.path.join(args.frames, name),
-                                       validate=not args.no_validate)
-        return
+        return ((name, load_frame(os.path.join(args.frames, name), validate=not args.no_validate))
+                for name in sorted(os.listdir(args.frames)) if name.endswith(".json"))
+    if max(args.enumerate) > MAX_SORT_SIZE:
+        raise FrameSizeError(f"--enumerate {args.enumerate[0]} {args.enumerate[1]}: "
+                             f"carriers larger than {MAX_SORT_SIZE} are not supported")
+    return _enumerated_frames(args, s)
+
+
+def _enumerated_frames(args, s):
     n1, nd = args.enumerate
     needed = relations_needed(s)
     require = ("F1", "F2", "F3") if args.assume_f3 else ("F1", "F2")
@@ -202,6 +216,7 @@ def _frames_from_args(args, s):
 
 def cmd_verify(args) -> int:
     s = parse_dfml(args.sequent)
+    frames = _frames_from_args(args, s)
     res = compute_correspondent(s, max_nodes=args.max_nodes,
                                 assume_f3=args.assume_f3,
                                 threads=_threads(args.thread))
@@ -213,7 +228,7 @@ def cmd_verify(args) -> int:
     checked = 0
     disagreements = []      # (name, witness, frame_to_json doc): a kept frame keeps its tables
     per_frame = []
-    for name, fr in _frames_from_args(args, s):
+    for name, fr in frames:
         checked += 1
         witness = correspondence_oracle(fr, s, c.anchor, formula)
         if args.frames:
@@ -318,9 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check the correspondent against brute-force validity")
     common(p)
     p.add_argument("--frames", metavar="DIR", help="directory of frame files")
-    p.add_argument("--enumerate", nargs=2, type=int, metavar=("N1", "ND"),
+    p.add_argument("--enumerate", nargs=2, type=_positive, metavar=("N1", "ND"),
                    help="enumerate frames up to the given carrier sizes")
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--samples", type=_positive, default=None,
                    help="sample this many relation combinations per size instead of all")
     p.add_argument("--no-validate", action="store_true",
                    help="skip frame validation on load")

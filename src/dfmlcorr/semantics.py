@@ -618,42 +618,148 @@ _OPERATOR_OF = {
 }
 
 
+# CPython refuses more than 20 statically nested blocks, so a generated nest
+# opens at most this many loops: the free slots from the last loop on share
+# one ``product`` loop, which keeps their order.
+_MAX_LOOPS = 16
+
+
+# Local of a generated function -> the frame attribute it is bound to.
+_FRAME_LOCALS = {
+    "P1": "fr._polar1_table", "Pd": "fr._polard_table", "n1": "fr.n1", "nd": "fr.nd",
+    "F1": "fr.full1", "Fd": "fr.fulld", "S1": "fr.stable1", "Sd": "fr.stabled",
+    "R1": "range(fr.full1 + 1)", "Rd": "range(fr.fulld + 1)",
+}
+
+
+class _Nest:
+    """The source of one generated function over a frame ``fr``.
+
+    Free slot ``i`` gets a ``for`` over its space, in ``itertools.product``
+    order, and every statement goes into the loop of the deepest slot it
+    reads, so a value is recomputed only when a slot it reads changes.
+    Each interned node is one local, computed once however many roots share
+    it.  The frame's tables are bound once per call, before the loops.  The
+    source holds slot numbers, operator names of ``_OPERATOR_OF`` and
+    generated names, and no text of a formula.
+    """
+
+    def __init__(self, slots: dict, result: str, spaces: Sequence[str] = ()):
+        self.slots = slots
+        self.result = result                # returned after the loops
+        self.names: dict = {}               # node -> its local
+        self.level: dict = {"0": 0}         # local -> the loop that binds it
+        self.tables: dict = {}              # frame local -> its binding
+        self.depth = min(len(spaces), _MAX_LOOPS)
+        self.loops = [""] + [f"for s{i} in {space}:" for i, space in enumerate(spaces)]
+        if len(spaces) > self.depth:
+            folded = range(self.depth - 1, len(spaces))
+            self.loops[self.depth:] = [
+                f"for {', '.join(f's{i}' for i in folded)} in "
+                f"product({', '.join(spaces[i] for i in folded)}):"]
+        for i, space in enumerate(spaces):
+            self.level[f"s{i}"] = min(i + 1, self.depth)
+            self.frame_local(space)
+        self.body: list[list[str]] = [[] for _ in range(self.depth + 1)]
+
+    def frame_local(self, name: str, binding: str | None = None) -> str:
+        """``name``, bound once per call to ``binding``, by default its
+        entry of ``_FRAME_LOCALS``."""
+        self.tables[name] = binding or _FRAME_LOCALS[name]
+        self.level[name] = 0
+        return name
+
+    def emit(self, line: str, *reads: str) -> int:
+        """Put ``line`` in the loop of the deepest of ``reads``."""
+        level = max(self.level[name] for name in reads)
+        self.body[level].append(line)
+        return level
+
+    def step(self, tgt: int, src: int, sort: str, check: bool) -> None:
+        """A change of variable: slot ``tgt`` is the polar of slot ``src``,
+        assigned, or checked when ``tgt`` is already bound."""
+        polar = self.frame_local("P1" if sort == SORT1 else "Pd")
+        if check:
+            self.guard(f"s{tgt} != {polar}[s{src}]", f"s{tgt}", f"s{src}")
+        else:
+            self.level[f"s{tgt}"] = self.emit(f"s{tgt} = {polar}[s{src}]", f"s{src}")
+
+    def guard(self, failed: str, *reads: str) -> None:
+        """Skip every row on which ``failed`` holds: the rest of the loop
+        that binds the deepest of ``reads``, or, outside the loops, all."""
+        level = max(self.level[name] for name in reads)
+        self.body[level].append(f"if {failed}: {'continue' if level else f'return {self.result}'}")
+
+    def value(self, f) -> str:
+        """The local holding the value of node ``f``."""
+        name = self.names.get(f)
+        if name is not None:
+            return name
+        kind = type(f)
+        if kind is SortedVar:
+            if f not in self.slots:
+                raise KeyError(f"no value for sorted variable {f}")
+            name = self.names[f] = f"s{self.slots[f]:d}"
+            self.level.setdefault(name, 0)
+            return name
+        if kind is STop:
+            return self.frame_local("F1" if f.sort == SORT1 else "Fd")
+        if kind is SBot:
+            return "0"
+        if kind is Cap or kind is Cup:
+            args = (self.value(f.left), self.value(f.right))
+            expr = f" {'&' if kind is Cap else '|'} ".join(args)
+        elif kind is Prime:
+            args = (self.frame_local("P1" if f.arg.sort == SORT1 else "Pd"), self.value(f.arg))
+            expr = "%s[%s]" % args
+        else:
+            op = _OPERATOR_OF.get(kind)
+            if op is None:
+                raise TypeError(f"not a sorted formula: {f!r}")
+            table = self.frame_local(f"t_{op}", f"fr.op_tables[{op!r}]")
+            if len(_OPERATOR_ARG_SORTS[op]) == 1:
+                args = (table, self.value(f.arg))
+                expr = "%s[%s]" % args
+            else:
+                size = self.frame_local("n1" if f.right.sort == SORT1 else "nd")
+                args = (table, self.value(f.left), size, self.value(f.right))
+                expr = "%s[%s << %s | %s]" % args
+        name = self.names[f] = f"v{len(self.names)}"
+        self.level[name] = self.emit(f"{name} = {expr}", *args)
+        return name
+
+    def compile(self, params: str, inner: Sequence[str], start: Sequence[str] = ()) -> Callable:
+        """The function ``kernel(fr<params>)``: the frame locals, ``start``,
+        the loops with ``inner`` in the innermost, then ``return result``.
+        The source is kept as the function's ``source``."""
+        lines = [f"def kernel(fr{params}):"]
+        lines += [f"    {name} = {expr}" for name, expr in self.tables.items()]
+        lines += [f"    {line}" for line in start]
+        self.body[self.depth] += inner
+        for level, block in enumerate(self.body):
+            if level:
+                lines.append("    " * level + self.loops[level])
+            lines += ["    " * (level + 1) + line for line in block]
+        lines.append(f"    return {self.result}")
+        source = "\n".join(lines) + "\n"
+        namespace = {"product": itertools.product}
+        exec(compile(source, "<generated evaluator>", "exec"), namespace)
+        kernel = namespace["kernel"]
+        kernel.source = source
+        return kernel
+
+
 def compile_sorted(f: SortedFormula, slots: dict) -> Callable[[FiniteFrame, list], int]:
-    """``f`` as a closure ``(frame, row) -> mask`` that agrees with
-    ``model_check_sorted``, the reference; ``row[slots[v]]`` is the mask of
-    variable ``v``.  Operators read the frame's ``op_tables``."""
-    kind = type(f)
-    if kind is SortedVar:
-        if f not in slots:
-            raise KeyError(f"no value for sorted variable {f}")
-        slot = slots[f]
-        return lambda fr, row: row[slot]
-    if kind is STop:
-        if f.sort == SORT1:
-            return lambda fr, row: fr.full1
-        return lambda fr, row: fr.fulld
-    if kind is SBot:
-        return lambda fr, row: 0
-    if kind is Cap or kind is Cup:
-        left, right = compile_sorted(f.left, slots), compile_sorted(f.right, slots)
-        if kind is Cap:
-            return lambda fr, row: left(fr, row) & right(fr, row)
-        return lambda fr, row: left(fr, row) | right(fr, row)
-    if kind is Prime:
-        arg = compile_sorted(f.arg, slots)
-        if f.arg.sort == SORT1:
-            return lambda fr, row: fr._polar1_table[arg(fr, row)]
-        return lambda fr, row: fr._polard_table[arg(fr, row)]
-    op = _OPERATOR_OF.get(kind)
-    if op is None:
-        raise TypeError(f"not a sorted formula: {f!r}")
-    if len(_OPERATOR_ARG_SORTS[op]) == 1:
-        arg = compile_sorted(f.arg, slots)
-        return lambda fr, row: fr.op_tables[op][arg(fr, row)]
-    left, right = compile_sorted(f.left, slots), compile_sorted(f.right, slots)
-    if f.right.sort == SORT1:
-        return lambda fr, row: fr.op_tables[op][left(fr, row) << fr.n1 | right(fr, row)]
-    return lambda fr, row: fr.op_tables[op][left(fr, row) << fr.nd | right(fr, row)]
+    """``f`` as a generated function ``(frame, row) -> mask`` that agrees
+    with ``model_check_sorted``, the reference; ``row[slots[v]]`` is the
+    mask of variable ``v``.  It is the single-root, loop-free case of the
+    generator behind ``system_equivalence_witness`` and
+    ``correspondence_oracle`` (``_Nest``): one local per distinct node, the
+    frame's polar and ``op_tables`` tables bound once per call."""
+    nest = _Nest(slots, "")
+    nest.result = nest.value(f)
+    start = [f"s{slot:d} = row[{slot:d}]" for slot in sorted({slots[v] for v in sorted_vars(f)})]
+    return nest.compile(", row", (), start)
 
 
 def model_check_dfml(frame: FiniteFrame, valuation: dict, f: DfmlFormula) -> tuple[int, int]:
@@ -718,9 +824,10 @@ def _dfml_operators(f: DfmlFormula) -> SortedFormula:
 
 
 def compile_dfml(f: DfmlFormula, var_ids) -> Callable[[FiniteFrame, Sequence[int]], int]:
-    """``f`` as a closure ``(frame, row) -> mask`` that agrees with the value
-    of ``model_check_dfml``, the reference; ``row[i]`` is the mask of
-    variable ``p<var_ids[i]>``.  The row is not checked for stability."""
+    """``f`` as a generated function ``(frame, row) -> mask`` that agrees
+    with the value of ``model_check_dfml``, the reference; ``row[i]`` is the
+    mask of variable ``p<var_ids[i]>``.  The row is not checked for
+    stability.  ``compile_sorted`` of ``f``'s operators generates it."""
     return compile_sorted(_dfml_operators(f),
                           {SortedVar(v, SORT1): i for i, v in enumerate(var_ids)})
 
@@ -1010,18 +1117,17 @@ def system_equivalence_witness(frame: FiniteFrame, sys1, sys2):
     """A valuation satisfying both systems' constraints on which exactly one
     main inequality holds, or None when the systems agree everywhere.
 
-    The pair is compiled once (``_systems_plan``, memoised) and evaluated
-    over the frame's operator tables; the witness is the first valuation of
+    The pair is compiled once (``_systems_plan``, memoised) into one
+    generated loop nest (``_Nest``): a loop per free variable, each change
+    of variable at the loop of its source, and each node of the four sides
+    computed once per change of the variables it reads, the two systems
+    sharing their common subterms.  The witness is the first valuation of
     ``system_valuations(frame, (sys1, sys2))`` on which ``system_holds``,
     the reference, tells the systems apart.
     """
     plan = _systems_plan((sys1, sys2))
-    (lhs1, rhs1), (lhs2, rhs2) = plan.sides
-    for row in _plan_rows(frame, plan):
-        holds1 = not (lhs1(frame, row) & ~rhs1(frame, row))
-        if holds1 != (not (lhs2(frame, row) & ~rhs2(frame, row))):
-            return dict(zip(plan.keys, row))
-    return None
+    row = plan.kernel(frame) if plan.kernel else None
+    return None if row is None else dict(zip(plan.keys, row))
 
 
 @dataclass(frozen=True)
@@ -1034,7 +1140,8 @@ class _SystemsPlan:
     spaces: tuple        # (stability-constrained?, sort) per free variable
     steps: tuple         # (target slot, source slot, source sort, check only?)
     resolved: bool       # False when a cycle of changes of variable fixes no target
-    sides: tuple         # compiled (lhs, rhs) of each system's main inequality
+    kernel: Callable | None   # of two resolved systems: frame -> the first row
+                              # on which they differ, or None
 
 
 @lru_cache(maxsize=256)
@@ -1082,9 +1189,19 @@ def _systems_plan(systems: tuple) -> _SystemsPlan:
     keys += [v for v in vs if v not in known]
     slots = {v: i for i, v in enumerate(keys)}
     steps = tuple((slots[tgt], slots[src], src.sort, check) for tgt, src, check in order)
-    sides = tuple((compile_sorted(sys.main.lhs, slots), compile_sorted(sys.main.rhs, slots))
-                  for sys in systems)
-    return _SystemsPlan(tuple(keys), spaces, steps, not pending, sides)
+    kernel = None
+    if not pending and len(systems) == 2:
+        nest = _Nest(slots, "None", [("S1" if sort == SORT1 else "Sd") if stable
+                                     else ("R1" if sort == SORT1 else "Rd")
+                                     for stable, sort in spaces])
+        for step in steps:
+            nest.step(*step)
+        (lhs1, rhs1), (lhs2, rhs2) = [(nest.value(sys.main.lhs), nest.value(sys.main.rhs))
+                                      for sys in systems]
+        # the rows under a prefix on which the systems agree are skipped whole
+        nest.guard(f"(not {lhs1} & ~{rhs1}) == (not {lhs2} & ~{rhs2})", lhs1, rhs1, lhs2, rhs2)
+        kernel = nest.compile("", [f"return ({''.join(f's{i}, ' for i in range(len(keys)))})"])
+    return _SystemsPlan(tuple(keys), spaces, steps, not pending, kernel)
 
 
 def _plan_rows(frame: FiniteFrame, plan: _SystemsPlan):
@@ -1116,27 +1233,22 @@ def correspondence_oracle(frame: FiniteFrame, s: Sequent, anchor: IVar,
     """Compare pointwise sequent validity against the first-order formula.
 
     Returns None on agreement at every point of the anchor sort, else the
-    first disagreeing point (its name).  The sides and the formula are
-    compiled once per (sequent, anchor, formula) objects, and every
-    valuation is evaluated once for all points; the per-point loop of
-    ``local_validity`` and ``eval_fo`` is the reference.
+    first disagreeing point (its name).  Once per (sequent, anchor,
+    formula) objects, the formula is compiled (``compile_fo``) and the two
+    sides into one generated loop nest (``_Nest``): a loop per variable over
+    the stable sets, each node the sides share computed once, in the loop
+    of the deepest variable it reads, and the frame's tables bound once.
+    The nest ORs together, over all valuations, the points where the (dual)
+    sequent fails.  The per-point loop of ``local_validity`` and
+    ``eval_fo`` is the reference.
     """
-    lhs, rhs, n_vars, holds = _oracle_plan(s, anchor, corr)
-    stable = frame.stable1
+    failing_at, holds = _oracle_plan(s, anchor, corr)
     polar, polard = frame._polar1_table, frame._polard_table
-    for a in stable:
+    for a in frame.stable1:
         if polard[polar[a]] != a:
             raise ValueError(f"valuation value {a} is not a stable set")
-    failing = 0      # points where some valuation refutes the (dual) sequent
-    if anchor.sort == SORT1:
-        for row in itertools.product(stable, repeat=n_vars):
-            failing |= lhs(frame, row) & ~rhs(frame, row)
-        names = frame.z1
-    else:
-        for row in itertools.product(stable, repeat=n_vars):
-            failing |= polar[rhs(frame, row)] & ~polar[lhs(frame, row)]
-        names = frame.zd
-    for w, name in enumerate(names):
+    failing = failing_at(frame)
+    for w, name in enumerate(frame.z1 if anchor.sort == SORT1 else frame.zd):
         if (not failing >> w & 1) != holds(frame, (w,)):
             return name
     return None
@@ -1149,11 +1261,20 @@ _last_oracle_plan: list = [(None, None, None, None)]
 
 
 def _oracle_plan(s: Sequent, anchor: IVar, corr: FoFormula):
+    """The oracle kernel, ``frame -> the mask of points where some stable
+    valuation refutes the (dual) sequent``, and the compiled formula."""
     last_s, last_anchor, last_corr, plan = _last_oracle_plan[0]
     if last_s is not s or last_anchor is not anchor or last_corr is not corr:
         var_ids = sorted(set(dfml_vars(s.lhs)) | set(dfml_vars(s.rhs)))
-        plan = (compile_dfml(s.lhs, var_ids), compile_dfml(s.rhs, var_ids),
-                len(var_ids), compile_fo(corr, (anchor,)))
+        nest = _Nest({SortedVar(v, SORT1): i for i, v in enumerate(var_ids)}, "failing",
+                     ["S1"] * len(var_ids))
+        lhs, rhs = nest.value(_dfml_operators(s.lhs)), nest.value(_dfml_operators(s.rhs))
+        if anchor.sort == SORT1:
+            refuted = f"{lhs} & ~{rhs}"
+        else:       # the dual sequent: the polars, sort-d masks, the other way round
+            refuted = f"{nest.frame_local('P1')}[{rhs}] & ~P1[{lhs}]"
+        nest.emit(f"failing |= {refuted}", lhs, rhs)
+        plan = (nest.compile("", (), ["failing = 0"]), compile_fo(corr, (anchor,)))
         _last_oracle_plan[0] = (s, anchor, corr, plan)
     return plan
 

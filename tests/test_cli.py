@@ -137,3 +137,23 @@ def test_verify_cotranslation_anchor(capsys):
     code, out, _ = run(capsys, "verify", "dia dia p |- dia p", "--enumerate", "2", "2")
     assert code == 0
     assert "anchor y0" in out and "all agree" in out
+
+
+def test_verify_enumerate_above_the_size_limit(capsys):
+    """A carrier over the limit is a resource error up front, not a run that
+    silently skips the sizes it cannot enumerate."""
+    code, out, err = run(capsys, "verify", "p |- p", "--enumerate", "6", "2", "--json")
+    assert code == 2
+    assert out == ""
+    assert "resource error" in err and "larger than 5" in err
+
+
+@pytest.mark.parametrize("args", [("--enumerate", "0", "1"), ("--enumerate", "-1", "1"),
+                                  ("--enumerate", "1", "1", "--samples", "0"),
+                                  ("--enumerate", "1", "1", "--samples", "-3")])
+def test_verify_rejects_counts_that_check_nothing(capsys, args):
+    """A run over no frames would report agreement having proved nothing."""
+    code, out, err = run(capsys, "verify", "box p |- p", *args)
+    assert code == 3
+    assert out == ""
+    assert "must be a positive integer" in err

@@ -1,0 +1,188 @@
+"""The generated loop nests of ``semantics`` against the reference
+interpreters: the witness kernel behind ``system_equivalence_witness``
+against ``system_valuations`` and ``system_holds``, the oracle kernel behind
+``correspondence_oracle`` against ``local_validity`` and ``eval_fo``, and
+their source against the text of the formulas."""
+import ast
+import io
+import keyword
+import re
+import tokenize
+from functools import reduce
+
+from hypothesis import example, given, settings, strategies as st
+
+from dfmlcorr.reduction import (
+    ChangeOfVariables, FormalInequality, InequalitySystem, StabilityConstraint,
+)
+from dfmlcorr.semantics import (
+    _MAX_LOOPS, _OPERATOR_OF, FiniteFrame, _oracle_plan, _systems_plan, bits,
+    correspondence_oracle, kripke_frame, separated_i_masks,
+    system_equivalence_witness, system_holds, system_valuations,
+)
+from dfmlcorr.syntax import (
+    SORT1, SORTD, Cap, IVar, NotF, Prime, SortedVar, parse_dfml, parse_fo,
+)
+
+from test_semantics import reference_oracle, sorted_formulas
+
+# Every name a generated function may hold besides keywords, its slot
+# locals ``s<n>``, its node locals ``v<n>`` and its tables ``t_<operator>``.
+FIXED_NAMES = {
+    "kernel", "fr", "row", "failing", "product", "range", "None",
+    "_polar1_table", "_polard_table", "op_tables", "n1", "nd", "full1", "fulld",
+    "stable1", "stabled", "P1", "Pd", "F1", "Fd", "S1", "Sd", "R1", "Rd",
+}
+
+
+def assert_generated(source: str) -> None:
+    """``source`` interpolates slot numbers, the operator names of
+    ``_OPERATOR_OF`` and generated local names, and nothing else."""
+    ops = set(_OPERATOR_OF.values())
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            name = tok.string
+            assert (keyword.iskeyword(name) or name in FIXED_NAMES
+                    or re.fullmatch(r"[sv]\d+", name)
+                    or name.startswith("t_") and name[2:] in ops), name
+        elif tok.type == tokenize.STRING:
+            assert ast.literal_eval(tok.string) in ops, tok.string
+        elif tok.type == tokenize.NUMBER:
+            assert tok.string.isdigit(), tok.string
+        else:
+            assert tok.type in (tokenize.OP, tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
+                                tokenize.DEDENT, tokenize.ENDMARKER), tok
+
+
+def reference_witness(fr, sys1, sys2):
+    """The first valuation of ``system_valuations`` on which ``system_holds``
+    tells the systems apart."""
+    return next((val for val in system_valuations(fr, (sys1, sys2))
+                 if system_holds(fr, sys1, val) != system_holds(fr, sys2, val)), None)
+
+
+def items(val):
+    return None if val is None else list(val.items())
+
+
+def check_pair(fr, sys1, sys2):
+    plan = _systems_plan((sys1, sys2))
+    if plan.resolved:
+        assert_generated(plan.kernel.source)
+    assert items(system_equivalence_witness(fr, sys1, sys2)) == \
+        items(reference_witness(fr, sys1, sys2))
+
+
+# -- random pairs of systems -----------------------------------------------------------
+
+P = [SortedVar(i, SORT1) for i in range(3)]
+Q = [SortedVar(i, SORTD) for i in range(3)]
+CHANGES = [ChangeOfVariables(t, s) for t in P + Q for s in P + Q if t.sort != s.sort]
+
+
+@st.composite
+def small_frames(draw):
+    """A separated frame of at most two points per sort with random
+    relations, so that six free variables make at most 512 rows."""
+    n1, nd = draw(st.sampled_from([(1, 1), (1, 2), (2, 1)]))
+    z1 = [f"a{i}" for i in range(n1)]
+    zd = [f"b{i}" for i in range(nd)]
+    i_rows = draw(st.sampled_from(list(separated_i_masks(n1, nd))))
+
+    def some(pairs):
+        return draw(st.lists(st.sampled_from(pairs), unique=True))
+
+    return FiniteFrame(
+        z1, zd, validate=False,
+        i_rel=[(z1[x], zd[y]) for x in range(n1) for y in bits(i_rows[x])],
+        r_dia=some([(a, b) for a in z1 for b in z1]),
+        r_box=some([(a, b) for a in zd for b in zd]),
+        r_neg=some([(a, b) for a in zd for b in z1]),
+        t_rel=some([(a, b, c) for a in zd for b in z1 for c in zd]))
+
+
+@st.composite
+def systems(draw):
+    """A system over variables 0-2 of each sort: its main inequality from
+    ``sorted_formulas``, with stability constraints and changes of variable
+    drawn over the same variables, so that a target listed twice (a check),
+    cycles and chains in either listing order all arise."""
+    sort = draw(st.sampled_from([SORT1, SORTD]))
+    main = FormalInequality(sort, draw(sorted_formulas(sort, 2)), draw(sorted_formulas(sort, 2)))
+    stb = draw(st.lists(st.sampled_from(P + Q), unique=True, max_size=3))
+    cvc = draw(st.lists(st.sampled_from(CHANGES), max_size=3))
+    return InequalitySystem(tuple(map(StabilityConstraint, stb)), tuple(cvc), main, 3)
+
+
+def _with(main, *cvc, stb=()):
+    return InequalitySystem(tuple(map(StabilityConstraint, stb)), tuple(cvc), main, 3)
+
+
+_CHECK = (ChangeOfVariables(Q[0], P[0]), ChangeOfVariables(Q[0], P[1]))      # Q0 twice
+_CYCLE = (ChangeOfVariables(P[1], Q[1]), ChangeOfVariables(Q[1], P[1]))
+_CHAIN = (ChangeOfVariables(P[2], Q[1]), ChangeOfVariables(Q[1], P[0]))     # newest first
+
+
+@given(fr=small_frames(), sys1=systems(), sys2=systems())
+@example(fr=kripke_frame(2), sys1=_with(FormalInequality(SORT1, P[1], P[0]), *_CHECK),
+         sys2=_with(FormalInequality(SORTD, Q[0], Prime(P[1])), *_CHECK, stb=(P[1],)))
+@example(fr=kripke_frame(2), sys1=_with(FormalInequality(SORT1, P[1], P[1]), *_CYCLE),
+         sys2=_with(FormalInequality(SORT1, P[1], Prime(Q[1])), *_CYCLE))
+@example(fr=kripke_frame(2), sys1=_with(FormalInequality(SORT1, P[2], P[0]), *_CHAIN),
+         sys2=_with(FormalInequality(SORT1, P[0], P[2]), *_CHAIN))
+@settings(max_examples=300, deadline=None)
+def test_witness_kernel_matches_reference_on_random_pairs(fr, sys1, sys2):
+    check_pair(fr, sys1, sys2)
+
+
+def test_crafted_pairs_reach_each_kind_of_step():
+    """The three explicit examples above are a check, a cycle and a
+    newest-first chain."""
+    check = _systems_plan((_with(FormalInequality(SORT1, P[1], P[0]), *_CHECK),) * 2)
+    # the check reads P1, bound by the outer loop, and Q0, set in the inner one
+    assert check.keys == (P[1], P[0], Q[0])
+    assert check.steps == ((2, 1, SORT1, False), (2, 0, SORT1, True))
+    cycle = (_with(FormalInequality(SORT1, P[1], P[1]), *_CYCLE),) * 2
+    assert not _systems_plan(cycle).resolved and _systems_plan(cycle).kernel is None
+    assert list(system_valuations(kripke_frame(2), cycle)) == []
+    assert system_equivalence_witness(kripke_frame(2), *cycle) is None
+    chain = _systems_plan((_with(FormalInequality(SORT1, P[2], P[0]), *_CHAIN),) * 2)
+    assert chain.keys == (P[0], Q[1], P[2])         # the source first, the chain in order
+    assert [step[:2] for step in chain.steps] == [(1, 0), (2, 1)]
+
+
+# -- nests deeper than CPython's block limit -------------------------------------------
+
+def one_stable_set_frame():
+    """No I-edge: each sort has one stable set, its whole carrier."""
+    fr = FiniteFrame(["a0"], ["b0"], validate=False)
+    assert fr.stable1 == [1] and fr.stabled == [1]
+    return fr
+
+
+def test_twenty_five_variable_system_compiles_and_agrees():
+    fr = one_stable_set_frame()
+    vs = [SortedVar(i, SORT1 if i % 2 == 0 else SORTD) for i in range(25)]
+    as1 = [v if v.sort == SORT1 else Prime(v) for v in vs]
+    every = reduce(Cap, as1)
+    stb = vs[:22]       # the last three range over both subsets of their carrier
+    same = _with(FormalInequality(SORT1, every, every), stb=stb)
+    differ = _with(FormalInequality(SORT1, Cap(as1[22], as1[23]), as1[24]), stb=stb)
+    source = _systems_plan((same, differ)).kernel.source
+    assert_generated(source)
+    assert "product(" in source and source.count("for ") == _MAX_LOOPS
+    assert len(list(system_valuations(fr, (same, differ)))) == 8
+    check_pair(fr, same, differ)
+    assert system_equivalence_witness(fr, same, differ) is not None
+    check_pair(fr, same, same)
+
+
+def test_twenty_five_variable_sequent_through_the_oracle():
+    fr = one_stable_set_frame()
+    s = parse_dfml(" /\\ ".join(f"p{i}" for i in range(25)) + " |- p0 \\/ p24")
+    for anchor, text in ((IVar(0, SORT1), "x0 = x0"), (IVar(0, SORTD), "y0 = y0")):
+        for f in (parse_fo(text), NotF(parse_fo(text))):
+            assert correspondence_oracle(fr, s, anchor, f) == reference_oracle(fr, s, anchor, f)
+            source = _oracle_plan(s, anchor, f)[0].source
+            assert_generated(source)
+            assert "product(" in source
