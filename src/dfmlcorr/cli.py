@@ -21,8 +21,9 @@ from .reduction import (
     THREAD_TRANSLATION, classify,
 )
 from .semantics import (
-    MAX_SORT_SIZE, FrameSizeError, FrameValidationError, correspondence_oracle,
-    enumerate_frames, frame_to_json, load_frame, relations_needed,
+    MAX_I_CELLS, MAX_SORT_SIZE, FrameSizeError, FrameValidationError,
+    correspondence_oracle, enumerate_frames, frame_to_json, load_frame,
+    relation_tuples, relations_needed,
 )
 from .syntax import ParseError, parse_dfml
 from .translation import translate_sequent
@@ -185,13 +186,18 @@ def cmd_correspond(args) -> int:
 
 def _frames_from_args(args, s):
     """The (name, frame) pairs to verify on, lazily; carriers over
-    ``MAX_SORT_SIZE`` raise ``FrameSizeError`` here, before any frame."""
-    if args.frames:
+    ``MAX_SORT_SIZE``, or with more than ``MAX_I_CELLS`` I-cells, raise
+    ``FrameSizeError`` here, before any frame."""
+    if args.frames is not None:
         return ((name, load_frame(os.path.join(args.frames, name), validate=not args.no_validate))
                 for name in sorted(os.listdir(args.frames)) if name.endswith(".json"))
-    if max(args.enumerate) > MAX_SORT_SIZE:
-        raise FrameSizeError(f"--enumerate {args.enumerate[0]} {args.enumerate[1]}: "
+    n1, nd = args.enumerate
+    if max(n1, nd) > MAX_SORT_SIZE:
+        raise FrameSizeError(f"--enumerate {n1} {nd}: "
                              f"carriers larger than {MAX_SORT_SIZE} are not supported")
+    if n1 * nd > MAX_I_CELLS:
+        raise FrameSizeError(f"--enumerate {n1} {nd}: listing the 2^{n1 * nd} I-relations of "
+                             f"a {n1}x{nd} frame is not supported, at most 2^{MAX_I_CELLS}")
     return _enumerated_frames(args, s)
 
 
@@ -202,8 +208,7 @@ def _enumerated_frames(args, s):
     count = 0
     for i in range(1, n1 + 1):
         for j in range(1, nd + 1):
-            bits_needed = sum({"Rdia": i * i, "Rbox": j * j, "Rneg": i * j,
-                               "T": j * i * j}[r] for r in needed)
+            bits_needed = sum(len(relation_tuples(r, i, j)) for r in needed)
             if args.samples is None and bits_needed > 16:
                 raise FrameSizeError(
                     f"2^{bits_needed} relation combinations at {i}x{j}; "
@@ -332,11 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the correspondent against brute-force validity")
     common(p)
-    p.add_argument("--frames", metavar="DIR", help="directory of frame files")
-    p.add_argument("--enumerate", nargs=2, type=_positive, metavar=("N1", "ND"),
-                   help="enumerate frames up to the given carrier sizes")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--frames", metavar="DIR", help="directory of frame files")
+    source.add_argument("--enumerate", nargs=2, type=_positive, metavar=("N1", "ND"),
+                        help="enumerate frames up to the given carrier sizes")
     p.add_argument("--samples", type=_positive, default=None,
-                   help="sample this many relation combinations per size instead of all")
+                   help="sample this many relation combinations per size instead of all "
+                        "(with --enumerate)")
     p.add_argument("--no-validate", action="store_true",
                    help="skip frame validation on load")
     p.add_argument("--assume-f3", action="store_true",
@@ -360,9 +367,8 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    if getattr(args, "command", None) == "verify" \
-            and not (args.frames or args.enumerate):
-        print("verify needs --frames DIR or --enumerate N1 ND", file=sys.stderr)
+    if getattr(args, "samples", None) and not args.enumerate:
+        print("verify: --samples only applies to --enumerate", file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.func(args)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -24,6 +25,10 @@ from .syntax import (
 )
 
 MAX_SORT_SIZE = 5
+# ``enumerate_frames`` lists all 2^(n1*nd) I-relations of a size before it
+# keeps the separated ones: 3.6 s at 4+5, minutes at 5+5.  ``verify
+# --enumerate`` refuses sizes with more I-cells than this.
+MAX_I_CELLS = 20
 
 
 class FrameSizeError(Exception):
@@ -1342,15 +1347,27 @@ def separated_i_masks(n1: int, nd: int):
 
 # Base relation -> (its pair-set attribute, result sort, argument sorts,
 # the attributes of its result sections and of their polars).  Bit k of a
-# relation's pattern is its k-th tuple (result, *arguments) in
-# lexicographic order; the fields of the listed relations follow one
-# another from bit 0.
+# relation's pattern is its k-th tuple (``relation_tuples``); the fields of
+# the listed relations follow one another from bit 0.
 _BASE_RELATIONS = {
     "Rdia": ("r_dia", SORT1, (SORT1,), "rdia_sec", "rpdia"),
     "Rbox": ("r_box", SORTD, (SORTD,), "rbox_sec", "rpbox"),
     "Rneg": ("r_neg", SORTD, (SORT1,), "rneg_sec", "rpneg"),
     "T": ("t_rel", SORTD, (SORT1, SORTD), "t_sec", "tprime"),
 }
+
+
+def relation_tuples(rel: str, n1: int, nd: int) -> list[tuple[int, ...]]:
+    """The index tuples (result, *arguments) of base relation ``rel`` at the
+    carrier sizes, in lexicographic order.  Bit k of the relation's pattern
+    in ``enumerate_frames`` stands for the k-th, so a relation has as many
+    bits as tuples."""
+    if rel not in _BASE_RELATIONS:
+        raise ValueError(f"unknown relation {rel!r}")
+    _, res_sort, arg_sorts, _, _ = _BASE_RELATIONS[rel]
+    return list(itertools.product(*(range(n1 if sort == SORT1 else nd)
+                                     for sort in (res_sort, *arg_sorts))))
+
 
 # Modal connective or sorted operator -> the base relation its semantics
 # reads, listed in the order Rbox, Rdia, Rneg, T.
@@ -1386,6 +1403,50 @@ def _relations_read(roots, relation_of: dict) -> tuple[str, ...]:
     return tuple(dict.fromkeys(rel for kind, rel in relation_of.items() if kind in kinds))
 
 
+# Patterns of a relation of at most this many bits keep their I-free facts
+# for the whole ``enumerate_frames`` call: every space small enough to
+# enumerate, and the sampled ones whose draws repeat.  A larger space (T at
+# 3+3) is only sampled, and a draw there rarely comes twice.
+_KEPT_PATTERN_BITS = 12
+
+
+class _Patterns(dict):
+    """One base relation's patterns at one pair of carrier sizes, each
+    mapped, when first met, to the facts that do not depend on I: its
+    result sections as ``bytes`` (``secs[a]`` = the results related to the
+    a-th argument tuple) and its pair-set and section frame fields.  One
+    per relation per ``enumerate_frames`` call, shared by all its
+    I-relations."""
+
+    def __init__(self, rel: str, n1: int, nd: int):
+        self.space = relation_tuples(rel, n1, nd)
+        self.rel = rel
+        self.pairs_attr, self.res_sort, self.arg_sorts, self.sec_attr, self.polar_attr = \
+            _BASE_RELATIONS[rel]
+        size = {SORT1: n1, SORTD: nd}
+        self.res_n = size[self.res_sort]
+        self.arg_ns = [size[sort] for sort in self.arg_sorts]
+        self.n_args = math.prod(self.arg_ns)
+
+    def __missing__(self, pattern: int) -> tuple:
+        secs = [0] * self.n_args
+        for r in range(self.res_n):
+            row = pattern >> r * self.n_args
+            for a in range(self.n_args):
+                if row >> a & 1:
+                    secs[a] |= 1 << r
+        if len(self.arg_ns) == 1:
+            sections = tuple(secs)
+        else:
+            n_v = self.arg_ns[1]
+            sections = tuple(tuple(secs[x * n_v:(x + 1) * n_v]) for x in range(self.arg_ns[0]))
+        facts = bytes(secs), ((self.pairs_attr, frozenset(self.space[k] for k in bits(pattern))),
+                              (self.sec_attr, sections))
+        if len(self.space) <= _KEPT_PATTERN_BITS:
+            self[pattern] = facts
+        return facts
+
+
 class _Polarity:
     """One I-relation's tables, built once and shared, immutable, by every
     frame ``enumerate_frames`` yields over it.
@@ -1404,7 +1465,10 @@ class _Polarity:
             tuple(ax for ax in require if ax not in ("F2", "F3"))).values())
         self.smooth, self.monotone = "F2" in require, "F3" in require
         self.size = {SORT1: fr.n1, SORTD: fr.nd}
-        self.polar = {SORT1: bytes(fr._polar1_table), SORTD: bytes(fr._polard_table)}
+        polar = {SORT1: bytes(fr._polar1_table), SORTD: bytes(fr._polard_table)}
+        # ``bytes.translate`` tables taking each section to its polar image
+        self.polar_of = {sort: table.ljust(256, b"\0") for sort, table in polar.items()}
+        self.rows = {rel: {} for rel in _BASE_RELATIONS}
         self.closed = {SORT1: bytes(fr.close1(m) for m in range(fr.full1 + 1)),
                        SORTD: bytes(fr.closed(m) for m in range(fr.fulld + 1))}
         self.up = {SORT1: tuple(fr.up1), SORTD: tuple(fr.upd)}
@@ -1413,36 +1477,45 @@ class _Polarity:
             "full1": fr.full1, "fulld": fr.fulld, "i_rel": fr.i_rel,
             "r_dia": frozenset(), "r_box": frozenset(), "r_neg": frozenset(),
             "t_rel": frozenset(), "irow": tuple(fr.irow), "icol": tuple(fr.icol),
-            "_polar1_table": self.polar[SORT1], "_polard_table": self.polar[SORTD],
+            "_polar1_table": polar[SORT1], "_polard_table": polar[SORTD],
             "stable1": tuple(fr.stable1), "stabled": tuple(fr.stabled),
             "up1": self.up[SORT1], "upd": self.up[SORTD],
         }
 
-    def judge(self, rel: str, pattern: int, space: list) -> dict | None:
-        """The frame attributes of ``rel`` with the given pattern over its
-        tuples ``space``, or None when the pattern fails F2 or F3 (if
-        required)."""
-        pairs_attr, res_sort, arg_sorts, sec_attr, polar_attr = _BASE_RELATIONS[rel]
-        arg_ns = [self.size[sort] for sort in arg_sorts]
-        n_args = len(space) // self.size[res_sort]
-        secs = [0] * n_args          # secs[a] = {r : (r, *args a) in rel}
-        for r in range(self.size[res_sort]):
-            row = pattern >> r * n_args
-            for a in range(n_args):
-                if row >> a & 1:
-                    secs[a] |= 1 << r
-        if self.monotone and not self._monotone(res_sort, arg_sorts, arg_ns, secs):
+    def judge(self, patterns: _Patterns, pattern: int) -> tuple | None:
+        """The frame fields of ``patterns.rel`` with the given pattern, as
+        (attribute, value) pairs, or None when the pattern fails F2 or F3
+        (if required).  F2 and the R' rows read the sections only through
+        their polar images, so ``self.rows`` keeps them per relation and
+        tuple of images."""
+        secs, fields = patterns[pattern]
+        pols = secs.translate(self.polar_of[patterns.res_sort])
+        memo = self.rows[patterns.rel]
+        if pols not in memo:
+            memo[pols] = self._rows(patterns, pols)
+        rows = memo[pols]
+        if rows is None or self.monotone and not self._monotone(patterns, secs):
             return None
-        polar = self.polar[res_sort]
-        pols = [polar[sec] for sec in secs]
+        return fields + ((patterns.polar_attr, rows),)
+
+    def kept(self, patterns: _Patterns):
+        """The records of the patterns that pass, in pattern order."""
+        for pattern in range(1 << len(patterns.space)):
+            rec = self.judge(patterns, pattern)
+            if rec is not None:
+                yield rec
+
+    def _rows(self, patterns: _Patterns, pols: bytes) -> tuple | None:
+        """The R' rows for the sections' polar images ``pols``, or None when
+        F2 is required and fails."""
         # Smooth: along each argument, the others fixed, the arguments whose
         # polar holds a given point form a stable set of that argument's sort.
         stride = 1
         lines = []
-        for sort, n in zip(reversed(arg_sorts), reversed(arg_ns)):
+        for sort, n in zip(reversed(patterns.arg_sorts), reversed(patterns.arg_ns)):
             closed = self.closed[sort]
-            for p in range(self.size[flip(res_sort)]):
-                for start in range(n_args):
+            for p in range(self.size[flip(patterns.res_sort)]):
+                for start in range(patterns.n_args):
                     if start // stride % n:
                         continue
                     line = 0
@@ -1452,31 +1525,19 @@ class _Polarity:
                         return None
                     lines.append(line)
             stride *= n
-        if len(arg_ns) == 1:
-            polars = tuple(lines)       # R' rows: polar point -> its arguments
-            sections = tuple(secs)
-        else:
-            n_v = arg_ns[1]
-            polars = tuple(tuple(pols[x * n_v:(x + 1) * n_v]) for x in range(arg_ns[0]))
-            sections = tuple(tuple(secs[x * n_v:(x + 1) * n_v]) for x in range(arg_ns[0]))
-        return {pairs_attr: frozenset(t for k, t in enumerate(space) if pattern >> k & 1),
-                sec_attr: sections, polar_attr: polars}
+        if len(patterns.arg_ns) == 1:
+            return tuple(lines)         # R' rows: polar point -> its arguments
+        n_x, n_v = patterns.arg_ns
+        return tuple(tuple(pols[x * n_v:(x + 1) * n_v]) for x in range(n_x))
 
-    def kept(self, rel: str, space: list):
-        """The records of the patterns of ``rel`` that pass, in pattern order."""
-        for pattern in range(1 << len(space)):
-            rec = self.judge(rel, pattern, space)
-            if rec is not None:
-                yield rec
-
-    def _monotone(self, res_sort, arg_sorts, arg_ns, secs) -> bool:
+    def _monotone(self, patterns: _Patterns, secs: bytes) -> bool:
         """F3 for one relation: each section is an up-set, and sections
         shrink as an argument grows."""
-        up = self.up[res_sort]
+        up = self.up[patterns.res_sort]
         if any(up[r] & ~sec for sec in secs for r in bits(sec)):
             return False
         stride = 1
-        for sort, n in zip(reversed(arg_sorts), reversed(arg_ns)):
+        for sort, n in zip(reversed(patterns.arg_sorts), reversed(patterns.arg_ns)):
             ups = self.up[sort]
             for a, sec in enumerate(secs):
                 d = a // stride % n
@@ -1506,18 +1567,14 @@ def enumerate_frames(n1: int, nd: int, relations: tuple[str, ...],
 
     Frames come in the order of (I-relation, relation bits) candidates,
     named ``a<i>`` and ``b<i>``, and are those on which ``FiniteFrame``'s
-    ``check_axioms(require)`` passes; each I-relation's tables are built
-    once (``_Polarity``) and a rejected candidate is never built.
+    ``check_axioms(require)`` passes; a rejected candidate is never built.
+    Each I-relation's tables are built once (``_Polarity``), each pattern's
+    I-free facts once per call (``_Patterns``), and F2 once per I-relation
+    and tuple of polar images of a pattern's sections.
     """
     import random
 
-    spaces = []
-    for rel in relations:
-        if rel not in _BASE_RELATIONS:
-            raise ValueError(f"unknown relation {rel!r}")
-        _, res_sort, arg_sorts, _, _ = _BASE_RELATIONS[rel]
-        sizes = [n1 if sort == SORT1 else nd for sort in (res_sort, *arg_sorts)]
-        spaces.append(list(itertools.product(*map(range, sizes))))
+    patterns = [_Patterns(rel, n1, nd) for rel in relations]
     if not (1 <= n1 <= MAX_SORT_SIZE and 1 <= nd <= MAX_SORT_SIZE):
         return
     z1 = tuple(f"a{i}" for i in range(n1))
@@ -1533,15 +1590,14 @@ def enumerate_frames(n1: int, nd: int, relations: tuple[str, ...],
                 continue
             # The first relation holds the lowest bits, so it varies fastest;
             # the last one's patterns are judged as they come.
-            inner = [list(pol.kept(rel, space))
-                     for rel, space in zip(relations[:-1], spaces[:-1])]
-            outer = pol.kept(relations[-1], spaces[-1]) if relations else ({},)
+            inner = [list(pol.kept(pats)) for pats in patterns[:-1]]
+            outer = pol.kept(patterns[-1]) if relations else ((),)
             for last in outer:
                 for records in itertools.product(*reversed(inner)):
                     yield pol.frame((last, *records))
         return
 
-    total_bits = sum(len(space) for space in spaces)
+    total_bits = sum(len(pats.space) for pats in patterns)
     rng = random.Random(seed)
     polarities: dict = {}       # bounded: a sample may meet hundreds of I-relations
     for _ in range(sample):
@@ -1554,9 +1610,9 @@ def enumerate_frames(n1: int, nd: int, relations: tuple[str, ...],
         if not pol.ok:
             continue
         records = []
-        for rel, space in zip(relations, spaces):
-            records.append(pol.judge(rel, rel_bits & ((1 << len(space)) - 1), space))
-            rel_bits >>= len(space)
+        for pats in patterns:
+            records.append(pol.judge(pats, rel_bits & ((1 << len(pats.space)) - 1)))
+            rel_bits >>= len(pats.space)
             if records[-1] is None:
                 break
         else:

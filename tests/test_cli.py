@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import pytest
 
-from dfmlcorr.cli import main
+from dfmlcorr.cli import _frames_from_args, main
+from dfmlcorr.syntax import parse_dfml
 
 
 def run(capsys, *argv):
@@ -157,3 +159,31 @@ def test_verify_rejects_counts_that_check_nothing(capsys, args):
     assert code == 3
     assert out == ""
     assert "must be a positive integer" in err
+
+
+@pytest.mark.parametrize("args, why", [
+    (("--frames", "frames", "--enumerate", "2", "2"), "not allowed with argument --frames"),
+    (("--frames", "frames", "--samples", "3"), "--samples only applies to --enumerate")])
+def test_verify_rejects_what_frame_files_would_ignore(capsys, args, why):
+    """Frame files are checked as they are: a run that dropped the
+    enumeration or sample it was asked for would report agreement on other
+    frames."""
+    code, out, err = run(capsys, "verify", "box p |- p", *args)
+    assert code == 3
+    assert out == ""
+    assert why in err
+
+
+def test_verify_refuses_an_i_listing_over_the_bound(capsys):
+    """At 5+5 the enumerator would list 2^25 I-relations before its first
+    draw; the command refuses before any frame.  4+5 and 5+4 pass the check
+    (their frames are lazy and not drawn here)."""
+    for args in (("--enumerate", "5", "5", "--samples", "1"), ("--enumerate", "5", "5")):
+        code, out, err = run(capsys, "verify", "box p |- p", *args)
+        assert code == 2
+        assert out == ""
+        assert "resource error" in err and "2^25" in err and "2^20" in err
+    s = parse_dfml("box p |- p")
+    for sizes in ((4, 5), (5, 4)):
+        _frames_from_args(argparse.Namespace(frames=None, enumerate=sizes, samples=1,
+                                             assume_f3=False), s)

@@ -7,6 +7,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dfmlcorr import semantics
 from dfmlcorr.corpus import CORPUS
 from dfmlcorr.correspondence import compute_correspondent
 from dfmlcorr.reduction import (
@@ -16,8 +17,8 @@ from dfmlcorr.semantics import (
     MAX_SORT_SIZE, FiniteFrame, FrameSizeError, FrameValidationError, bits,
     compile_dfml, compile_fo, compile_sorted, correspondence_oracle,
     enumerate_frames, eval_fo, frame_to_json, kripke_frame, load_frame,
-    local_validity, model_check_dfml, model_check_sorted, relations_needed,
-    separated_i_masks, system_equivalence_witness, system_holds,
+    local_validity, model_check_dfml, model_check_sorted, relation_tuples,
+    relations_needed, separated_i_masks, system_equivalence_witness, system_holds,
     system_relations_needed, system_valuations,
 )
 from dfmlcorr.syntax import (
@@ -796,8 +797,7 @@ def corpus_frames(s, sizes=((1, 1), (1, 2), (2, 1), (2, 2))):
     rels = relations_needed(s)
     out = []
     for n1, nd in sizes:
-        n_bits = sum({"Rdia": n1 * n1, "Rbox": nd * nd, "Rneg": n1 * nd,
-                      "T": nd * n1 * nd}[r] for r in rels)
+        n_bits = sum(len(relation_tuples(r, n1, nd)) for r in rels)
         out += enumerate_frames(n1, nd, rels, sample=None if n_bits <= 12 else 600)
     return out
 
@@ -871,18 +871,21 @@ def test_enumerator_matches_reference():
     """The same frames, in the same order, as building and checking every
     candidate: every size up to 2+2 for each relation set of the corpus,
     with and without F3, and F3 without F2 (a seeded sample above 12
-    relation bits), and samples at 3+3 over T."""
+    relation bits), samples at 3+3 over T, and the benchmark's exhaustive
+    sizes, Rbox at 2+3 and Rdia at 3+2, with and without F3."""
     rel_sets = sorted({relations_needed(parse_dfml(e.sequent)) for e in CORPUS})
     assert ("Rbox", "Rdia") in rel_sets and ("Rbox", "Rdia", "T") in rel_sets
     cases = []
     for rels in rel_sets + [()]:
         for n1, nd in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            n_bits = sum({"Rdia": n1 * n1, "Rbox": nd * nd, "Rneg": n1 * nd,
-                          "T": nd * n1 * nd}[r] for r in rels)
+            n_bits = sum(len(relation_tuples(r, n1, nd)) for r in rels)
             for require in (("F1", "F2"), ("F0", "F1", "F2", "F3"), ("F1", "F3")):
                 cases.append((n1, nd, rels, require, None if n_bits <= 12 else 2000, 0))
     cases += [(3, 3, ("T",), ("F1", "F2"), 600, seed) for seed in (0, 1, 2)]
     cases += [(3, 3, ("Rbox", "Rdia", "Rneg", "T"), ("F1", "F2", "F3"), 600, 5)]
+    cases += [(n1, nd, (rel,), require, None, 0)
+              for n1, nd, rel in ((2, 3, "Rbox"), (3, 2, "Rdia"))
+              for require in (("F1", "F2"), ("F1", "F2", "F3"))]
     kept = 0
     for n1, nd, rels, require, sample, seed in cases:
         got = [frame_to_json(fr) for fr in enumerate_frames(
@@ -892,6 +895,28 @@ def test_enumerator_matches_reference():
         assert got == want, (n1, nd, rels, require, sample, seed)
         kept += len(got)
     assert kept > 5000
+
+
+def test_smoothness_is_judged_once_per_polar_image(monkeypatch):
+    """At 2+3 each I-relation meets Rbox's 512 patterns, whose three sections
+    have at most 4 polar images each: F2 is derived at most 4^3 times per
+    I-relation, and each pattern's I-free facts once in the whole call."""
+    judged, built = {}, []
+    rows, facts = semantics._Polarity._rows, semantics._Patterns.__missing__
+
+    def counted_rows(self, patterns, pols):
+        judged[self] = judged.get(self, 0) + 1
+        return rows(self, patterns, pols)
+
+    def counted_facts(self, pattern):
+        built.append(pattern)
+        return facts(self, pattern)
+
+    monkeypatch.setattr(semantics._Polarity, "_rows", counted_rows)
+    monkeypatch.setattr(semantics._Patterns, "__missing__", counted_facts)
+    assert sum(1 for _ in enumerate_frames(2, 3, ("Rbox",))) == 3576
+    assert len(judged) == 24 and max(judged.values()) <= 4 ** 3
+    assert sorted(built) == list(range(512))
 
 
 def test_enumerated_frames_share_immutable_polarity_tables():
