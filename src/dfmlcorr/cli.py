@@ -46,7 +46,8 @@ def _threads(arg: str) -> tuple[str, ...]:
 
 def _positive(text: str) -> int:
     """An argparse type: a positive integer, since a count of zero or less
-    would verify nothing and report it as agreement."""
+    would verify nothing and report it as agreement, and a node budget of
+    zero or less would fail every search."""
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
     return int(text)
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         if sequent:
             p.add_argument("sequent", help="modal sequent, e.g. 'box p |- p'")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_BUDGET,
+        p.add_argument("--max-nodes", type=_positive, default=DEFAULT_NODE_BUDGET,
                        help="search node budget")
         p.add_argument("--thread", choices=("translation", "cotranslation", "both"),
                        default="both")
@@ -356,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_frame)
 
     p = sub.add_parser("corpus", help="replay the golden example corpus")
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--max-nodes", type=_positive, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=cmd_corpus)
     return ap
 
@@ -369,6 +370,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     if getattr(args, "samples", None) and not args.enumerate:
         print("verify: --samples only applies to --enumerate", file=sys.stderr)
+        return EXIT_USAGE
+    if getattr(args, "no_validate", False) and args.enumerate:
+        print("verify: --no-validate only applies to --frames", file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.func(args)
@@ -384,7 +388,7 @@ def main(argv=None) -> int:
     except FrameValidationError as e:
         print(f"frame error: {e}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"file error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

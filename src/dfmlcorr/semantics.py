@@ -13,12 +13,11 @@ import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import attrgetter
 
 from .syntax import (
     SORT1, SORTD, And, AndF, Bot, Box, Dia, DfmlFormula, Eq, Exists, FalseF,
     FoFormula, Forall, Forall2, Imp, ImpF, IVar, Neg, NotF, Or, OrF, PredApp,
-    PropVar, RelAtom, Sequent, SortedFormula, SortedVar, STop, SBot,
+    PropVar, PVar, RelAtom, Sequent, SortedFormula, SortedVar, STop, SBot,
     Cap, Cup, Prime, DiaVert, DiaMinus, Box1, BoxD, BoxMinus, BoxVert, TDown,
     BTDown, Odot, RSpoon, TRight, Top, TrueF, dfml_vars, flip, rel_signature,
     sorted_vars, word_rel,
@@ -147,9 +146,6 @@ class FiniteFrame:
 
     def closed(self, mask: int) -> int:
         return self._polar1_table[self._polard_table[mask]]
-
-    def close(self, sort: str, mask: int) -> int:
-        return self.close1(mask) if sort == SORT1 else self.closed(mask)
 
     @cached_property
     def stable1(self):
@@ -634,7 +630,14 @@ _FRAME_LOCALS = {
     "P1": "fr._polar1_table", "Pd": "fr._polard_table", "n1": "fr.n1", "nd": "fr.nd",
     "F1": "fr.full1", "Fd": "fr.fulld", "S1": "fr.stable1", "Sd": "fr.stabled",
     "R1": "range(fr.full1 + 1)", "Rd": "range(fr.fulld + 1)",
+    "E1": "range(fr.n1)", "Ed": "range(fr.nd)",
 }
+
+
+# CPython refuses source nested more than 200 brackets deep, so a generated
+# function may nest at most this many: a first-order formula is one
+# expression, and each of its quantifiers opens a call.
+_MAX_NESTING = 100
 
 
 class _Nest:
@@ -644,9 +647,10 @@ class _Nest:
     order, and every statement goes into the loop of the deepest slot it
     reads, so a value is recomputed only when a slot it reads changes.
     Each interned node is one local, computed once however many roots share
-    it.  The frame's tables are bound once per call, before the loops.  The
-    source holds slot numbers, operator names of ``_OPERATOR_OF`` and
-    generated names, and no text of a formula.
+    it.  A first-order formula is one expression (``truth``).  The frame's
+    tables and rows are bound once per call, before the loops.  The source
+    holds slot numbers, operator names of ``_OPERATOR_OF``, indices into
+    the constants ``K`` and generated names, and no text of a formula.
     """
 
     def __init__(self, slots: dict, result: str, spaces: Sequence[str] = ()):
@@ -655,6 +659,8 @@ class _Nest:
         self.names: dict = {}               # node -> its local
         self.level: dict = {"0": 0}         # local -> the loop that binds it
         self.tables: dict = {}              # frame local -> its binding
+        self.consts: list = []              # K, the values the source indexes
+        self.binders = itertools.count()    # numbers the quantifier locals q<n>
         self.depth = min(len(spaces), _MAX_LOOPS)
         self.loops = [""] + [f"for s{i} in {space}:" for i, space in enumerate(spaces)]
         if len(spaces) > self.depth:
@@ -733,6 +739,63 @@ class _Nest:
         self.level[name] = self.emit(f"{name} = {expr}", *args)
         return name
 
+    def truth(self, f: FoFormula, scope: dict) -> str:
+        """The expression of first-order formula ``f``, truthy where ``eval_fo``
+        holds, ``scope`` mapping its free variables to locals.  A quantifier
+        is an ``all``/``any`` over its space with a local ``q<n>`` of its own,
+        a chain of one connective one bracketed ``and``/``or``; a variable no
+        scope binds raises ``KeyError`` when it is evaluated."""
+        kind = type(f)
+        if kind is TrueF or kind is FalseF:
+            return str(kind is TrueF)
+        if kind is NotF:
+            return f"not {self.truth(f.arg, scope)}"
+        if kind is ImpF:
+            return f"(not {self.truth(f.left, scope)} or {self.truth(f.right, scope)})"
+        if kind is AndF or kind is OrF:
+            args, todo = [], [f]
+            while todo:         # the chain's operands, left to right
+                g = todo.pop()
+                if type(g) is kind:
+                    todo += (g.right, g.left)
+                else:
+                    args.append(self.truth(g, scope))
+            return f"({(' and ' if kind is AndF else ' or ').join(args)})"
+        if kind is Forall or kind is Exists or kind is Forall2:
+            name = f"q{next(self.binders)}"
+            # E1/Ed or R1/Rd: the sorts are named "1" and "d"
+            space = self.frame_local(("R" if kind is Forall2 else "E") + f.var.sort)
+            body = self.truth(f.body, {**scope, f.var: name})
+            return f"{'any' if kind is Exists else 'all'}({body} for {name} in {space})"
+        if kind is Eq:
+            args, shape = (f.t1, f.t2), "{} == {}"
+        elif kind is PredApp:
+            args, shape = (f.var, f.arg), "{} >> {} & 1"
+        elif kind is RelAtom:       # "<=", a relation of ``_REL_ROWS`` or a word
+            attr, index, bit = _REL_ROWS.get(f.rel, (None, (0,), 1))
+            if f.rel == "<=":
+                attr = "up1" if f.args[0].sort == SORT1 else "upd"
+            if attr is not None:
+                rows = self.frame_local(attr, f"fr.{attr}")
+            elif (rows := self.names.get(f.rel)) is None:     # a word's rows, keyed by it
+                letters = self.const(tuple(f.rel[4:].split(".")))
+                rows = self.names[f.rel] = self.frame_local(f"v{len(self.names)}",
+                                                            f"fr.word_rows({letters})")
+            args = [f.args[i] for i in (*index, bit)]
+            shape = rows + "[{}]" * len(index) + " >> {} & 1"
+        else:
+            raise TypeError(f"not a first-order formula: {f!r}")
+        missing = next((v for v in args if v not in scope), None)
+        if missing is None:
+            return shape.format(*(scope[v] for v in args))
+        what = "no value for predicate" if type(missing) is PVar else "unassigned free"
+        return f"{{}}[{self.const(f'{what} variable {missing}')}]"    # raises KeyError(it)
+
+    def const(self, value) -> str:
+        """``value`` as an entry of the constants ``K``."""
+        self.consts.append(value)
+        return f"K[{len(self.consts) - 1}]"
+
     def compile(self, params: str, inner: Sequence[str], start: Sequence[str] = ()) -> Callable:
         """The function ``kernel(fr<params>)``: the frame locals, ``start``,
         the loops with ``inner`` in the innermost, then ``return result``.
@@ -747,7 +810,11 @@ class _Nest:
             lines += ["    " * (level + 1) + line for line in block]
         lines.append(f"    return {self.result}")
         source = "\n".join(lines) + "\n"
-        namespace = {"product": itertools.product}
+        depth = max(itertools.accumulate((c in "([{") - (c in ")]}") for c in source))
+        if depth > _MAX_NESTING:
+            raise ValueError(f"a formula nests {depth} brackets deep in generated code; "
+                             f"at most {_MAX_NESTING} are supported")
+        namespace = {"product": itertools.product, "K": tuple(self.consts)}
         exec(compile(source, "<generated evaluator>", "exec"), namespace)
         kernel = namespace["kernel"]
         kernel.source = source
@@ -952,109 +1019,15 @@ _REL_ROWS = {
 
 
 def compile_fo(f: FoFormula, free=()) -> Callable[[FiniteFrame, Sequence[int]], bool]:
-    """``f`` as a closure ``(frame, values) -> bool`` that agrees with
-    ``eval_fo``, the reference; ``values[i]`` is the value of ``free[i]``,
+    """``f`` as a generated function ``(frame, row) -> bool`` that agrees
+    with ``eval_fo``, the reference; ``row[i]`` is the value of ``free[i]``,
     an element for an ``IVar`` and a mask for a ``PVar``.  A variable
-    neither free nor bound raises ``KeyError`` when it is evaluated."""
-    scope = {v: i for i, v in enumerate(free)}
-    size = [len(free)]
-    body = _compile_fo(f, scope, size)
-    pad = [0] * (size[0] - len(free))
-
-    def run(fr, values):
-        return bool(body(fr, [*values, *pad]))
-    return run
-
-
-def _unassigned(message: str):
-    def fail(fr, env):
-        raise KeyError(message)
-    return fail
-
-
-def _compile_fo(f: FoFormula, scope: dict, size: list):
-    """A closure ``(frame, env) -> truth value``.  Each binder gets its own
-    slot of ``env``, counted in ``size[0]``, so shadowing needs no restore."""
-    kind = type(f)
-    if kind is TrueF:
-        return lambda fr, env: True
-    if kind is FalseF:
-        return lambda fr, env: False
-    if kind is Eq or kind is RelAtom:
-        args = (f.t1, f.t2) if kind is Eq else f.args
-        missing = next((t for t in args if t not in scope), None)
-        if missing is not None:
-            return _unassigned(f"unassigned free variable {missing}")
-        slots = [scope[t] for t in args]
-        if kind is Eq:
-            a, b = slots
-            return lambda fr, env: env[a] == env[b]
-        if f.rel == "<=":
-            spec = ("up1" if args[0].sort == SORT1 else "upd", (0,), 1)
-        else:
-            spec = _REL_ROWS.get(f.rel)
-        if spec is not None:
-            attr, index, bit = spec
-            rows_of = attrgetter(attr)
-        elif f.rel.startswith("R''_"):
-            letters = tuple(f.rel[4:].split("."))
-            rows_of, index, bit = (lambda fr: fr.word_rows(letters)), (0,), 1
-        else:
-            raise ValueError(f"unknown relation symbol {f.rel!r}")
-        b = slots[bit]
-        if len(index) == 1:
-            a = slots[index[0]]
-            return lambda fr, env: rows_of(fr)[env[a]] >> env[b] & 1
-        a, c = (slots[i] for i in index)
-        return lambda fr, env: rows_of(fr)[env[a]][env[c]] >> env[b] & 1
-    if kind is PredApp:
-        if f.var not in scope:
-            return _unassigned(f"no value for predicate variable {f.var}")
-        if f.arg not in scope:
-            return _unassigned(f"unassigned free variable {f.arg}")
-        p, a = scope[f.var], scope[f.arg]
-        return lambda fr, env: env[p] >> env[a] & 1
-    if kind is NotF:
-        arg = _compile_fo(f.arg, scope, size)
-        return lambda fr, env: not arg(fr, env)
-    if kind is AndF or kind is OrF or kind is ImpF:
-        left, right = _compile_fo(f.left, scope, size), _compile_fo(f.right, scope, size)
-        if kind is AndF:
-            return lambda fr, env: left(fr, env) and right(fr, env)
-        if kind is OrF:
-            return lambda fr, env: left(fr, env) or right(fr, env)
-        return lambda fr, env: not left(fr, env) or right(fr, env)
-    if kind is Forall or kind is Exists or kind is Forall2:
-        slot = size[0]
-        size[0] += 1
-        body = _compile_fo(f.body, {**scope, f.var: slot}, size)
-        one = f.var.sort == SORT1
-        if kind is Forall2:
-            def forall2(fr, env):
-                for m in range((fr.full1 if one else fr.fulld) + 1):
-                    env[slot] = m
-                    if not body(fr, env):
-                        return False
-                return True
-            return forall2
-        if kind is Exists:
-            def exists(fr, env):
-                for e in range(fr.n1 if one else fr.nd):
-                    env[slot] = e
-                    if body(fr, env):
-                        return True
-                return False
-            return exists
-
-        def forall(fr, env):
-            for e in range(fr.n1 if one else fr.nd):
-                env[slot] = e
-                if not body(fr, env):
-                    return False
-            return True
-        return forall
-    raise TypeError(f"not a first-order formula: {f!r}")
-
+    neither free nor bound raises ``KeyError`` when it is evaluated.  It is
+    the loop-free front end of ``_Nest.truth``, as in ``correspondence_oracle``;
+    past ``_MAX_NESTING`` brackets it raises ``ValueError``."""
+    nest = _Nest({}, "")
+    nest.result = f"bool({nest.truth(f, {v: f's{i:d}' for i, v in enumerate(free)})})"
+    return nest.compile(", row", (), [f"s{i:d} = row[{i:d}]" for i in range(len(free))])
 
 # ---------------------------------------------------------------------------
 # Validity and the correspondence oracle
@@ -1239,39 +1212,35 @@ def correspondence_oracle(frame: FiniteFrame, s: Sequent, anchor: IVar,
 
     Returns None on agreement at every point of the anchor sort, else the
     first disagreeing point (its name).  Once per (sequent, anchor,
-    formula) objects, the formula is compiled (``compile_fo``) and the two
-    sides into one generated loop nest (``_Nest``): a loop per variable over
-    the stable sets, each node the sides share computed once, in the loop
-    of the deepest variable it reads, and the frame's tables bound once.
-    The nest ORs together, over all valuations, the points where the (dual)
-    sequent fails.  The per-point loop of ``local_validity`` and
-    ``eval_fo`` is the reference.
+    formula) objects, the three are compiled into one generated function
+    (``_Nest``): its loops, one per variable over the stable sets, OR
+    together the points where the (dual) sequent fails, and then the
+    formula, one expression, is evaluated at each point in turn.  The
+    per-point loop of ``local_validity`` and ``eval_fo`` is the reference.
     """
-    failing_at, holds = _oracle_plan(s, anchor, corr)
+    kernel = _oracle_plan(s, anchor, corr)
     polar, polard = frame._polar1_table, frame._polard_table
     for a in frame.stable1:
         if polard[polar[a]] != a:
             raise ValueError(f"valuation value {a} is not a stable set")
-    failing = failing_at(frame)
-    for w, name in enumerate(frame.z1 if anchor.sort == SORT1 else frame.zd):
-        if (not failing >> w & 1) != holds(frame, (w,)):
-            return name
-    return None
+    w = kernel(frame)
+    return None if w is None else (frame.z1 if anchor.sort == SORT1 else frame.zd)[w]
 
 
-# The last (sequent, anchor, formula, plan), replaced as one tuple.  The
-# objects are compared by identity: hashing the formula trees on every frame
-# would cost more than the oracle, and a run checks one triple on every frame.
-_last_oracle_plan: list = [(None, None, None, None)]
+# Oracle kernels by the ids of their (sequent, anchor, formula), stored
+# with the three objects so that no id is reused while cached.  Identity:
+# hashing the formula trees on every frame would cost more than the oracle.
+# A run checks one triple on every frame; a test may take turns among a few.
+_oracle_plans: dict = {}
 
 
 def _oracle_plan(s: Sequent, anchor: IVar, corr: FoFormula):
-    """The oracle kernel, ``frame -> the mask of points where some stable
-    valuation refutes the (dual) sequent``, and the compiled formula."""
-    last_s, last_anchor, last_corr, plan = _last_oracle_plan[0]
-    if last_s is not s or last_anchor is not anchor or last_corr is not corr:
+    """The oracle kernel, ``frame -> the index of the first point where the
+    (dual) sequent's validity and corr disagree``, or None."""
+    key = (id(s), id(anchor), id(corr))
+    if key not in _oracle_plans:
         var_ids = sorted(set(dfml_vars(s.lhs)) | set(dfml_vars(s.rhs)))
-        nest = _Nest({SortedVar(v, SORT1): i for i, v in enumerate(var_ids)}, "failing",
+        nest = _Nest({SortedVar(v, SORT1): i for i, v in enumerate(var_ids)}, "",
                      ["S1"] * len(var_ids))
         lhs, rhs = nest.value(_dfml_operators(s.lhs)), nest.value(_dfml_operators(s.rhs))
         if anchor.sort == SORT1:
@@ -1279,9 +1248,14 @@ def _oracle_plan(s: Sequent, anchor: IVar, corr: FoFormula):
         else:       # the dual sequent: the polars, sort-d masks, the other way round
             refuted = f"{nest.frame_local('P1')}[{rhs}] & ~P1[{lhs}]"
         nest.emit(f"failing |= {refuted}", lhs, rhs)
-        plan = (nest.compile("", (), ["failing = 0"]), compile_fo(corr, (anchor,)))
-        _last_oracle_plan[0] = (s, anchor, corr, plan)
-    return plan
+        w = f"q{next(nest.binders)}"
+        holds = nest.truth(corr, {anchor: w})
+        nest.result = (f"next(({w} for {w} in {nest.frame_local('E' + anchor.sort)} "
+                       f"if failing >> {w} & 1 == ({holds})), None)")
+        if len(_oracle_plans) >= 8:
+            _oracle_plans.clear()
+        _oracle_plans[key] = (s, anchor, corr, nest.compile("", (), ["failing = 0"]))
+    return _oracle_plans[key][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -1305,13 +1279,33 @@ def frame_to_json(frame: FiniteFrame) -> dict:
 
 
 def load_frame(path: str, validate: bool = True) -> FiniteFrame:
+    """The frame of a ``frame_to_json`` file; a file that is not one raises
+    ``FrameValidationError``."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as e:         # not JSON, or not UTF-8
+            raise FrameValidationError(f"not a JSON document: {e}") from None
+    if not isinstance(doc, dict):
+        raise FrameValidationError(
+            f"a frame file holds a JSON object, not a {type(doc).__name__}")
     if doc.get("version") != FRAME_FORMAT_VERSION:
         raise FrameValidationError(f"unsupported frame file version {doc.get('version')!r}")
+
+    def names(value, length=None) -> bool:     # a name is a JSON string or number
+        return isinstance(value, list) and length in (None, len(value)) \
+            and all(isinstance(n, (str, int, float)) for n in value)
+
     for key in ("z1", "zd"):
         if key not in doc:
             raise FrameValidationError(f"frame file lacks the {key!r} field")
+        if not names(doc[key]):
+            raise FrameValidationError(f"the {key!r} field must be a list of names")
+    for key, arity in (("I", 2), ("Rdia", 2), ("Rbox", 2), ("Rneg", 2), ("T", 3)):
+        entries = doc.get(key, [])
+        if not isinstance(entries, list) or not all(names(e, arity) for e in entries):
+            raise FrameValidationError(
+                f"the {key!r} field must be a list of lists of {arity} names")
     return FiniteFrame(
         doc["z1"], doc["zd"],
         i_rel=[tuple(p) for p in doc.get("I", [])],

@@ -187,3 +187,50 @@ def test_verify_refuses_an_i_listing_over_the_bound(capsys):
     for sizes in ((4, 5), (5, 4)):
         _frames_from_args(argparse.Namespace(frames=None, enumerate=sizes, samples=1,
                                              assume_f3=False), s)
+
+
+_FRAME = '{"version": 1, "z1": ["a0"], "zd": ["b0"], '
+
+
+@pytest.mark.parametrize("text, why", [
+    (_FRAME + '"I": [["a0", "b0"]', "not a JSON document"),
+    ('[["a0", "b0"]]', "a frame file holds a JSON object, not a list"),
+    (_FRAME + '"I": [["a0", "b0", "b0"]]}', "the 'I' field must be a list of lists of 2 names"),
+    (_FRAME + '"I": [3]}', "the 'I' field must be a list of lists of 2 names"),
+    ('{"version": 1, "z1": [["a0"]], "zd": ["b0"]}', "the 'z1' field must be a list of names")])
+def test_check_frame_reports_a_malformed_file(capsys, tmp_path, text, why):
+    """A file that is not a frame document is a failed frame check with a
+    one-line message, for ``verify --frames`` as for ``check-frame``."""
+    (tmp_path / "bad.json").write_text(text)
+    for argv in (("check-frame", str(tmp_path / "bad.json")),
+                 ("verify", "box p |- p", "--frames", str(tmp_path))):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("frame error: ") and err.count("\n") == 1
+        assert why in err
+
+
+def test_check_frame_of_a_directory_is_a_file_error(capsys, tmp_path):
+    code, out, err = run(capsys, "check-frame", str(tmp_path))
+    assert code == 3
+    assert out == "" and err.startswith("file error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("classify", "p |- p"), ("correspond", "box p |- p"),
+                                  ("corpus",)])
+def test_a_node_budget_below_one_is_a_usage_error(capsys, argv):
+    """No search can succeed without a node."""
+    for budget in ("0", "-3"):
+        code, out, err = run(capsys, *argv, "--max-nodes", budget)
+        assert code == 3
+        assert out == ""
+        assert "must be a positive integer" in err
+
+
+def test_verify_refuses_no_validate_with_enumerate(capsys):
+    """Enumerated frames are always valid; a flag that changed nothing would
+    suggest otherwise."""
+    code, out, err = run(capsys, "verify", "box p |- p", "--enumerate", "1", "1", "--no-validate")
+    assert code == 3
+    assert out == ""
+    assert "--no-validate only applies to --frames" in err

@@ -5,45 +5,56 @@ against ``system_valuations`` and ``system_holds``, the oracle kernel behind
 their source against the text of the formulas."""
 import ast
 import io
+import itertools
 import keyword
 import re
 import tokenize
 from functools import reduce
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dfmlcorr.reduction import (
     ChangeOfVariables, FormalInequality, InequalitySystem, StabilityConstraint,
 )
 from dfmlcorr.semantics import (
-    _MAX_LOOPS, _OPERATOR_OF, FiniteFrame, _oracle_plan, _systems_plan, bits,
-    correspondence_oracle, kripke_frame, separated_i_masks,
-    system_equivalence_witness, system_holds, system_valuations,
+    _MAX_LOOPS, _MAX_NESTING, _OPERATOR_OF, _REL_ROWS, FiniteFrame, _oracle_plan,
+    _systems_plan, bits, compile_fo, correspondence_oracle, enumerate_frames, eval_fo,
+    kripke_frame, separated_i_masks, system_equivalence_witness, system_holds,
+    system_valuations,
 )
 from dfmlcorr.syntax import (
-    SORT1, SORTD, Cap, IVar, NotF, Prime, SortedVar, parse_dfml, parse_fo,
+    SORT1, SORTD, AndF, Cap, Eq, Exists, Forall, Forall2, ImpF, IVar, NotF, OrF,
+    PredApp, Prime, PVar, RelAtom, SortedVar, and_all, or_all, parse_dfml, parse_fo,
+    word_rel,
 )
 
 from test_semantics import reference_oracle, sorted_formulas
 
 # Every name a generated function may hold besides keywords, its slot
-# locals ``s<n>``, its node locals ``v<n>`` and its tables ``t_<operator>``.
+# locals ``s<n>``, its node locals ``v<n>``, its quantifier locals ``q<n>``
+# and its tables ``t_<operator>``.
 FIXED_NAMES = {
     "kernel", "fr", "row", "failing", "product", "range", "None",
     "_polar1_table", "_polard_table", "op_tables", "n1", "nd", "full1", "fulld",
     "stable1", "stabled", "P1", "Pd", "F1", "Fd", "S1", "Sd", "R1", "Rd",
+    # first-order formulas: the rows of ``_REL_ROWS`` and of ``<=`` and
+    # words, the constants ``K`` and the point spaces
+    "all", "any", "next", "bool", "K", "word_rows", "up1", "upd", "E1", "Ed",
+    *(rows for rows, _, _ in _REL_ROWS.values()),
 }
 
 
 def assert_generated(source: str) -> None:
     """``source`` interpolates slot numbers, the operator names of
-    ``_OPERATOR_OF`` and generated local names, and nothing else."""
+    ``_OPERATOR_OF``, indices into ``K`` and generated local names, and
+    nothing else."""
     ops = set(_OPERATOR_OF.values())
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type == tokenize.NAME:
             name = tok.string
             assert (keyword.iskeyword(name) or name in FIXED_NAMES
-                    or re.fullmatch(r"[sv]\d+", name)
+                    or re.fullmatch(r"[svq]\d+", name)
                     or name.startswith("t_") and name[2:] in ops), name
         elif tok.type == tokenize.STRING:
             assert ast.literal_eval(tok.string) in ops, tok.string
@@ -183,6 +194,57 @@ def test_twenty_five_variable_sequent_through_the_oracle():
     for anchor, text in ((IVar(0, SORT1), "x0 = x0"), (IVar(0, SORTD), "y0 = y0")):
         for f in (parse_fo(text), NotF(parse_fo(text))):
             assert correspondence_oracle(fr, s, anchor, f) == reference_oracle(fr, s, anchor, f)
-            source = _oracle_plan(s, anchor, f)[0].source
+            source = _oracle_plan(s, anchor, f).source
             assert_generated(source)
             assert "product(" in source
+
+
+# -- first-order formulas as one expression ---------------------------------------------
+
+X = [IVar(i, SORT1) for i in range(31)]
+
+
+def nested_quantifiers(depth):
+    """``depth`` nested quantifiers over x1, x2, ...: each level steps on
+    only where its variable equals the last one, so the reference runs in
+    time linear in the depth; two levels are second-order."""
+    f = RelAtom(word_rel(("box", "box")), (X[depth], X[0]))
+    for i in range(depth, 0, -1):
+        step = Eq(X[i], X[i - 1])
+        if i in (7, 20):
+            p = PVar(i, SORT1)
+            f = Forall2(p, OrF(NotF(PredApp(p, X[0])), Forall(X[i], ImpF(step, f))))
+        elif i % 2:
+            f = Forall(X[i], ImpF(step, f))
+        else:
+            f = Exists(X[i], AndF(step, OrF(RelAtom("R''_box", (X[i], X[0])), f)))
+    return f
+
+
+def test_thirty_nested_quantifiers_and_long_chains_agree_with_eval_fo():
+    deep = nested_quantifiers(30)
+    atoms = [Eq(X[0], X[0]), RelAtom("<=", (X[0], X[1])), RelAtom("R''_box", (X[1], X[0]))]
+    conj = and_all([atoms[i % 3] for i in range(500)])
+    disj = or_all([NotF(atoms[i % 3]) for i in range(500)])
+    frames = list(enumerate_frames(2, 2, ("Rbox",)))
+    for f, free in ((deep, X[:1]), (conj, X[:2]), (disj, X[:2])):
+        compiled = compile_fo(f, free)
+        assert_generated(compiled.source)
+        for fr in [*frames, kripke_frame(2, r_box=[(0, 1)])]:
+            for row in itertools.product(range(fr.n1), repeat=len(free)):
+                assert compiled(fr, row) is eval_fo(fr, f, dict(zip(free, row)))
+    source = compile_fo(deep, X[:1]).source
+    assert source.count("all(") + source.count("any(") == 32    # 30 levels, 2 of them twice
+    s = parse_dfml("box p |- p")
+    for fr in frames:
+        assert correspondence_oracle(fr, s, X[0], deep) == reference_oracle(fr, s, X[0], deep)
+
+
+def test_formulas_past_the_nesting_limit_are_refused():
+    deep = nested_quantifiers(30)
+    for _ in range(_MAX_NESTING):
+        deep = Forall(X[1], deep)
+    with pytest.raises(ValueError, match=f"at most {_MAX_NESTING} are supported"):
+        compile_fo(deep, X[:1])
+    with pytest.raises(ValueError, match=f"at most {_MAX_NESTING} are supported"):
+        correspondence_oracle(kripke_frame(1), parse_dfml("p |- p"), X[0], deep)

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every private
-module-level function and class is used somewhere in the package."""
+"""Every module of the package uses each name it imports, every private
+module-level function and class is used somewhere in the package, and one
+function holds the package's only ``exec``."""
 import ast
 from pathlib import Path
 
@@ -81,3 +82,38 @@ def test_unreferenced_private_is_reported():
     b = "from a import _Imported\nimport a\na._by_attribute()\n"
     assert unreferenced_privates({"a.py": a, "b.py": b}) == [
         "a.py: _recursive (line 2)", "a.py: _Unused (line 5)"]
+
+
+def exec_sites(sources: dict[str, str]) -> list[str]:
+    """Every call of ``exec`` in ``sources`` (module name -> source), as
+    ``module: qualified name of the enclosing function``."""
+    sites = []
+
+    def visit(module, node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(module, child, [*path, child.name])
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) \
+                    and child.func.id == "exec":
+                sites.append(f"{module}: {'.'.join(path) or '<module>'}")
+            visit(module, child, path)
+
+    for module, source in sources.items():
+        visit(module, ast.parse(source), [])
+    return sorted(sites)
+
+
+def test_one_exec_site():
+    """Every generated evaluator goes through one code generator."""
+    sources = {p.name: p.read_text() for p in Path(dfmlcorr.__file__).parent.glob("*.py")}
+    assert exec_sites(sources) == ["semantics.py: _Nest.compile"]
+
+
+def test_exec_sites_are_reported():
+    a = ("class C:\n    def run(self, s):\n        exec(compile(s, 'x', 'exec'), {})\n"
+         "def outer():\n    def inner():\n        return exec('pass')\n    return inner\n"
+         "exec('y = 1')\n")
+    b = "import builtins\nbuiltins.eval('1')\nobj.exec('pass')\ncompile('1', 'b', 'eval')\n"
+    assert exec_sites({"a.py": a, "b.py": b}) == [
+        "a.py: <module>", "a.py: C.run", "a.py: outer.inner"]

@@ -734,7 +734,9 @@ def test_compile_fo_matches_eval_fo(fr, data):
     penv = {p: data.draw(st.integers(0, fr.full1 if p.sort == SORT1 else fr.fulld))
             for p in _PVARS}
     free = tuple(_IVARS + _PVARS)
-    got = compile_fo(f, free)(fr, [env.get(v, penv.get(v)) for v in free])
+    compiled = compile_fo(f, free)
+    test_kernels.assert_generated(compiled.source)
+    got = compiled(fr, [env.get(v, penv.get(v)) for v in free])
     assert got is eval_fo(fr, f, env, penv)
 
 
@@ -981,3 +983,7 @@ def test_relations_needed_walks_the_sequent():
         by_text = tuple(r for r, mark in (("Rbox", "box"), ("Rdia", "dia"),
                                           ("Rneg", "neg"), ("T", "->")) if mark in text)
         assert relations_needed(parse_dfml(entry.sequent)) == by_text
+
+
+# Last, since test_kernels imports this module's strategies and reference.
+import test_kernels  # noqa: E402
