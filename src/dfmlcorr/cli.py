@@ -21,9 +21,9 @@ from .reduction import (
     THREAD_TRANSLATION, classify,
 )
 from .semantics import (
-    MAX_I_CELLS, MAX_SORT_SIZE, FrameSizeError, FrameValidationError,
-    correspondence_oracle, enumerate_frames, frame_to_json, load_frame,
-    relation_tuples, relations_needed,
+    MAX_I_CELLS, MAX_SORT_SIZE, FormulaDepthError, FrameSizeError,
+    FrameValidationError, correspondence_oracle, enumerate_frames,
+    frame_to_json, load_frame, relation_tuples, relations_needed,
 )
 from .syntax import ParseError, parse_dfml
 from .translation import translate_sequent
@@ -379,10 +379,7 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"syntax error: {e}; {GRAMMAR_HINT}", file=sys.stderr)
         return EXIT_USAGE
-    except NodeBudgetExceeded as e:
-        print(f"resource error: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except FrameSizeError as e:
+    except (NodeBudgetExceeded, FrameSizeError, FormulaDepthError) as e:
         print(f"resource error: {e}", file=sys.stderr)
         return EXIT_RESOURCE
     except FrameValidationError as e:

@@ -14,8 +14,8 @@ import collections
 from dataclasses import dataclass
 
 from .syntax import (
-    SORT1, SORTD, BTDown, BoxD, Box1, BoxMinus, BoxVert, Cap, Cup, DiaMinus,
-    DiaVert, Odot, Positivity, Prime, RSpoon, SBot, STop, Sequent,
+    BOX_LETTERS, SORT1, SORTD, BTDown, BoxD, Box1, BoxMinus, BoxVert, Cap, Cup,
+    DiaMinus, DiaVert, Odot, Positivity, Prime, RSpoon, SBot, STop, Sequent,
     SortedFormula, SortedVar, TDown, TRight, children, flip, occurrences,
     positive_occurrences, prime_depths, rebuild, replace_at, rspoon_free,
     shape, sorted_to_text, sorted_vars, subterms,
@@ -186,13 +186,9 @@ def _boxed_atom(f: SortedFormula) -> bool:
 
     Sort-1 words over {boxm, btdown}; sort-d words over {boxv}.
     """
-    while True:
-        if isinstance(f, SortedVar):
-            return True
-        if isinstance(f, (BoxMinus, BTDown, BoxVert)):
-            f = f.arg
-            continue
-        return False
+    while type(f) in BOX_LETTERS:
+        f = f.arg
+    return isinstance(f, SortedVar)
 
 
 def _simple_premiss(f: SortedFormula) -> bool:

@@ -38,6 +38,10 @@ class FrameValidationError(Exception):
     """Frame fails a required axiom (separation or smoothness)."""
 
 
+class FormulaDepthError(ValueError):
+    """A formula nests deeper than a generated evaluator may."""
+
+
 def bits(mask: int):
     i = 0
     while mask:
@@ -812,8 +816,8 @@ class _Nest:
         source = "\n".join(lines) + "\n"
         depth = max(itertools.accumulate((c in "([{") - (c in ")]}") for c in source))
         if depth > _MAX_NESTING:
-            raise ValueError(f"a formula nests {depth} brackets deep in generated code; "
-                             f"at most {_MAX_NESTING} are supported")
+            raise FormulaDepthError(f"a formula nests {depth} brackets deep in generated "
+                                    f"code; at most {_MAX_NESTING} are supported")
         namespace = {"product": itertools.product, "K": tuple(self.consts)}
         exec(compile(source, "<generated evaluator>", "exec"), namespace)
         kernel = namespace["kernel"]
@@ -1024,7 +1028,7 @@ def compile_fo(f: FoFormula, free=()) -> Callable[[FiniteFrame, Sequence[int]], 
     an element for an ``IVar`` and a mask for a ``PVar``.  A variable
     neither free nor bound raises ``KeyError`` when it is evaluated.  It is
     the loop-free front end of ``_Nest.truth``, as in ``correspondence_oracle``;
-    past ``_MAX_NESTING`` brackets it raises ``ValueError``."""
+    past ``_MAX_NESTING`` brackets it raises ``FormulaDepthError``."""
     nest = _Nest({}, "")
     nest.result = f"bool({nest.truth(f, {v: f's{i:d}' for i, v in enumerate(free)})})"
     return nest.compile(", row", (), [f"s{i:d} = row[{i:d}]" for i in range(len(free))])

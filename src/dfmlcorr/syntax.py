@@ -12,6 +12,7 @@ yields a structurally identical tree.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 import weakref
 from dataclasses import dataclass, fields, replace
@@ -315,6 +316,7 @@ def _unary(name: str, arg_sort: str, res_sort: str):
                      f"{name} needs a sort-{arg_sort} argument")
 
     Node.__name__ = Node.__qualname__ = name
+    Node.arg_sort = arg_sort
     return Node
 
 
@@ -498,26 +500,40 @@ REL_SIG: dict[str, tuple[str, ...]] = {
     "<=": None,  # sort-polymorphic, both arguments of one sort
 }
 
-_WORD_TARGET = {"box": SORT1, "neg": SORTD, "dia": SORTD}
-_WORD_SOURCE = {"box": SORT1, "neg": SORT1, "dia": SORTD}
+# The boxes that compose into a double-dual relation word, by letter:
+# ``x R''_box.neg y`` is the composite read off ``boxm btdown P^0``.  A word
+# chains by sort: each letter's argument sort is the next letter's sort.
+BOX_LETTERS = {BoxMinus: "box", BTDown: "neg", BoxVert: "dia"}
+_LETTER_BOX = {letter: cls for cls, letter in BOX_LETTERS.items()}
+
+
+@functools.cache   # FiniteFrame.word_rows checks its words again on every frame
+def _word_signature(letters: tuple[str, ...]) -> tuple[str, str]:
+    """The sorts a box word's composite relation joins, after checking that
+    every letter is known and every adjacent pair chains."""
+    if not letters:
+        raise ValueError("empty box word")
+    try:
+        boxes = [_LETTER_BOX[letter] for letter in letters]
+    except KeyError:
+        raise ValueError(f"unknown letter in box word {letters}") from None
+    for a, b in zip(boxes, boxes[1:]):
+        if a.arg_sort != b.sort:
+            raise SortError(f"box word {letters} is ill-sorted")
+    return boxes[0].sort, boxes[-1].arg_sort
 
 
 def word_rel(letters: tuple[str, ...]) -> str:
     """Composite double-dual relation name for a string of box letters."""
-    if not letters:
-        raise ValueError("empty box word")
-    for a, b in zip(letters, letters[1:]):
-        if _WORD_TARGET[a] != _WORD_SOURCE[b]:
-            raise SortError(f"box word {letters} is ill-sorted")
+    _word_signature(letters)
     return "R''_" + ".".join(letters)
 
 
 def rel_signature(name: str) -> tuple[str, ...]:
-    if name in REL_SIG and REL_SIG[name] is not None:
+    if REL_SIG.get(name) is not None:
         return REL_SIG[name]
     if name.startswith("R''_"):
-        letters = tuple(name[4:].split("."))
-        return (_WORD_SOURCE[letters[0]], _WORD_TARGET[letters[-1]])
+        return _word_signature(tuple(name[4:].split(".")))
     raise ValueError(f"unknown relation symbol {name!r}")
 
 
@@ -739,6 +755,38 @@ class VarNamer:
 
 
 # ---------------------------------------------------------------------------
+# Operator tables
+# ---------------------------------------------------------------------------
+
+# Each language's binary connectives, loosest first, as (token, node class,
+# right-associative?), and its prefix operators by token.  The printers and
+# the parsers below read the connectives from here and from nowhere else.
+DFML_BINARY = (("->", Imp, True), ("\\/", Or, False), ("/\\", And, False))
+DFML_PREFIX = {"box": Box, "dia": Dia, "neg": Neg}
+SORTED_BINARY = (("rspoon", RSpoon, True), ("tright", TRight, True),
+                 ("odot", Odot, False), ("cup", Cup, False), ("cap", Cap, False))
+SORTED_PREFIX = {"diav": DiaVert, "diam": DiaMinus, "boxm": BoxMinus, "boxv": BoxVert,
+                 "box1": Box1, "boxd": BoxD, "tdown": TDown, "btdown": BTDown}
+FO_BINARY = (("->", ImpF, True), ("\\/", OrF, False), ("/\\", AndF, False))
+FO_PREFIX = {"~": NotF}
+
+
+def _levels(binary, prefix) -> dict[type, tuple[int, str, bool | None]]:
+    """Printing precedence of one language: its binary connectives bind at
+    levels 1, 2, ... loosest first and its prefix operators one level tighter
+    than the last; ``None`` marks a prefix operator."""
+    unary = len(binary) + 1
+    return {**{cls: (level, tok, right) for level, (tok, cls, right) in enumerate(binary, 1)},
+            **{cls: (unary, tok, None) for tok, cls in prefix.items()}}
+
+
+_OPERATOR = {**_levels(DFML_BINARY, DFML_PREFIX), **_levels(SORTED_BINARY, SORTED_PREFIX),
+             **_levels(FO_BINARY, FO_PREFIX)}
+# Tighter than any operator: an operand printed at it is an atom or parenthesised.
+_ATOM = max(level for level, _, _ in _OPERATOR.values()) + 1
+
+
+# ---------------------------------------------------------------------------
 # Printers
 # ---------------------------------------------------------------------------
 
@@ -755,73 +803,45 @@ def print_formula(f) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def dfml_to_text(f: DfmlFormula, prec: int = 0) -> str:
-    # precedence: imp 0 < or 1 < and 2 < unary 3 < atoms 4
-    def par(s: str, p: int) -> str:
-        return f"({s})" if p < prec else s
+def _operator_text(f, prec: int, to_text, what: str) -> str:
+    """``f``, a node of a class in an operator table, printed by ``to_text``
+    inside a context of precedence ``prec``."""
+    if type(f) not in _OPERATOR:
+        raise TypeError(f"not a {what}: {f!r}")
+    level, tok, right = _OPERATOR[type(f)]
+    if right is None and tok == "~":     # binds an atom: ~(~P0(x0)), not ~~P0(x0)
+        text = f"~{to_text(f.arg, _ATOM)}"
+    elif right is None:
+        text = f"{tok} {to_text(f.arg, level)}"
+    else:   # the operand on the associative side may hold this connective bare
+        lprec, rprec = (level + 1, level) if right else (level, level + 1)
+        text = f"{to_text(f.left, lprec)} {tok} {to_text(f.right, rprec)}"
+    return f"({text})" if level < prec else text
 
+
+def dfml_to_text(f: DfmlFormula, prec: int = 0) -> str:
     if isinstance(f, PropVar):
         return f"p{f.index}"
     if isinstance(f, Top):
         return "top"
     if isinstance(f, Bot):
         return "bot"
-    if isinstance(f, Imp):
-        return par(f"{dfml_to_text(f.left, 1)} -> {dfml_to_text(f.right, 0)}", 0)
-    if isinstance(f, Or):
-        return par(f"{dfml_to_text(f.left, 1)} \\/ {dfml_to_text(f.right, 2)}", 1)
-    if isinstance(f, And):
-        return par(f"{dfml_to_text(f.left, 2)} /\\ {dfml_to_text(f.right, 3)}", 2)
-    if isinstance(f, Box):
-        return par(f"box {dfml_to_text(f.arg, 3)}", 3)
-    if isinstance(f, Dia):
-        return par(f"dia {dfml_to_text(f.arg, 3)}", 3)
-    if isinstance(f, Neg):
-        return par(f"neg {dfml_to_text(f.arg, 3)}", 3)
-    raise TypeError(f"not a modal formula: {f!r}")
-
-
-_SORTED_UNARY_TOKENS = {
-    "DiaVert": "diav", "DiaMinus": "diam", "BoxMinus": "boxm", "BoxVert": "boxv",
-    "Box1": "box1", "BoxD": "boxd", "TDown": "tdown", "BTDown": "btdown",
-}
+    return _operator_text(f, prec, dfml_to_text, "modal formula")
 
 
 def sorted_to_text(f: SortedFormula, prec: int = 0) -> str:
-    # precedence: rspoon 1 < tright 2 < odot 3 < cup 4 < cap 5 < unary 6 < prime 7
-    def par(s: str, p: int) -> str:
-        return f"({s})" if p < prec else s
-
     if isinstance(f, SortedVar):
         return f"P{f.index}" if f.sort == SORT1 else f"P^{f.index}"
     if isinstance(f, STop):
         return "top" if f.sort == SORT1 else "top^"
     if isinstance(f, SBot):
         return "bot" if f.sort == SORT1 else "bot^"
-    if isinstance(f, Prime):
-        return par(f"{sorted_to_text(f.arg, 7)}'", 7)
-    name = type(f).__name__
-    if name in _SORTED_UNARY_TOKENS:
-        return par(f"{_SORTED_UNARY_TOKENS[name]} {sorted_to_text(f.arg, 6)}", 6)
-    if isinstance(f, Cap):
-        return par(f"{sorted_to_text(f.left, 5)} cap {sorted_to_text(f.right, 6)}", 5)
-    if isinstance(f, Cup):
-        return par(f"{sorted_to_text(f.left, 4)} cup {sorted_to_text(f.right, 5)}", 4)
-    if isinstance(f, Odot):
-        return par(f"{sorted_to_text(f.left, 3)} odot {sorted_to_text(f.right, 4)}", 3)
-    if isinstance(f, TRight):
-        return par(f"{sorted_to_text(f.left, 3)} tright {sorted_to_text(f.right, 2)}", 2)
-    if isinstance(f, RSpoon):
-        return par(f"{sorted_to_text(f.left, 2)} rspoon {sorted_to_text(f.right, 1)}", 1)
-    raise TypeError(f"not a sorted formula: {f!r}")
+    if isinstance(f, Prime):    # binds tightest: a compound argument is parenthesised
+        return f"{sorted_to_text(f.arg, _ATOM)}'"
+    return _operator_text(f, prec, sorted_to_text, "sorted formula")
 
 
 def fo_to_text(f: FoFormula, prec: int = 0) -> str:
-    # precedence: imp 2 < or 3 < and 4 < not 5 < atom 6; quantifiers bind a
-    # parenthesised body and parenthesise themselves under any connective.
-    def par(s: str, p: int) -> str:
-        return f"({s})" if p < prec else s
-
     if isinstance(f, TrueF):
         return "true"
     if isinstance(f, FalseF):
@@ -834,25 +854,24 @@ def fo_to_text(f: FoFormula, prec: int = 0) -> str:
         if len(f.args) == 2:
             return f"{f.args[0]} {f.rel} {f.args[1]}"
         return f"{f.rel}({', '.join(str(a) for a in f.args)})"
-    if isinstance(f, NotF):
-        return par(f"~{fo_to_text(f.arg, 6)}", 5)
-    if isinstance(f, AndF):
-        return par(f"{fo_to_text(f.left, 4)} /\\ {fo_to_text(f.right, 5)}", 4)
-    if isinstance(f, OrF):
-        return par(f"{fo_to_text(f.left, 3)} \\/ {fo_to_text(f.right, 4)}", 3)
-    if isinstance(f, ImpF):
-        return par(f"{fo_to_text(f.left, 3)} -> {fo_to_text(f.right, 2)}", 2)
-    if isinstance(f, (Forall, Exists)):
-        kw = "forall" if isinstance(f, Forall) else "exists"
-        return par(f"{kw}_{f.var.sort} {f.var}. ({fo_to_text(f.body)})", 1)
-    if isinstance(f, Forall2):
-        return par(f"forall_{f.var.sort} {f.var}. ({fo_to_text(f.body)})", 1)
-    raise TypeError(f"not a first-order formula: {f!r}")
+    if isinstance(f, (Forall, Exists, Forall2)):
+        # a parenthesised body; parenthesised itself under any connective
+        kw = "exists" if isinstance(f, Exists) else "forall"
+        text = f"{kw}_{f.var.sort} {f.var}. ({fo_to_text(f.body)})"
+        return f"({text})" if prec > 0 else text
+    return _operator_text(f, prec, fo_to_text, "first-order formula")
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer shared by the three parsers
+# Parser machinery shared by the three languages
 # ---------------------------------------------------------------------------
+
+# Operators and parentheses a modal formula may nest.  Deeper input is a
+# parse error, refused before the parser or the engine recurses that deep.
+# The sorted and first-order formulas the engine writes nest several times
+# deeper than the modal formula they come from, so their parsers allow more.
+MAX_DEPTH = 32
+_ENGINE_MAX_DEPTH = 2 * MAX_DEPTH
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -887,10 +906,13 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, max_depth: int = _ENGINE_MAX_DEPTH):
         self.toks = _tokenize(text)
         self.i = 0
+        self.max_depth = max_depth
         self.binders: list[tuple[IVar, str]] = []   # first-order binders in scope, as spelled
+        self.depth = 0    # operators and parentheses open around the current token
+        self.height = 0   # operators and parentheses nested in the last subformula parsed
 
     def peek(self) -> str:
         return self.toks[self.i][0]
@@ -912,6 +934,47 @@ class _Parser:
         if self.peek() != "<eof>":
             raise ParseError(f"unexpected trailing input {self.peek()!r}", self.pos())
 
+    def deeper(self, level: int) -> int:
+        """``level``, if a formula may nest that deep."""
+        if level > self.max_depth:
+            raise ParseError(f"formula nested deeper than {self.max_depth} levels", self.pos())
+        return level
+
+    def nested(self, parse, *args):
+        """``parse(self, *args)``, one operator or parenthesis deeper."""
+        self.depth = self.deeper(self.depth + 1)
+        f = parse(self, *args)
+        self.depth -= 1
+        self.height = self.deeper(self.height + 1)
+        return f
+
+    def parens(self, parse):
+        self.expect("(")
+        f = self.nested(parse)
+        self.expect(")")
+        return f
+
+
+def _formula(p: _Parser, grammar, level: int = 0):
+    """A formula of ``grammar`` = (binary table, prefix map, atom parser)
+    whose connectives are those of the binary table from ``level`` on."""
+    binary, prefix, atom = grammar
+    if level == len(binary):
+        cls = prefix.get(p.peek())
+        if cls is None:
+            p.height = 0
+            return atom(p)
+        p.next()
+        return cls(p.nested(_formula, grammar, level))
+    tok, cls, right = binary[level]
+    out = _formula(p, grammar, level + 1)
+    while p.peek() == tok:
+        p.next()
+        left_height = p.height
+        out = cls(out, p.nested(_formula, grammar, level + (not right)))
+        p.height = p.deeper(max(left_height + 1, p.height))
+    return out
+
 
 # ---------------------------------------------------------------------------
 # Modal-language parser
@@ -923,7 +986,7 @@ _DFML_SUGAR = {"p": 0, "q": 1, "r": 2, "s": 3}
 
 def parse_dfml(text: str) -> Sequent:
     """Parse ``lhs |- rhs`` in the modal source grammar."""
-    p = _Parser(text)
+    p = _Parser(text, MAX_DEPTH)
     lhs = _dfml_formula(p)
     p.expect("|-")
     rhs = _dfml_formula(p)
@@ -932,61 +995,20 @@ def parse_dfml(text: str) -> Sequent:
 
 
 def parse_dfml_formula(text: str) -> DfmlFormula:
-    p = _Parser(text)
+    p = _Parser(text, MAX_DEPTH)
     f = _dfml_formula(p)
     p.eof()
     return f
 
 
 def _dfml_formula(p: _Parser) -> DfmlFormula:
-    return _dfml_imp(p)
-
-
-def _dfml_imp(p: _Parser) -> DfmlFormula:
-    left = _dfml_or(p)
-    if p.peek() == "->":
-        p.next()
-        return Imp(left, _dfml_imp(p))
-    return left
-
-
-def _dfml_or(p: _Parser) -> DfmlFormula:
-    out = _dfml_and(p)
-    while p.peek() == "\\/":
-        p.next()
-        out = Or(out, _dfml_and(p))
-    return out
-
-
-def _dfml_and(p: _Parser) -> DfmlFormula:
-    out = _dfml_unary(p)
-    while p.peek() == "/\\":
-        p.next()
-        out = And(out, _dfml_unary(p))
-    return out
-
-
-def _dfml_unary(p: _Parser) -> DfmlFormula:
-    tok = p.peek()
-    if tok == "box":
-        p.next()
-        return Box(_dfml_unary(p))
-    if tok == "dia":
-        p.next()
-        return Dia(_dfml_unary(p))
-    if tok == "neg":
-        p.next()
-        return Neg(_dfml_unary(p))
-    return _dfml_atom(p)
+    return _formula(p, _DFML)
 
 
 def _dfml_atom(p: _Parser) -> DfmlFormula:
     tok = p.peek()
     if tok == "(":
-        p.next()
-        f = _dfml_formula(p)
-        p.expect(")")
-        return f
+        return p.parens(_dfml_formula)
     if tok == "top":
         p.next()
         return Top()
@@ -1003,14 +1025,13 @@ def _dfml_atom(p: _Parser) -> DfmlFormula:
     raise ParseError(f"expected a modal formula, found {tok!r}", p.pos())
 
 
+_DFML = (DFML_BINARY, DFML_PREFIX, _dfml_atom)
+
+
 # ---------------------------------------------------------------------------
 # Sorted-language parser
 # ---------------------------------------------------------------------------
 
-_SORTED_UNARY_PARSE = {
-    "diav": DiaVert, "diam": DiaMinus, "boxm": BoxMinus, "boxv": BoxVert,
-    "box1": Box1, "boxd": BoxD, "tdown": TDown, "btdown": BTDown,
-}
 _SVAR_RE = re.compile(r"^([PQRS])(\^?)([0-9]*)$")
 _SVAR_SUGAR = {"P": 0, "Q": 1, "R": 2, "S": 3}
 
@@ -1041,86 +1062,33 @@ def parse_sorted(text: str) -> SortedFormula:
 
 
 def _sorted_formula(p: _Parser) -> SortedFormula:
-    return _sorted_rspoon(p)
-
-
-def _sorted_rspoon(p: _Parser) -> SortedFormula:
-    left = _sorted_tright(p)
-    if p.peek() == "rspoon":
-        p.next()
-        return RSpoon(left, _sorted_rspoon(p))
-    return left
-
-
-def _sorted_tright(p: _Parser) -> SortedFormula:
-    left = _sorted_odot(p)
-    if p.peek() == "tright":
-        p.next()
-        return TRight(left, _sorted_tright(p))
-    return left
-
-
-def _sorted_odot(p: _Parser) -> SortedFormula:
-    out = _sorted_cup(p)
-    while p.peek() == "odot":
-        p.next()
-        out = Odot(out, _sorted_cup(p))
-    return out
-
-
-def _sorted_cup(p: _Parser) -> SortedFormula:
-    out = _sorted_cap(p)
-    while p.peek() == "cup":
-        p.next()
-        out = Cup(out, _sorted_cap(p))
-    return out
-
-
-def _sorted_cap(p: _Parser) -> SortedFormula:
-    out = _sorted_unary(p)
-    while p.peek() == "cap":
-        p.next()
-        out = Cap(out, _sorted_unary(p))
-    return out
-
-
-def _sorted_unary(p: _Parser) -> SortedFormula:
-    tok = p.peek()
-    if tok in _SORTED_UNARY_PARSE:
-        p.next()
-        return _sorted_primed(p, _SORTED_UNARY_PARSE[tok](_sorted_unary(p)))
-    return _sorted_atom(p)
-
-
-def _sorted_primed(p: _Parser, f: SortedFormula) -> SortedFormula:
-    while p.peek() == "'":
-        p.next()
-        f = Prime(f)
-    return f
+    return _formula(p, _SORTED)
 
 
 def _sorted_atom(p: _Parser) -> SortedFormula:
+    """An atom or a parenthesised formula, with its postfix primes."""
     tok = p.peek()
     if tok == "(":
+        f = p.parens(_sorted_formula)
+    elif tok in ("top", "top^", "bot", "bot^"):
         p.next()
-        f = _sorted_formula(p)
-        p.expect(")")
-        return _sorted_primed(p, f)
-    if tok in ("top", "top^"):
-        p.next()
-        return _sorted_primed(p, STop(SORT1 if tok == "top" else SORTD))
-    if tok in ("bot", "bot^"):
-        p.next()
-        return _sorted_primed(p, SBot(SORT1 if tok == "bot" else SORTD))
-    m = _SVAR_RE.match(tok)
-    if m:
+        f = (STop if tok.startswith("top") else SBot)(SORTD if tok.endswith("^") else SORT1)
+    elif m := _SVAR_RE.match(tok):
         p.next()
         letter, hat, digits = m.groups()
-        index = int(digits) if digits else _SVAR_SUGAR[letter]
         if digits and letter != "P":
             raise ParseError("indexed sorted variables use the letter P", p.pos())
-        return _sorted_primed(p, SortedVar(index, SORTD if hat else SORT1))
-    raise ParseError(f"expected a sorted formula, found {tok!r}", p.pos())
+        f = SortedVar(int(digits) if digits else _SVAR_SUGAR[letter], SORTD if hat else SORT1)
+    else:
+        raise ParseError(f"expected a sorted formula, found {tok!r}", p.pos())
+    while p.peek() == "'":
+        p.next()
+        f = Prime(f)
+        p.height = p.deeper(p.height + 1)
+    return f
+
+
+_SORTED = (SORTED_BINARY, SORTED_PREFIX, _sorted_atom)
 
 
 # ---------------------------------------------------------------------------
@@ -1143,38 +1111,36 @@ def parse_fo(text: str) -> FoFormula:
 
 def _fo_formula(p: _Parser) -> FoFormula:
     m = _QUANT_RE.match(p.peek())
-    if m:
-        p.next()
-        kind, sort = m.groups()
-        var_tok = p.next()
-        p.expect(".")
-        pv = _PVAR_RE.match(var_tok)
-        if pv:
-            body = _fo_formula(p) if p.peek() != "(" else _fo_parens_body(p)
-            hat, digits = pv.groups()
-            var = PVar(int(digits), SORTD if hat else SORT1)
-            if var.sort != sort:
-                raise ParseError("quantifier sort does not match the variable", p.pos())
-            return Forall2(var, body) if kind == "forall" else _no_exists2(p)
-        var = _parse_ivar(var_tok, p)
-        p.binders.append((var, var_tok))
-        body = _fo_formula(p) if p.peek() != "(" else _fo_parens_body(p)
-        p.binders.pop()
+    if not m:
+        return _formula(p, _FO)
+    p.next()
+    kind, sort = m.groups()
+    var_tok = p.next()
+    p.expect(".")
+    pv = _PVAR_RE.match(var_tok)
+    if pv:
+        body = p.nested(_fo_body)
+        hat, digits = pv.groups()
+        var = PVar(int(digits), SORTD if hat else SORT1)
         if var.sort != sort:
             raise ParseError("quantifier sort does not match the variable", p.pos())
-        return (Forall if kind == "forall" else Exists)(var, body)
-    return _fo_imp(p)
+        return Forall2(var, body) if kind == "forall" else _no_exists2(p)
+    var = _parse_ivar(var_tok, p)
+    p.binders.append((var, var_tok))
+    body = p.nested(_fo_body)
+    p.binders.pop()
+    if var.sort != sort:
+        raise ParseError("quantifier sort does not match the variable", p.pos())
+    return (Forall if kind == "forall" else Exists)(var, body)
 
 
 def _no_exists2(p: _Parser) -> FoFormula:
     raise ParseError("existential second-order quantification is not supported", p.pos())
 
 
-def _fo_parens_body(p: _Parser) -> FoFormula:
-    p.expect("(")
-    f = _fo_formula(p)
-    p.expect(")")
-    return f
+def _fo_body(p: _Parser) -> FoFormula:
+    """A quantifier's body: parenthesised, or reaching as far as it can."""
+    return p.parens(_fo_formula) if p.peek() == "(" else _fo_formula(p)
 
 
 def _parse_ivar(tok: str, p: _Parser) -> IVar:
@@ -1198,44 +1164,10 @@ def _parse_ivar(tok: str, p: _Parser) -> IVar:
     return var
 
 
-def _fo_imp(p: _Parser) -> FoFormula:
-    left = _fo_or(p)
-    if p.peek() == "->":
-        p.next()
-        return ImpF(left, _fo_imp(p))
-    return left
-
-
-def _fo_or(p: _Parser) -> FoFormula:
-    out = _fo_and(p)
-    while p.peek() == "\\/":
-        p.next()
-        out = OrF(out, _fo_and(p))
-    return out
-
-
-def _fo_and(p: _Parser) -> FoFormula:
-    out = _fo_not(p)
-    while p.peek() == "/\\":
-        p.next()
-        out = AndF(out, _fo_not(p))
-    return out
-
-
-def _fo_not(p: _Parser) -> FoFormula:
-    if p.peek() == "~":
-        p.next()
-        return NotF(_fo_not(p))
-    return _fo_atom(p)
-
-
 def _fo_atom(p: _Parser) -> FoFormula:
     tok = p.peek()
     if tok == "(":
-        p.next()
-        f = _fo_formula(p)
-        p.expect(")")
-        return f
+        return p.parens(_fo_formula)
     if _QUANT_RE.match(tok):
         return _fo_formula(p)
     if tok == "true":
@@ -1244,6 +1176,15 @@ def _fo_atom(p: _Parser) -> FoFormula:
     if tok == "false":
         p.next()
         return FalseF()
+    start = p.pos()
+    try:
+        return _fo_relation(p)
+    except (SortError, ValueError) as e:   # an ill-sorted atom or an unknown relation word
+        raise ParseError(str(e), start) from e
+
+
+def _fo_relation(p: _Parser) -> FoFormula:
+    tok = p.peek()
     if tok in ("T", "T'", "R111"):
         name = p.next()
         p.expect("(")
@@ -1265,12 +1206,10 @@ def _fo_atom(p: _Parser) -> FoFormula:
     t1 = _parse_ivar(p.next(), p)
     rel = p.next()
     if rel == "=":
-        t2 = _parse_ivar(p.next(), p)
-        return Eq(t1, t2)
-    if rel == "<=":
-        t2 = _parse_ivar(p.next(), p)
-        return Leq(t1, t2)
+        return Eq(t1, _parse_ivar(p.next(), p))
     if rel in REL_SIG or rel.startswith("R''_"):
-        t2 = _parse_ivar(p.next(), p)
-        return RelAtom(rel, (t1, t2))
+        return RelAtom(rel, (t1, _parse_ivar(p.next(), p)))
     raise ParseError(f"expected a relation symbol, found {rel!r}", p.pos())
+
+
+_FO = (FO_BINARY, FO_PREFIX, _fo_atom)

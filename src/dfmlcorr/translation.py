@@ -10,12 +10,12 @@ bullet side (through the ternary image operator, or through rspoon); the
 from __future__ import annotations
 
 from .syntax import (
-    SORT1, SORTD, And, AndF, BoxD, Box1, BoxMinus, BoxVert, BTDown, Bot, Box,
-    Cap, Cup, Dia, DiaMinus, DiaVert, DfmlFormula, Eq, Exists, FalseF,
-    FoFormula, Forall, Forall2, Imp, ImpF, IVar, Neg, NotF, Odot, Or, OrF,
-    PredApp, Prime, PropVar, PVar, RelAtom, RSpoon, Sequent, SortedFormula,
-    SortedSequent, SortedVar, STop, SBot, TDown, Top, TRight, TrueF,
-    VarNamer, sorted_vars, word_rel,
+    BOX_LETTERS, SORT1, SORTD, And, AndF, BoxD, Box1, BoxMinus, BoxVert,
+    BTDown, Bot, Box, Cap, Cup, Dia, DiaMinus, DiaVert, DfmlFormula, Eq,
+    Exists, FalseF, FoFormula, Forall, Forall2, Imp, ImpF, IVar, Neg, NotF,
+    Odot, Or, OrF, PredApp, Prime, PropVar, PVar, RelAtom, RSpoon, Sequent,
+    SortedFormula, SortedSequent, SortedVar, STop, SBot, TDown, Top, TRight,
+    TrueF, VarNamer, sorted_vars, word_rel,
 )
 
 IMP_RSPOON = "rspoon"
@@ -128,20 +128,25 @@ def fo_neg(f: FoFormula) -> FoFormula:
 def _boxed_word(f: SortedFormula) -> tuple[tuple[str, ...], SortedVar] | None:
     """Match a non-empty chain of box operators ending at a variable."""
     letters: list[str] = []
-    cur = f
-    while True:
-        if isinstance(cur, BoxMinus):
-            letters.append("box")
-        elif isinstance(cur, BTDown):
-            letters.append("neg")
-        elif isinstance(cur, BoxVert):
-            letters.append("dia")
-        else:
-            break
-        cur = cur.arg
-    if letters and isinstance(cur, SortedVar):
-        return tuple(letters), cur
+    while type(f) in BOX_LETTERS:
+        letters.append(BOX_LETTERS[type(f)])
+        f = f.arg
+    if letters and isinstance(f, SortedVar):
+        return tuple(letters), f
     return None
+
+
+# The standard translation of each unary operator: a quantifier over a fresh
+# point of the argument's sort, guarded by a relation atom that names the
+# anchor first or second; an existential guards with a conjunction, a
+# universal with an implication.
+_ST_UNARY = {
+    DiaVert: (Exists, "R_dia", True), DiaMinus: (Exists, "R_box", True),
+    TDown: (Exists, "R_neg", True),
+    Box1: (Forall, "R_dia", False), BoxD: (Forall, "R_box", False),
+    BoxMinus: (Forall, "R''_box", True), BoxVert: (Forall, "R''_dia", True),
+    BTDown: (Forall, "R''_neg", True),
+}
 
 
 def standard_translation(f: SortedFormula, anchor: IVar,
@@ -182,30 +187,12 @@ def _st(f: SortedFormula, u: IVar, nm: VarNamer, comp: bool) -> FoFormula:
         v = nm.fresh(SORTD if u.sort == SORT1 else SORT1)
         i_args = (u, v) if u.sort == SORT1 else (v, u)
         return Forall(v, ImpF(RelAtom("I", i_args), fo_neg(_st(f.arg, v, nm, comp))))
-    if isinstance(f, DiaVert):
-        z = nm.fresh(SORT1)
-        return Exists(z, AndF(RelAtom("R_dia", (u, z)), _st(f.arg, z, nm, comp)))
-    if isinstance(f, DiaMinus):
-        y = nm.fresh(SORTD)
-        return Exists(y, AndF(RelAtom("R_box", (u, y)), _st(f.arg, y, nm, comp)))
-    if isinstance(f, Box1):
-        z = nm.fresh(SORT1)
-        return Forall(z, ImpF(RelAtom("R_dia", (z, u)), _st(f.arg, z, nm, comp)))
-    if isinstance(f, BoxD):
-        y = nm.fresh(SORTD)
-        return Forall(y, ImpF(RelAtom("R_box", (y, u)), _st(f.arg, y, nm, comp)))
-    if isinstance(f, BoxMinus):
-        z = nm.fresh(SORT1)
-        return Forall(z, ImpF(RelAtom("R''_box", (u, z)), _st(f.arg, z, nm, comp)))
-    if isinstance(f, BoxVert):
-        y = nm.fresh(SORTD)
-        return Forall(y, ImpF(RelAtom("R''_dia", (u, y)), _st(f.arg, y, nm, comp)))
-    if isinstance(f, BTDown):
-        y = nm.fresh(SORTD)
-        return Forall(y, ImpF(RelAtom("R''_neg", (u, y)), _st(f.arg, y, nm, comp)))
-    if isinstance(f, TDown):
-        x = nm.fresh(SORT1)
-        return Exists(x, AndF(RelAtom("R_neg", (u, x)), _st(f.arg, x, nm, comp)))
+    if type(f) in _ST_UNARY:
+        quant, rel, anchor_first = _ST_UNARY[type(f)]
+        v = nm.fresh(f.arg_sort)
+        guard = RelAtom(rel, (u, v) if anchor_first else (v, u))
+        body = _st(f.arg, v, nm, comp)
+        return quant(v, AndF(guard, body) if quant is Exists else ImpF(guard, body))
     if isinstance(f, Odot):
         x = nm.fresh(SORT1)
         z = nm.fresh(SORT1)

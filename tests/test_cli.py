@@ -4,7 +4,7 @@ import json
 import pytest
 
 from dfmlcorr.cli import _frames_from_args, main
-from dfmlcorr.syntax import parse_dfml
+from dfmlcorr.syntax import MAX_DEPTH, parse_dfml
 
 
 def run(capsys, *argv):
@@ -234,3 +234,34 @@ def test_verify_refuses_no_validate_with_enumerate(capsys):
     assert code == 3
     assert out == ""
     assert "--no-validate only applies to --frames" in err
+
+
+def _nested(shape, n):
+    """A sequent whose input nests ``n`` operators or parentheses deep."""
+    return {"neg": "neg " * n + "p |- p",
+            "and": " /\\ ".join(["p"] * (n + 1)) + " |- p",
+            "imp": " -> ".join(["p"] * (n + 1)) + " |- p",
+            "box": "box " * n + "p |- p",
+            "parens": "(" * n + "p" + ")" * n + " |- p",
+            "dia-box": "dia " * n + "p |- " + "box " * n + "p"}[shape]
+
+
+SHAPES = ("neg", "and", "imp", "box", "parens", "dia-box")
+
+
+@pytest.mark.parametrize("command", [("correspond",), ("verify", "--enumerate", "1", "1")],
+                         ids=lambda c: c[0])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_input_at_the_nesting_bound_runs(capsys, shape, command):
+    """No traceback: a verdict, or a resource error (a search over budget,
+    or a correspondent too deep for the generated evaluators)."""
+    code, _, err = run(capsys, command[0], _nested(shape, MAX_DEPTH), *command[1:],
+                       "--max-nodes", "2000")
+    assert code in (0, 1) or (code == 2 and err.startswith("resource error"))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_input_past_the_nesting_bound_is_a_usage_error(capsys, shape):
+    code, _, err = run(capsys, "correspond", _nested(shape, MAX_DEPTH + 1))
+    assert code == 3
+    assert f"nested deeper than {MAX_DEPTH} levels" in err

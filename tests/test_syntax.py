@@ -1,19 +1,23 @@
 import copy
 import gc
 import pickle
+import re
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dfmlcorr import syntax
 from dfmlcorr.syntax import (
-    SORT1, SORTD, And, Bot, Box, BoxMinus, BoxVert, BTDown, Box1, BoxD, Cap,
-    Cup, Dia, DiaMinus, DiaVert, Eq, FalseF, Forall, ImpF, IVar, Imp, Neg,
-    Odot, Or, ParseError, Positivity, Prime, PropVar, RSpoon, RelAtom,
-    Sequent, SortError, SortedVar, STop, SBot, TDown, TRight, Top, dfml_to_text,
-    fo_to_text, parse_dfml, parse_dfml_formula, parse_fo, parse_sorted,
-    parse_sorted_sequent, positive_occurrences, sorted_to_text,
-    _INTERNED, children, flip, occurrences, rspoon_free, shape,
+    SORT1, SORTD, And, AndF, Bot, Box, BoxMinus, BoxVert, BTDown, Box1, BoxD,
+    Cap, Cup, Dia, DiaMinus, DiaVert, Eq, FalseF, Forall, ImpF, IVar, Imp,
+    Neg, NotF, Odot, Or, OrF, ParseError, Positivity, PredApp, Prime, PropVar,
+    PVar, RSpoon, RelAtom, Sequent, SortError, SortedVar, STop, SBot, TDown,
+    TRight, Top, dfml_to_text, fo_to_text, parse_dfml, parse_dfml_formula,
+    parse_fo, parse_sorted, parse_sorted_sequent, positive_occurrences,
+    sorted_to_text, _INTERNED, children, flip, occurrences, rspoon_free,
+    shape,
 )
 
 P = SortedVar(0, SORT1)
@@ -70,6 +74,86 @@ def test_print_fo_quantified():
     f = Forall(IVar(0, SORTD),
                ImpF(RelAtom("I", (IVar(0, SORT1), IVar(0, SORTD))), FalseF()))
     assert fo_to_text(f) == "forall_d y0. (x0 I y0 -> false)"
+
+
+# -- printed text, pinned literally ---------------------------------------------
+
+# For each binary connective of each language: its right- and left-nested
+# chains, and a mix with the next tighter connective or prefix operator.  A
+# round trip cannot see a redundant pair of parentheses; these can.
+p0, p1 = PropVar(0), PropVar(1)
+A, B = PredApp(PVar(0, SORT1), IVar(0, SORT1)), PredApp(PVar(1, SORT1), IVar(0, SORT1))
+PINNED = [
+    (parse_dfml_formula, Imp(p0, Imp(p1, p0)), "p0 -> p1 -> p0"),
+    (parse_dfml_formula, Imp(Imp(p0, p1), p0), "(p0 -> p1) -> p0"),
+    (parse_dfml_formula, Imp(Or(p0, p1), p0), "p0 \\/ p1 -> p0"),
+    (parse_dfml_formula, Or(Imp(p0, p1), p0), "(p0 -> p1) \\/ p0"),
+    (parse_dfml_formula, Or(Or(p0, p1), p0), "p0 \\/ p1 \\/ p0"),
+    (parse_dfml_formula, Or(p0, Or(p1, p0)), "p0 \\/ (p1 \\/ p0)"),
+    (parse_dfml_formula, Or(And(p0, p1), p0), "p0 /\\ p1 \\/ p0"),
+    (parse_dfml_formula, And(Or(p0, p1), p0), "(p0 \\/ p1) /\\ p0"),
+    (parse_dfml_formula, And(And(p0, p1), p0), "p0 /\\ p1 /\\ p0"),
+    (parse_dfml_formula, And(p0, And(p1, p0)), "p0 /\\ (p1 /\\ p0)"),
+    (parse_dfml_formula, And(Box(p0), p1), "box p0 /\\ p1"),
+    (parse_dfml_formula, Box(And(p0, p1)), "box (p0 /\\ p1)"),
+    (parse_dfml_formula, Neg(Neg(p0)), "neg neg p0"),
+    (parse_sorted, RSpoon(P, RSpoon(Q, P)), "P0 rspoon P1 rspoon P0"),
+    (parse_sorted, RSpoon(RSpoon(P, Q), P), "(P0 rspoon P1) rspoon P0"),
+    (parse_sorted, TRight(RSpoon(P, Q), Pd), "(P0 rspoon P1) tright P^0"),
+    (parse_sorted, RSpoon(Prime(TRight(P, Pd)), Q), "(P0 tright P^0)' rspoon P1"),
+    (parse_sorted, TRight(P, TRight(Q, Pd)), "P0 tright P1 tright P^0"),
+    (parse_sorted, TRight(Prime(TRight(P, Pd)), Pd), "(P0 tright P^0)' tright P^0"),
+    (parse_sorted, TRight(Odot(P, Q), Pd), "P0 odot P1 tright P^0"),
+    (parse_sorted, Odot(Odot(P, Q), P), "P0 odot P1 odot P0"),
+    (parse_sorted, Odot(P, Odot(Q, P)), "P0 odot (P1 odot P0)"),
+    (parse_sorted, Odot(Cup(P, Q), P), "P0 cup P1 odot P0"),
+    (parse_sorted, Cup(Odot(P, Q), P), "(P0 odot P1) cup P0"),
+    (parse_sorted, Cup(Cup(P, Q), P), "P0 cup P1 cup P0"),
+    (parse_sorted, Cup(P, Cup(Q, P)), "P0 cup (P1 cup P0)"),
+    (parse_sorted, Cup(Cap(P, Q), P), "P0 cap P1 cup P0"),
+    (parse_sorted, Cap(Cup(P, Q), P), "(P0 cup P1) cap P0"),
+    (parse_sorted, Cap(Cap(P, Q), P), "P0 cap P1 cap P0"),
+    (parse_sorted, Cap(P, Cap(Q, P)), "P0 cap (P1 cap P0)"),
+    (parse_sorted, Cap(DiaVert(P), Q), "diav P0 cap P1"),
+    (parse_sorted, DiaVert(Cap(P, Q)), "diav (P0 cap P1)"),
+    (parse_sorted, Prime(DiaVert(Prime(Prime(P)))), "(diav P0'')'"),
+    (parse_fo, ImpF(A, ImpF(B, A)), "P0(x0) -> P1(x0) -> P0(x0)"),
+    (parse_fo, ImpF(ImpF(A, B), A), "(P0(x0) -> P1(x0)) -> P0(x0)"),
+    (parse_fo, ImpF(OrF(A, B), A), "P0(x0) \\/ P1(x0) -> P0(x0)"),
+    (parse_fo, OrF(ImpF(A, B), A), "(P0(x0) -> P1(x0)) \\/ P0(x0)"),
+    (parse_fo, OrF(OrF(A, B), A), "P0(x0) \\/ P1(x0) \\/ P0(x0)"),
+    (parse_fo, OrF(A, OrF(B, A)), "P0(x0) \\/ (P1(x0) \\/ P0(x0))"),
+    (parse_fo, OrF(AndF(A, B), A), "P0(x0) /\\ P1(x0) \\/ P0(x0)"),
+    (parse_fo, AndF(OrF(A, B), A), "(P0(x0) \\/ P1(x0)) /\\ P0(x0)"),
+    (parse_fo, AndF(AndF(A, B), A), "P0(x0) /\\ P1(x0) /\\ P0(x0)"),
+    (parse_fo, AndF(A, AndF(B, A)), "P0(x0) /\\ (P1(x0) /\\ P0(x0))"),
+    (parse_fo, AndF(NotF(A), B), "~P0(x0) /\\ P1(x0)"),
+    (parse_fo, NotF(AndF(A, B)), "~(P0(x0) /\\ P1(x0))"),
+    (parse_fo, NotF(NotF(A)), "~(~P0(x0))"),
+    (parse_fo, ImpF(Forall(IVar(1, SORT1), A), A), "(forall_1 x1. (P0(x0))) -> P0(x0)"),
+]
+
+
+@pytest.mark.parametrize("parse, tree, text", PINNED, ids=[t for _, _, t in PINNED])
+def test_printed_text_is_pinned(parse, tree, text):
+    assert syntax.print_formula(tree) == text
+    assert parse(text) == tree
+
+
+def test_grammar_doc_follows_the_operator_tables():
+    """docs/grammar.md lists each language's binary connectives loosest
+    first, as the tables do, and names every prefix token."""
+    doc = (Path(__file__).parents[1] / "docs" / "grammar.md").read_text()
+    sections = re.split(r"^## ", doc, flags=re.M)
+    for title, binary, prefix in [("Modal source", syntax.DFML_BINARY, syntax.DFML_PREFIX),
+                                  ("Sorted companion", syntax.SORTED_BINARY, syntax.SORTED_PREFIX),
+                                  ("Sorted first", syntax.FO_BINARY, syntax.FO_PREFIX)]:
+        section, = (s for s in sections if s.startswith(title))
+        grammar = section.split("```")[1]
+        places = [grammar.find(f'"{tok}"') for tok, _, _ in binary]
+        assert -1 not in places and places == sorted(places), title
+        for tok in prefix:
+            assert f'"{tok}"' in grammar, (title, tok)
 
 
 # -- round-trips --------------------------------------------------------------
@@ -168,6 +252,21 @@ def test_fo_round_trip_examples():
     ]:
         f = parse_fo(text)
         assert parse_fo(fo_to_text(f)) == f
+
+
+def test_fo_relation_atoms_are_sort_checked_by_the_parser():
+    """Every letter of a composite word chains to the next by sort, and a
+    malformed relation atom is a parse error at the atom, not a crash."""
+    for text in ["x0 R''_box.dia y1",     # box ends at sort 1, dia starts at d
+                 "x0 R''_foo y0",         # no such letter
+                 "x0 R_dia y0"]:          # R_dia joins two sort-1 points
+        with pytest.raises(ParseError) as e:
+            parse_fo(text)
+        assert e.value.pos == 0
+    with pytest.raises(SortError):
+        RelAtom("R''_box.dia", (IVar(0, SORT1), IVar(1, SORTD)))
+    assert parse_fo("x0 R''_box.neg y0") == \
+        RelAtom("R''_box.neg", (IVar(0, SORT1), IVar(0, SORTD)))
 
 
 def test_fo_rejects_a_variable_under_its_binders_other_name():

@@ -9,7 +9,8 @@ from dfmlcorr.semantics import (
     kripke_frame, model_check_dfml, model_check_sorted,
 )
 from dfmlcorr.syntax import (
-    SORT1, SORTD, Bot, Box, Dia, IVar, PropVar, SortedVar, Top, dfml_vars,
+    SORT1, SORTD, Bot, Box, Box1, BoxD, BoxMinus, BoxVert, BTDown, Dia,
+    DiaMinus, DiaVert, IVar, PropVar, SortedVar, TDown, Top, dfml_vars,
     fo_alpha_eq, parse_dfml, parse_dfml_formula, parse_fo, parse_sorted,
     parse_sorted_sequent, VarNamer,
 )
@@ -97,6 +98,23 @@ def test_st_tright():
     got = standard_translation(parse_sorted("P0 tright P^0"), IVar(0, SORTD))
     assert fo_alpha_eq(got, parse_fo(
         "exists_1 x1. (exists_d y1. (T(y0, x1, y1) /\\ P0(x1) /\\ P^0(y1)))"))
+
+
+@pytest.mark.parametrize("op, arg_sort, text", [
+    (DiaVert, SORT1, "exists_1 x1. (x0 R_dia x1 /\\ P0(x1))"),
+    (DiaMinus, SORTD, "exists_d y1. (y0 R_box y1 /\\ P^0(y1))"),
+    (Box1, SORT1, "forall_1 x1. (x1 R_dia x0 -> P0(x1))"),
+    (BoxD, SORTD, "forall_d y1. (y1 R_box y0 -> P^0(y1))"),
+    (BoxMinus, SORT1, "forall_1 x1. (x0 R''_box x1 -> P0(x1))"),
+    (BoxVert, SORTD, "forall_d y1. (y0 R''_dia y1 -> P^0(y1))"),
+    (TDown, SORT1, "exists_1 x0. (y0 R_neg x0 /\\ P0(x0))"),
+    (BTDown, SORTD, "forall_d y0. (x0 R''_neg y0 -> P^0(y0))"),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_st_unary_operator_text(op, arg_sort, text):
+    """The printed standard translation of each unary operator over a
+    variable, at the anchor of index 0."""
+    f = op(SortedVar(0, arg_sort))
+    assert str(standard_translation(f, IVar(0, f.sort))) == text
 
 
 def test_st_free_variables():
