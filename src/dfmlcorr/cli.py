@@ -10,6 +10,7 @@ syntax errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -187,8 +188,9 @@ def cmd_correspond(args) -> int:
 
 def _frames_from_args(args, s):
     """The (name, frame) pairs to verify on, lazily; carriers over
-    ``MAX_SORT_SIZE``, or with more than ``MAX_I_CELLS`` I-cells, raise
-    ``FrameSizeError`` here, before any frame."""
+    ``MAX_SORT_SIZE``, with more than ``MAX_I_CELLS`` I-cells, or, without
+    ``--samples``, with a size of more than 16 relation bits on the way,
+    raise ``FrameSizeError`` here, before any frame."""
     if args.frames is not None:
         return ((name, load_frame(os.path.join(args.frames, name), validate=not args.no_validate))
                 for name in sorted(os.listdir(args.frames)) if name.endswith(".json"))
@@ -199,25 +201,23 @@ def _frames_from_args(args, s):
     if n1 * nd > MAX_I_CELLS:
         raise FrameSizeError(f"--enumerate {n1} {nd}: listing the 2^{n1 * nd} I-relations of "
                              f"a {n1}x{nd} frame is not supported, at most 2^{MAX_I_CELLS}")
-    return _enumerated_frames(args, s)
-
-
-def _enumerated_frames(args, s):
-    n1, nd = args.enumerate
     needed = relations_needed(s)
+    for i, j in itertools.product(range(1, n1 + 1), range(1, nd + 1)):
+        bits_needed = sum(len(relation_tuples(r, i, j)) for r in needed)
+        if args.samples is None and bits_needed > 16:
+            raise FrameSizeError(f"2^{bits_needed} relation combinations at {i}x{j}; "
+                                 f"pass --samples K to check a seeded sample")
+    return _enumerated_frames(args, needed)
+
+
+def _enumerated_frames(args, needed):
+    n1, nd = args.enumerate
     require = ("F1", "F2", "F3") if args.assume_f3 else ("F1", "F2")
     count = 0
-    for i in range(1, n1 + 1):
-        for j in range(1, nd + 1):
-            bits_needed = sum(len(relation_tuples(r, i, j)) for r in needed)
-            if args.samples is None and bits_needed > 16:
-                raise FrameSizeError(
-                    f"2^{bits_needed} relation combinations at {i}x{j}; "
-                    f"pass --samples K to check a seeded sample")
-            for fr in enumerate_frames(i, j, needed, require=require,
-                                       sample=args.samples):
-                count += 1
-                yield f"enum-{i}x{j}-{count}", fr
+    for i, j in itertools.product(range(1, n1 + 1), range(1, nd + 1)):
+        for fr in enumerate_frames(i, j, needed, require=require, sample=args.samples):
+            count += 1
+            yield f"enum-{i}x{j}-{count}", fr
 
 
 def cmd_verify(args) -> int:

@@ -51,6 +51,15 @@ def bits(mask: int):
         i += 1
 
 
+def _transpose(rows, n: int) -> list:
+    """``out[j]`` = the mask of the ``i`` whose ``rows[i]`` has ``j``, for ``j < n``."""
+    out = [0] * n
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            out[j] |= 1 << i
+    return out
+
+
 class FiniteFrame:
     """A finite two-sorted frame with the four modal relations.
 
@@ -104,20 +113,23 @@ class FiniteFrame:
 
     # -- the polarity ------------------------------------------------------
 
-    @cached_property
-    def irow(self):
-        """irow[x] = mask of {y : x I y}."""
-        out = [0] * self.n1
-        for x, y in self.i_rel:
-            out[x] |= 1 << y
+    @staticmethod
+    def _rows_of(pairs, n: int, key: int) -> list:
+        """``out[k]`` = the mask of the other ends of the pairs whose entry
+        ``key`` (0 or 1) is ``k``, for ``k < n``."""
+        out = [0] * n
+        for pair in pairs:
+            out[pair[key]] |= 1 << pair[1 - key]
         return out
 
     @cached_property
+    def irow(self):
+        """irow[x] = mask of {y : x I y}."""
+        return self._rows_of(self.i_rel, self.n1, 0)
+
+    @cached_property
     def icol(self):
-        out = [0] * self.nd
-        for x, y in self.i_rel:
-            out[y] |= 1 << x
-        return out
+        return self._rows_of(self.i_rel, self.nd, 1)
 
     def polar1(self, u_mask: int) -> int:
         """Galois image of a Z1 subset: the y with no I-edge into the subset."""
@@ -183,32 +195,20 @@ class FiniteFrame:
     @cached_property
     def rdia_sec(self):
         """rdia_sec[z] = {u : u Rdia z} (result section)."""
-        out = [0] * self.n1
-        for u, z in self.r_dia:
-            out[z] |= 1 << u
-        return out
+        return self._rows_of(self.r_dia, self.n1, 1)
 
     @cached_property
     def rbox_sec(self):
-        out = [0] * self.nd
-        for w, y in self.r_box:
-            out[y] |= 1 << w
-        return out
+        return self._rows_of(self.r_box, self.nd, 1)
 
     @cached_property
     def rneg_sec(self):
         """rneg_sec[x] = {y : y Rneg x}."""
-        out = [0] * self.n1
-        for y, x in self.r_neg:
-            out[x] |= 1 << y
-        return out
+        return self._rows_of(self.r_neg, self.n1, 1)
 
     @cached_property
     def rneg_arg(self):
-        out = [0] * self.nd
-        for y, x in self.r_neg:
-            out[y] |= 1 << x
-        return out
+        return self._rows_of(self.r_neg, self.nd, 0)
 
     @cached_property
     def t_sec(self):
@@ -223,32 +223,17 @@ class FiniteFrame:
     @cached_property
     def rpdia(self):
         """rpdia[y] = {z : y R'dia z}, where y R'dia z iff y in (Rdia z)'."""
-        out = [0] * self.nd
-        for z in range(self.n1):
-            sec = self._polar1_table[self.rdia_sec[z]]
-            for y in bits(sec):
-                out[y] |= 1 << z
-        return out
+        return _transpose([self._polar1_table[sec] for sec in self.rdia_sec], self.nd)
 
     @cached_property
     def rpbox(self):
         """rpbox[x] = {y : x R'box y}."""
-        out = [0] * self.n1
-        for y in range(self.nd):
-            sec = self._polard_table[self.rbox_sec[y]]
-            for x in bits(sec):
-                out[x] |= 1 << y
-        return out
+        return _transpose([self._polard_table[sec] for sec in self.rbox_sec], self.n1)
 
     @cached_property
     def rpneg(self):
         """rpneg[z] = {x : z R'neg x}."""
-        out = [0] * self.n1
-        for x in range(self.n1):
-            sec = self._polard_table[self.rneg_sec[x]]
-            for z in bits(sec):
-                out[z] |= 1 << x
-        return out
+        return _transpose([self._polard_table[sec] for sec in self.rneg_sec], self.n1)
 
     @cached_property
     def tprime(self):
@@ -276,13 +261,7 @@ class FiniteFrame:
     @cached_property
     def rd11(self):
         """rd11[z][x] = {v : v R^d11 z x} = {v : x T' z v}."""
-        out = [[0] * self.n1 for _ in range(self.n1)]
-        for z in range(self.n1):
-            for v in range(self.nd):
-                col = self.tprime[z][v]
-                for x in bits(col):
-                    out[z][x] |= 1 << v
-        return out
+        return [_transpose(self.tprime[z], self.n1) for z in range(self.n1)]
 
     @cached_property
     def r111(self):
@@ -302,14 +281,9 @@ class FiniteFrame:
 
     def word_row(self, letters: tuple[str, ...], start: int) -> int:
         """Points reachable from ``start`` along a composite double-dual word."""
-        rows = {"box": lambda i: self.rdbox[i], "neg": lambda i: self.rdneg[i],
-                "dia": lambda i: self.rddia[i]}
         cur = 1 << start
-        for letter in letters:
-            nxt = 0
-            for i in bits(cur):
-                nxt |= rows[letter](i)
-            cur = nxt
+        for letter in letters:       # the rows of R''_<letter>: rdbox, rdneg, rddia
+            cur = self._image(getattr(self, "rd" + letter), cur)
         return cur
 
     def word_rows(self, letters: tuple[str, ...]) -> tuple[int, ...]:
@@ -323,23 +297,46 @@ class FiniteFrame:
 
     # -- image operators and the complex algebra ----------------------------
 
-    def ldvert(self, u_mask: int) -> int:
+    @staticmethod
+    def _image(rows, mask: int) -> int:
+        """The union of ``rows`` over the points of ``mask``."""
         out = 0
-        for z in bits(u_mask):
-            out |= self.rdia_sec[z]
+        for i in bits(mask):
+            out |= rows[i]
         return out
+
+    @staticmethod
+    def _inside(rows, mask: int) -> int:
+        """The points whose row lies inside ``mask``."""
+        out = 0
+        for i, row in enumerate(rows):
+            if row & ~mask == 0:
+                out |= 1 << i
+        return out
+
+    def ldvert(self, u_mask: int) -> int:
+        return self._image(self.rdia_sec, u_mask)
 
     def ldminus(self, v_mask: int) -> int:
-        out = 0
-        for v in bits(v_mask):
-            out |= self.rbox_sec[v]
-        return out
+        return self._image(self.rbox_sec, v_mask)
 
     def ltdown(self, u_mask: int) -> int:
-        out = 0
-        for x in bits(u_mask):
-            out |= self.rneg_sec[x]
-        return out
+        return self._image(self.rneg_sec, u_mask)
+
+    def lbminus(self, u_mask: int) -> int:
+        return self._inside(self.rdbox, u_mask)
+
+    def lbvert(self, v_mask: int) -> int:
+        return self._inside(self.rddia, v_mask)
+
+    def lbtdown(self, v_mask: int) -> int:
+        return self._inside(self.rdneg, v_mask)
+
+    def bbox1(self, u_mask: int) -> int:
+        return self._inside(self.rdia_sec, u_mask)
+
+    def bboxd(self, v_mask: int) -> int:
+        return self._inside(self.rbox_sec, v_mask)
 
     def ltright(self, u_mask: int, v_mask: int) -> int:
         out = 0
@@ -353,41 +350,6 @@ class FiniteFrame:
         for x in bits(u_mask):
             for z in bits(v_mask):
                 out |= self.r111[x][z]
-        return out
-
-    def lbminus(self, u_mask: int) -> int:
-        out = 0
-        for x in range(self.n1):
-            if self.rdbox[x] & ~u_mask == 0:
-                out |= 1 << x
-        return out
-
-    def lbvert(self, v_mask: int) -> int:
-        out = 0
-        for y in range(self.nd):
-            if self.rddia[y] & ~v_mask == 0:
-                out |= 1 << y
-        return out
-
-    def lbtdown(self, v_mask: int) -> int:
-        out = 0
-        for z in range(self.n1):
-            if self.rdneg[z] & ~v_mask == 0:
-                out |= 1 << z
-        return out
-
-    def bbox1(self, u_mask: int) -> int:
-        out = 0
-        for u in range(self.n1):
-            if self.rdia_sec[u] & ~u_mask == 0:
-                out |= 1 << u
-        return out
-
-    def bboxd(self, v_mask: int) -> int:
-        out = 0
-        for v in range(self.nd):
-            if self.rbox_sec[v] & ~v_mask == 0:
-                out |= 1 << v
         return out
 
     def imp_t(self, u_mask: int, w_mask: int) -> int:
@@ -511,15 +473,18 @@ _OPERATOR_ARG_SORTS = {
 }
 
 
-# Unary operator -> (the frame's rows it reads, box?).  A diamond's value is
-# the union of the rows of its argument's points; a box's value holds the
-# points whose row lies inside its argument.
+# Unary operator -> (the frame's rows it reads, box?).
 _ROW_OPERATORS = {
     "ldvert": ("rdia_sec", False), "ldminus": ("rbox_sec", False),
     "ltdown": ("rneg_sec", False), "lbminus": ("rdbox", True),
     "lbvert": ("rddia", True), "lbtdown": ("rdneg", True),
     "bbox1": ("rdia_sec", True), "bboxd": ("rbox_sec", True),
 }
+
+
+# _COMPLEMENT[n] is the ``bytes.translate`` table taking a mask of n points
+# to its complement.
+_COMPLEMENT = [bytes(((1 << n) - 1) & ~m & 0xFF for m in range(256)) for n in range(9)]
 
 
 def _union_table(rows, n: int) -> bytes:
@@ -531,34 +496,57 @@ def _union_table(rows, n: int) -> bytes:
     return bytes(table)
 
 
+def _row_table(rows, n: int, box: bool) -> bytes:
+    """The table of a unary operator over ``rows``, indexed by the masks of
+    ``n`` points.  A diamond's value is the union of the rows of its
+    argument's points; a box's value holds the points whose row lies inside
+    its argument."""
+    if not box:
+        return _union_table(rows, n)
+    # x is outside box(m) iff its row meets the complement of m, whose
+    # entry in a table of 2^n masks is meets[~m], so box reads meets backwards
+    meets = _union_table(_transpose(rows, n), n)
+    return meets[::-1].translate(_COMPLEMENT[len(rows)])
+
+
+class _RowTables(dict):
+    """The unary operator tables over ``rows`` that many frames share, each
+    built the first time a frame looks it up; ``ops[op]`` = (the size of
+    its argument's sort, box?)."""
+
+    __slots__ = ("rows", "ops")
+
+    def __init__(self, rows, ops: dict):
+        self.rows, self.ops = rows, ops
+
+    def __missing__(self, op: str) -> bytes:
+        table = self[op] = _row_table(self.rows, *self.ops[op])
+        return table
+
+
 class _OperatorTables(dict):
-    """A frame's operator tables, each built the first time it is looked up:
-    a unary one from the rows it reads, in one step per mask, a binary one
-    from its ``FiniteFrame`` method, the reference for both."""
+    """A frame's operator tables, each built the first time it is looked up.
+    An enumerated frame starts with the tables its ``shared`` ``_RowTables``
+    have built and takes the others from them.  Otherwise a unary table is
+    built from the rows it reads (``_row_table``), a binary one from its
+    ``FiniteFrame`` method, the reference for both."""
 
-    __slots__ = ("frame",)
+    __slots__ = ("frame", "shared")
 
-    def __init__(self, frame: FiniteFrame):
-        super().__init__()
-        self.frame = frame
+    def __init__(self, frame: FiniteFrame, shared: tuple = ()):
+        self.frame, self.shared = frame, shared
+        for tables in shared:
+            self.update(tables)
 
     def __missing__(self, op: str) -> bytes:
         fr = self.frame
         sizes = [fr.n1 if sort == SORT1 else fr.nd for sort in _OPERATOR_ARG_SORTS[op]]
-        if op in _ROW_OPERATORS:
+        shared = next((tables for tables in self.shared if op in tables.ops), None)
+        if shared is not None:
+            table = shared[op]
+        elif op in _ROW_OPERATORS:
             attr, box = _ROW_OPERATORS[op]
-            rows, n = getattr(fr, attr), sizes[0]
-            if not box:
-                table = _union_table(rows, n)
-            else:
-                # x is outside box(m) iff its row meets the complement of m
-                cols = [0] * n
-                for x, row in enumerate(rows):
-                    for z in bits(row):
-                        cols[z] |= 1 << x
-                meets = _union_table(cols, n)
-                full, arg_full = (1 << len(rows)) - 1, (1 << n) - 1
-                table = bytes(full ^ meets[arg_full ^ m] for m in range(1 << n))
+            table = _row_table(getattr(fr, attr), sizes[0], box)
         else:
             fn = getattr(fr, op)
             table = bytes(fn(a, b) for a in range(1 << sizes[0]) for b in range(1 << sizes[1]))
@@ -569,6 +557,15 @@ class _OperatorTables(dict):
 # ---------------------------------------------------------------------------
 # Model checking
 # ---------------------------------------------------------------------------
+
+# Node type -> the operator whose table evaluates it, and whose
+# ``FiniteFrame`` method is the reference.
+_OPERATOR_OF = {
+    DiaVert: "ldvert", DiaMinus: "ldminus", TDown: "ltdown", BoxMinus: "lbminus",
+    BoxVert: "lbvert", BTDown: "lbtdown", Box1: "bbox1", BoxD: "bboxd",
+    Odot: "lodot", RSpoon: "imp_t", TRight: "ltright",
+}
+
 
 def model_check_sorted(frame: FiniteFrame, valuation: dict, f: SortedFormula) -> int:
     """Value of a sorted formula as a bitmask; valuation maps SortedVar -> mask."""
@@ -587,40 +584,10 @@ def model_check_sorted(frame: FiniteFrame, valuation: dict, f: SortedFormula) ->
         return model_check_sorted(frame, valuation, f.left) | model_check_sorted(frame, valuation, f.right)
     if isinstance(f, Prime):
         return frame.polar(f.arg.sort, model_check_sorted(frame, valuation, f.arg))
-    if isinstance(f, DiaVert):
-        return frame.ldvert(model_check_sorted(frame, valuation, f.arg))
-    if isinstance(f, DiaMinus):
-        return frame.ldminus(model_check_sorted(frame, valuation, f.arg))
-    if isinstance(f, TDown):
-        return frame.ltdown(model_check_sorted(frame, valuation, f.arg))
-    if isinstance(f, BoxMinus):
-        return frame.lbminus(model_check_sorted(frame, valuation, f.arg))
-    if isinstance(f, BoxVert):
-        return frame.lbvert(model_check_sorted(frame, valuation, f.arg))
-    if isinstance(f, BTDown):
-        return frame.lbtdown(model_check_sorted(frame, valuation, f.arg))
-    if isinstance(f, Box1):
-        return frame.bbox1(model_check_sorted(frame, valuation, f.arg))
-    if isinstance(f, BoxD):
-        return frame.bboxd(model_check_sorted(frame, valuation, f.arg))
-    if isinstance(f, Odot):
-        return frame.lodot(model_check_sorted(frame, valuation, f.left),
-                           model_check_sorted(frame, valuation, f.right))
-    if isinstance(f, RSpoon):
-        return frame.imp_t(model_check_sorted(frame, valuation, f.left),
-                           model_check_sorted(frame, valuation, f.right))
-    if isinstance(f, TRight):
-        return frame.ltright(model_check_sorted(frame, valuation, f.left),
-                             model_check_sorted(frame, valuation, f.right))
+    if type(f) in _OPERATOR_OF:
+        return getattr(frame, _OPERATOR_OF[type(f)])(
+            *(model_check_sorted(frame, valuation, g) for g in f._kids))
     raise TypeError(f"not a sorted formula: {f!r}")
-
-
-# Node type -> the operator whose table evaluates it.
-_OPERATOR_OF = {
-    DiaVert: "ldvert", DiaMinus: "ldminus", TDown: "ltdown", BoxMinus: "lbminus",
-    BoxVert: "lbvert", BTDown: "lbtdown", Box1: "bbox1", BoxD: "bboxd",
-    Odot: "lodot", RSpoon: "imp_t", TRight: "ltright",
-}
 
 
 # CPython refuses more than 20 statically nested blocks, so a generated nest
@@ -925,33 +892,28 @@ def eval_fo(frame: FiniteFrame, f: FoFormula, env: dict | None = None,
     return _ev(frame, f, env, penv)
 
 
+# Relation symbol -> whether it holds of some argument indices, read off
+# the frame's pair sets and its rows by position.
+_REL_HOLDS = {
+    "I": lambda fr, a: fr.irow[a[0]] >> a[1] & 1,
+    "R_dia": lambda fr, a: a in fr.r_dia,
+    "R_box": lambda fr, a: a in fr.r_box,
+    "R_neg": lambda fr, a: a in fr.r_neg,
+    "T": lambda fr, a: a in fr.t_rel,
+    "R'_dia": lambda fr, a: fr.rpdia[a[0]] >> a[1] & 1,
+    "R'_box": lambda fr, a: fr.rpbox[a[0]] >> a[1] & 1,
+    "R'_neg": lambda fr, a: fr.rpneg[a[0]] >> a[1] & 1,
+    "T'": lambda fr, a: fr.tprime[a[1]][a[2]] >> a[0] & 1,
+    "R''_dia": lambda fr, a: fr.rddia[a[0]] >> a[1] & 1,
+    "R''_box": lambda fr, a: fr.rdbox[a[0]] >> a[1] & 1,
+    "R''_neg": lambda fr, a: fr.rdneg[a[0]] >> a[1] & 1,
+    "R111": lambda fr, a: fr.r111[a[1]][a[2]] >> a[0] & 1,
+}
+
+
 def _rel_holds(frame: FiniteFrame, rel: str, args: tuple[int, ...]) -> bool:
-    if rel == "I":
-        return bool(frame.irow[args[0]] & (1 << args[1]))
-    if rel == "R_dia":
-        return (args[0], args[1]) in frame.r_dia
-    if rel == "R_box":
-        return (args[0], args[1]) in frame.r_box
-    if rel == "R_neg":
-        return (args[0], args[1]) in frame.r_neg
-    if rel == "T":
-        return args in frame.t_rel
-    if rel == "R'_dia":
-        return bool(frame.rpdia[args[0]] & (1 << args[1]))
-    if rel == "R'_box":
-        return bool(frame.rpbox[args[0]] & (1 << args[1]))
-    if rel == "R'_neg":
-        return bool(frame.rpneg[args[0]] & (1 << args[1]))
-    if rel == "T'":
-        return bool(frame.tprime[args[1]][args[2]] & (1 << args[0]))
-    if rel == "R''_dia":
-        return bool(frame.rddia[args[0]] & (1 << args[1]))
-    if rel == "R''_box":
-        return bool(frame.rdbox[args[0]] & (1 << args[1]))
-    if rel == "R''_neg":
-        return bool(frame.rdneg[args[0]] & (1 << args[1]))
-    if rel == "R111":
-        return bool(frame.r111[args[1]][args[2]] & (1 << args[0]))
+    if rel in _REL_HOLDS:
+        return bool(_REL_HOLDS[rel](frame, args))
     if rel.startswith("R''_"):
         letters = tuple(rel[4:].split("."))
         return bool(frame.word_row(letters, args[0]) & (1 << args[1]))
@@ -1334,24 +1296,21 @@ def separated_i_masks(n1: int, nd: int):
     for rows in itertools.product(range(1 << nd), repeat=n1):
         if len(set(rows)) != n1:
             continue
-        cols = [0] * nd
-        for x, row in enumerate(rows):
-            for y in bits(row):
-                cols[y] |= 1 << x
-        if len(set(cols)) != nd:
+        if len(set(_transpose(rows, nd))) != nd:
             continue
         yield rows
 
 
 # Base relation -> (its pair-set attribute, result sort, argument sorts,
-# the attributes of its result sections and of their polars).  Bit k of a
-# relation's pattern is its k-th tuple (``relation_tuples``); the fields of
-# the listed relations follow one another from bit 0.
+# the attributes of its result sections, of their polars and of its double
+# dual).  Bit k of a relation's pattern is its k-th tuple
+# (``relation_tuples``); the fields of the listed relations follow one
+# another from bit 0.
 _BASE_RELATIONS = {
-    "Rdia": ("r_dia", SORT1, (SORT1,), "rdia_sec", "rpdia"),
-    "Rbox": ("r_box", SORTD, (SORTD,), "rbox_sec", "rpbox"),
-    "Rneg": ("r_neg", SORTD, (SORT1,), "rneg_sec", "rpneg"),
-    "T": ("t_rel", SORTD, (SORT1, SORTD), "t_sec", "tprime"),
+    "Rdia": ("r_dia", SORT1, (SORT1,), "rdia_sec", "rpdia", "rddia"),
+    "Rbox": ("r_box", SORTD, (SORTD,), "rbox_sec", "rpbox", "rdbox"),
+    "Rneg": ("r_neg", SORTD, (SORT1,), "rneg_sec", "rpneg", "rdneg"),
+    "T": ("t_rel", SORTD, (SORT1, SORTD), "t_sec", "tprime", None),
 }
 
 
@@ -1362,7 +1321,7 @@ def relation_tuples(rel: str, n1: int, nd: int) -> list[tuple[int, ...]]:
     bits as tuples."""
     if rel not in _BASE_RELATIONS:
         raise ValueError(f"unknown relation {rel!r}")
-    _, res_sort, arg_sorts, _, _ = _BASE_RELATIONS[rel]
+    _, res_sort, arg_sorts, *_ = _BASE_RELATIONS[rel]
     return list(itertools.product(*(range(n1 if sort == SORT1 else nd)
                                      for sort in (res_sort, *arg_sorts))))
 
@@ -1412,19 +1371,36 @@ class _Patterns(dict):
     """One base relation's patterns at one pair of carrier sizes, each
     mapped, when first met, to the facts that do not depend on I: its
     result sections as ``bytes`` (``secs[a]`` = the results related to the
-    a-th argument tuple) and its pair-set and section frame fields.  One
-    per relation per ``enumerate_frames`` call, shared by all its
-    I-relations."""
+    a-th argument tuple), its pair-set and section frame fields, and the
+    ``_RowTables`` of the unary operators over the sections.  One per
+    relation per ``enumerate_frames`` call, shared by all its I-relations."""
 
     def __init__(self, rel: str, n1: int, nd: int):
         self.space = relation_tuples(rel, n1, nd)
         self.rel = rel
-        self.pairs_attr, self.res_sort, self.arg_sorts, self.sec_attr, self.polar_attr = \
-            _BASE_RELATIONS[rel]
+        (self.pairs_attr, self.res_sort, self.arg_sorts, self.sec_attr, self.polar_attr,
+         self.dd_attr) = _BASE_RELATIONS[rel]
         size = {SORT1: n1, SORTD: nd}
         self.res_n = size[self.res_sort]
         self.arg_ns = [size[sort] for sort in self.arg_sorts]
         self.n_args = math.prod(self.arg_ns)
+        # (sort, size, stride, first indices) of the lines through the
+        # sections along each argument, last argument first
+        self.lines, stride = [], 1
+        for sort, n in zip(reversed(self.arg_sorts), reversed(self.arg_ns)):
+            self.lines.append((sort, n, stride, [a for a in range(self.n_args)
+                                                 if not a // stride % n]))
+            stride *= n
+        # rows attribute -> {operator: (its argument's size, box?)} of the
+        # unary operators reading those rows
+        self.ops = {attr: {op: (size[_OPERATOR_ARG_SORTS[op][0]], box)
+                           for op, (read, box) in _ROW_OPERATORS.items() if read == attr}
+                    for attr in (self.sec_attr, self.dd_attr)}
+
+    def row_tables(self, attr: str, rows) -> tuple:
+        """``(_RowTables over rows read as attr,)``, or () if no operator reads them."""
+        ops = self.ops[attr]
+        return (_RowTables(rows, ops),) if ops else ()
 
     def __missing__(self, pattern: int) -> tuple:
         secs = [0] * self.n_args
@@ -1433,100 +1409,110 @@ class _Patterns(dict):
             for a in range(self.n_args):
                 if row >> a & 1:
                     secs[a] |= 1 << r
+        secs = bytes(secs)
         if len(self.arg_ns) == 1:
-            sections = tuple(secs)
+            sections = secs
         else:
             n_v = self.arg_ns[1]
             sections = tuple(tuple(secs[x * n_v:(x + 1) * n_v]) for x in range(self.arg_ns[0]))
-        facts = bytes(secs), ((self.pairs_attr, frozenset(self.space[k] for k in bits(pattern))),
-                              (self.sec_attr, sections))
+        facts = secs, ((self.pairs_attr, frozenset(self.space[k] for k in bits(pattern))),
+                       (self.sec_attr, sections)), self.row_tables(self.sec_attr, sections)
         if len(self.space) <= _KEPT_PATTERN_BITS:
             self[pattern] = facts
         return facts
 
 
 class _Polarity:
-    """One I-relation's tables, built once and shared, immutable, by every
-    frame ``enumerate_frames`` yields over it.
-
-    The axioms F0 and F1 depend on I alone and are judged once, by the
-    reference ``check_axioms``.  F2 and F3 are conjunctions of conditions
-    on each base relation's sections, so ``judge`` decides them for one
-    relation's pattern at a time; the reference is ``check_axioms`` on the
-    built frame.
+    """One I-relation's tables, built once from its rows and shared,
+    immutable, by every frame ``enumerate_frames`` yields over it:
+    ``polar1(U)`` is ``fulld`` minus the I-rows of U's points, a closure a
+    polar of a polar, and the up-sets the closures of the singletons.  F0
+    and F1 depend on I alone and are judged on the rows.  F2 and F3 are
+    conjunctions of conditions on each base relation's sections, so
+    ``judge`` decides them for one relation's pattern at a time.  The
+    reference for all of them is the built frame and its ``check_axioms``.
     """
 
     def __init__(self, z1: tuple, zd: tuple, i_rows, require):
-        fr = FiniteFrame(z1, zd, validate=False,
-                         i_rel=[(z1[x], zd[y]) for x, row in enumerate(i_rows) for y in bits(row)])
-        self.ok = all(ok for ok, _ in fr.check_axioms(
-            tuple(ax for ax in require if ax not in ("F2", "F3"))).values())
+        n1, nd = len(z1), len(zd)
+        full1, fulld = (1 << n1) - 1, (1 << nd) - 1
+        irow = tuple(i_rows)
+        icol = tuple(_transpose(irow, nd))
+        axioms = {"F0": all(irow) and all(icol),
+                  "F1": len(set(irow)) == n1 and len(set(icol)) == nd, "F2": True, "F3": True}
+        unknown = [ax for ax in require if ax not in axioms]
+        if unknown:
+            raise ValueError(f"unknown axiom {unknown[0]!r}")
+        self.ok = all(axioms[ax] for ax in require)
         self.smooth, self.monotone = "F2" in require, "F3" in require
-        self.size = {SORT1: fr.n1, SORTD: fr.nd}
-        polar = {SORT1: bytes(fr._polar1_table), SORTD: bytes(fr._polard_table)}
-        # ``bytes.translate`` tables taking each section to its polar image
-        self.polar_of = {sort: table.ljust(256, b"\0") for sort, table in polar.items()}
+        self.size = {SORT1: n1, SORTD: nd}
+        polar1 = _union_table(irow, n1).translate(_COMPLEMENT[nd])
+        polard = _union_table(icol, nd).translate(_COMPLEMENT[n1])
+        # ``bytes.translate`` tables taking each mask to its polar
+        self.polar_of = {SORT1: polar1.ljust(256, b"\0"), SORTD: polard.ljust(256, b"\0")}
+        close1, closed = polar1.translate(self.polar_of[SORTD]), polard.translate(self.polar_of[SORT1])
+        self.closed = {SORT1: close1, SORTD: closed}
+        self.up = {SORT1: tuple([close1[1 << u] for u in range(n1)]),
+                   SORTD: tuple([closed[1 << y] for y in range(nd)])}
         self.rows = {rel: {} for rel in _BASE_RELATIONS}
-        self.closed = {SORT1: bytes(fr.close1(m) for m in range(fr.full1 + 1)),
-                       SORTD: bytes(fr.closed(m) for m in range(fr.fulld + 1))}
-        self.up = {SORT1: tuple(fr.up1), SORTD: tuple(fr.upd)}
         self.shared = {
-            "z1": fr.z1, "zd": fr.zd, "n1": fr.n1, "nd": fr.nd, "name": None,
-            "full1": fr.full1, "fulld": fr.fulld, "i_rel": fr.i_rel,
+            "z1": z1, "zd": zd, "n1": n1, "nd": nd, "name": None,
+            "full1": full1, "fulld": fulld,
+            "i_rel": frozenset((x, y) for x, row in enumerate(irow) for y in bits(row)),
             "r_dia": frozenset(), "r_box": frozenset(), "r_neg": frozenset(),
-            "t_rel": frozenset(), "irow": tuple(fr.irow), "icol": tuple(fr.icol),
-            "_polar1_table": polar[SORT1], "_polard_table": polar[SORTD],
-            "stable1": tuple(fr.stable1), "stabled": tuple(fr.stabled),
+            "t_rel": frozenset(), "irow": irow, "icol": icol,
+            "_polar1_table": polar1, "_polard_table": polard,
+            "stable1": tuple(sorted(set(close1))), "stabled": tuple(sorted(set(closed))),
             "up1": self.up[SORT1], "upd": self.up[SORTD],
         }
 
     def judge(self, patterns: _Patterns, pattern: int) -> tuple | None:
-        """The frame fields of ``patterns.rel`` with the given pattern, as
-        (attribute, value) pairs, or None when the pattern fails F2 or F3
-        (if required).  F2 and the R' rows read the sections only through
-        their polar images, so ``self.rows`` keeps them per relation and
-        tuple of images."""
-        secs, fields = patterns[pattern]
+        """The record of ``patterns.rel`` with the given pattern, its frame
+        fields as (attribute, value) pairs and its ``_RowTables``, or None
+        when it fails F2 or F3 (if required).  F2, the R' and double-dual
+        rows and the tables over the latter read the sections only through
+        their polar images: ``self.rows`` keeps them per relation and tuple
+        of images."""
+        secs, fields, tables = patterns[pattern]
         pols = secs.translate(self.polar_of[patterns.res_sort])
         memo = self.rows[patterns.rel]
-        if pols not in memo:
-            memo[pols] = self._rows(patterns, pols)
-        rows = memo[pols]
+        rows = memo.get(pols, False)
+        if rows is False:
+            rows = memo[pols] = self._rows(patterns, pols)
         if rows is None or self.monotone and not self._monotone(patterns, secs):
             return None
-        return fields + ((patterns.polar_attr, rows),)
+        return fields + rows[0], tables + rows[1]
 
     def kept(self, patterns: _Patterns):
         """The records of the patterns that pass, in pattern order."""
-        for pattern in range(1 << len(patterns.space)):
-            rec = self.judge(patterns, pattern)
-            if rec is not None:
-                yield rec
+        return filter(None, map(self.judge, itertools.repeat(patterns),
+                                range(1 << len(patterns.space))))
 
     def _rows(self, patterns: _Patterns, pols: bytes) -> tuple | None:
-        """The R' rows for the sections' polar images ``pols``, or None when
-        F2 is required and fails."""
+        """The R' and double-dual row fields for the sections' polar images
+        ``pols`` and the ``_RowTables`` over the latter, or None when F2 is
+        required and fails."""
         # Smooth: along each argument, the others fixed, the arguments whose
         # polar holds a given point form a stable set of that argument's sort.
-        stride = 1
         lines = []
-        for sort, n in zip(reversed(patterns.arg_sorts), reversed(patterns.arg_ns)):
+        for sort, n, stride, starts in patterns.lines:
             closed = self.closed[sort]
             for p in range(self.size[flip(patterns.res_sort)]):
-                for start in range(patterns.n_args):
-                    if start // stride % n:
-                        continue
+                for start in starts:
                     line = 0
                     for i in range(n):
                         line |= (pols[start + i * stride] >> p & 1) << i
                     if self.smooth and closed[line] != line:
                         return None
                     lines.append(line)
-            stride *= n
         if len(patterns.arg_ns) == 1:
-            return tuple(lines)         # R' rows: polar point -> its arguments
+            rows = bytes(lines)         # R' rows: polar point -> its arguments
+            dd = rows.translate(self.polar_of[patterns.arg_sorts[0]])
+            return (((patterns.polar_attr, rows), (patterns.dd_attr, dd)),
+                    patterns.row_tables(patterns.dd_attr, dd))
         n_x, n_v = patterns.arg_ns
-        return tuple(tuple(pols[x * n_v:(x + 1) * n_v]) for x in range(n_x))
+        return ((patterns.polar_attr, tuple(tuple(pols[x * n_v:(x + 1) * n_v])
+                                            for x in range(n_x))),), ()
 
     def _monotone(self, patterns: _Patterns, secs: bytes) -> bool:
         """F3 for one relation: each section is an up-set, and sections
@@ -1534,22 +1520,24 @@ class _Polarity:
         up = self.up[patterns.res_sort]
         if any(up[r] & ~sec for sec in secs for r in bits(sec)):
             return False
-        stride = 1
-        for sort, n in zip(reversed(patterns.arg_sorts), reversed(patterns.arg_ns)):
+        for sort, n, stride, _ in patterns.lines:
             ups = self.up[sort]
             for a, sec in enumerate(secs):
                 d = a // stride % n
                 for d2 in range(n):
                     if ups[d2] >> d & 1 and sec & ~secs[a + (d2 - d) * stride]:
                         return False
-            stride *= n
         return True
 
     def frame(self, records) -> FiniteFrame:
         fr = FiniteFrame.__new__(FiniteFrame)
-        fr.__dict__.update(self.shared)
-        for rec in records:
-            fr.__dict__.update(rec)
+        fields = dict(self.shared)
+        holders = ()
+        for rec, tables in records:
+            fields.update(rec)
+            holders += tables
+        fields["op_tables"] = _OperatorTables(fr, holders)
+        fr.__dict__ = fields
         return fr
 
 
@@ -1567,8 +1555,12 @@ def enumerate_frames(n1: int, nd: int, relations: tuple[str, ...],
     named ``a<i>`` and ``b<i>``, and are those on which ``FiniteFrame``'s
     ``check_axioms(require)`` passes; a rejected candidate is never built.
     Each I-relation's tables are built once (``_Polarity``), each pattern's
-    I-free facts once per call (``_Patterns``), and F2 once per I-relation
-    and tuple of polar images of a pattern's sections.
+    I-free facts once per call (``_Patterns``), and F2 with the R' and
+    double-dual rows once per I-relation and tuple of polar images of a
+    pattern's sections.  The unary operator tables over a pattern's sections
+    and over those double-dual rows are built on first lookup at the same
+    levels, and every frame after that starts with them in its
+    ``op_tables``.  Nothing is kept past the call.
     """
     import random
 
@@ -1589,7 +1581,7 @@ def enumerate_frames(n1: int, nd: int, relations: tuple[str, ...],
             # The first relation holds the lowest bits, so it varies fastest;
             # the last one's patterns are judged as they come.
             inner = [list(pol.kept(pats)) for pats in patterns[:-1]]
-            outer = pol.kept(patterns[-1]) if relations else ((),)
+            outer = pol.kept(patterns[-1]) if relations else [((), ())]
             for last in outer:
                 for records in itertools.product(*reversed(inner)):
                     yield pol.frame((last, *records))

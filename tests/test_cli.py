@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from dfmlcorr import cli
 from dfmlcorr.cli import _frames_from_args, main
 from dfmlcorr.syntax import MAX_DEPTH, parse_dfml
 
@@ -188,6 +189,19 @@ def test_verify_refuses_an_i_listing_over_the_bound(capsys):
         _frames_from_args(argparse.Namespace(frames=None, enumerate=sizes, samples=1,
                                              assume_f3=False), s)
 
+
+def test_verify_refuses_too_many_relation_bits_before_any_frame(capsys, monkeypatch):
+    """Without --samples, a size on the way with more than 16 relation bits
+    (Rdia has 25 at 5x1) is refused before the search and before any frame
+    is checked, not after checking every smaller size."""
+    calls = []
+    monkeypatch.setattr(cli, "compute_correspondent", lambda *a, **k: calls.append("search"))
+    monkeypatch.setattr(cli, "correspondence_oracle", lambda *a: calls.append("oracle"))
+    code, out, err = run(capsys, "verify", "p |- dia p", "--enumerate", "5", "2")
+    assert code == 2
+    assert out == "" and calls == []
+    assert "resource error: 2^25 relation combinations at 5x1" in err
+    assert "--samples" in err
 
 _FRAME = '{"version": 1, "z1": ["a0"], "zd": ["b0"], '
 

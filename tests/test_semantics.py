@@ -938,6 +938,101 @@ def test_enumerated_frames_share_immutable_polarity_tables():
             assert list(getattr(fr, attr)) == list(getattr(rebuilt, attr)), attr
 
 
+
+def rebuilt(fr):
+    """``fr`` built again by name through ``FiniteFrame``."""
+    doc = frame_to_json(fr)
+    return FiniteFrame(doc["z1"], doc["zd"], validate=False, **{
+        attr: [tuple(p) for p in doc[key]] for attr, key in (
+            ("i_rel", "I"), ("r_dia", "Rdia"), ("r_box", "Rbox"), ("r_neg", "Rneg"),
+            ("t_rel", "T"))})
+
+
+def test_shared_operator_tables_match_fresh_ones():
+    """Every operator table an enumerated frame starts with or looks up
+    equals a fresh ``_OperatorTables`` entry and the values of the
+    ``FiniteFrame`` method on the frame rebuilt by name, and so do its
+    double-dual rows the rebuilt frame's: every frame up to 2+2 for each
+    relation set of the corpus, with and without F3 (a seeded sample above
+    12 relation bits, as in ``test_enumerator_matches_reference``), and a
+    seeded 3+3 sample over Rbox, Rdia and Rneg."""
+    rel_sets = sorted({relations_needed(parse_dfml(e.sequent)) for e in CORPUS})
+    cases = []
+    for rels in rel_sets:
+        for n1, nd in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            n_bits = sum(len(relation_tuples(r, n1, nd)) for r in rels)
+            for require in (("F1", "F2"), ("F1", "F2", "F3")):
+                cases.append((n1, nd, rels, require, None if n_bits <= 12 else 2000))
+    cases.append((3, 3, ("Rbox", "Rdia", "Rneg"), ("F1", "F2"), 3000))
+    frames = started = 0
+    for n1, nd, rels, require, sample in cases:
+        for fr in enumerate_frames(n1, nd, rels, require=require, sample=sample, seed=1):
+            ref = rebuilt(fr)
+            for attr in ("rddia", "rdbox", "rdneg"):
+                assert list(getattr(fr, attr)) == getattr(ref, attr), (attr, frame_to_json(fr))
+            started += len(fr.op_tables)
+            for op, sorts in semantics._OPERATOR_ARG_SORTS.items():
+                masks = [range(1 << (fr.n1 if sort == SORT1 else fr.nd)) for sort in sorts]
+                want = bytes(getattr(ref, op)(*args) for args in itertools.product(*masks))
+                assert fr.op_tables[op] == semantics._OperatorTables(fr)[op] == want, \
+                    (op, frame_to_json(fr))
+            frames += 1
+    assert frames > 3000 and started > 1000
+
+
+def test_polarity_tables_match_the_reference_frame():
+    """The tables ``_Polarity`` builds from the I-rows alone, and its F0 and
+    F1 verdicts, equal those of the reference ``FiniteFrame`` and its
+    ``check_axioms``: every I-relation, separated or not, up to 3+3 and at
+    2+4."""
+    sizes = [(n1, nd) for n1 in (1, 2, 3) for nd in (1, 2, 3)] + [(2, 4)]
+    verdicts = set()
+    for n1, nd in sizes:
+        z1, zd = tuple(f"a{i}" for i in range(n1)), tuple(f"b{i}" for i in range(nd))
+        for i_rows in itertools.product(range(1 << nd), repeat=n1):
+            fr = FiniteFrame(z1, zd, validate=False,
+                             i_rel=[(z1[x], zd[y]) for x in range(n1) for y in bits(i_rows[x])])
+            pol = semantics._Polarity(z1, zd, i_rows, ("F1", "F2"))
+            got = pol.shared
+            assert got["i_rel"] == fr.i_rel
+            assert list(got["irow"]) == fr.irow and list(got["icol"]) == fr.icol
+            assert list(got["_polar1_table"]) == fr._polar1_table
+            assert list(got["_polard_table"]) == fr._polard_table
+            assert list(pol.closed[SORT1]) == [fr.close1(m) for m in range(fr.full1 + 1)]
+            assert list(pol.closed[SORTD]) == [fr.closed(m) for m in range(fr.fulld + 1)]
+            assert list(got["stable1"]) == fr.stable1 and list(got["stabled"]) == fr.stabled
+            assert list(got["up1"]) == fr.up1 and list(got["upd"]) == fr.upd
+            for ax in ("F0", "F1"):
+                ok = fr.check_axioms((ax,))[ax][0]
+                assert semantics._Polarity(z1, zd, i_rows, (ax, "F2")).ok == ok
+                verdicts.add((ax, ok))
+    assert len(verdicts) == 4
+
+
+def test_operator_tables_are_shared_per_pattern_and_polar_image(monkeypatch):
+    """In ``enumerate_frames(2, 3, ("Rbox",))`` the frames over one
+    I-relation whose sections have the same polar images share one lbminus
+    table object, and each pattern's ldminus table is built at most once in
+    the call."""
+    built = []
+    row_table = semantics._row_table
+
+    def counted(rows, n, box):
+        built.append((bytes(rows), n, box))
+        return row_table(rows, n, box)
+
+    monkeypatch.setattr(semantics, "_row_table", counted)
+    frames = list(enumerate_frames(2, 3, ("Rbox",)))
+    shared = {}
+    for fr in frames:
+        images = bytes(fr._polard_table[sec] for sec in fr.rbox_sec)
+        shared.setdefault((fr.i_rel, images), set()).add(id(fr.op_tables["lbminus"]))
+        fr.op_tables["ldminus"]
+    assert len(frames) == 3576 and len(shared) < len(frames) / 4
+    assert all(len(tables) == 1 for tables in shared.values())
+    ldminus = [rows for rows, n, box in built if (n, box) == (3, False)]    # lbminus: (2, True)
+    assert len(ldminus) == len(set(ldminus)) <= 512
+
 def test_enumerator_edge_cases():
     assert list(enumerate_frames(0, 1, ("Rbox",))) == []
     assert list(enumerate_frames(MAX_SORT_SIZE + 1, 1, ())) == []
