@@ -37,12 +37,9 @@ EXIT_USAGE = 3
 GRAMMAR_HINT = "see docs/grammar.md for the sequent grammar"
 
 
-def _threads(arg: str) -> tuple[str, ...]:
-    if arg == "translation":
-        return (THREAD_TRANSLATION,)
-    if arg == "cotranslation":
-        return (THREAD_COTRANSLATION,)
-    return (THREAD_TRANSLATION, THREAD_COTRANSLATION)
+# --thread value -> the reduction threads it runs
+_THREADS = {"translation": (THREAD_TRANSLATION,), "cotranslation": (THREAD_COTRANSLATION,),
+            "both": (THREAD_TRANSLATION, THREAD_COTRANSLATION)}
 
 
 def _positive(text: str) -> int:
@@ -121,7 +118,7 @@ def cmd_translate(args) -> int:
 
 def cmd_classify(args) -> int:
     s = parse_dfml(args.sequent)
-    cls = classify(s, max_nodes=args.max_nodes, threads=_threads(args.thread))
+    cls = classify(s, max_nodes=args.max_nodes, threads=_THREADS[args.thread])
     if args.json:
         print(json.dumps(_classification_json(cls, start=False), indent=2))
     else:
@@ -137,7 +134,7 @@ def cmd_classify(args) -> int:
 
 def cmd_reduce(args) -> int:
     s = parse_dfml(args.sequent)
-    cls = classify(s, max_nodes=args.max_nodes, threads=_threads(args.thread))
+    cls = classify(s, max_nodes=args.max_nodes, threads=_THREADS[args.thread])
     if args.json:
         print(json.dumps(_classification_json(cls, start=True), indent=2))
     else:
@@ -155,7 +152,7 @@ def cmd_correspond(args) -> int:
     s = parse_dfml(args.sequent)
     res = compute_correspondent(s, max_nodes=args.max_nodes,
                                 assume_f3=args.assume_f3,
-                                threads=_threads(args.thread))
+                                threads=_THREADS[args.thread])
     if args.json:
         print(json.dumps(_result_json(res, args.assume_f3), indent=2))
         return EXIT_OK if res.sahlqvist else EXIT_NEGATIVE
@@ -192,8 +189,11 @@ def _frames_from_args(args, s):
     ``--samples``, with a size of more than 16 relation bits on the way,
     raise ``FrameSizeError`` here, before any frame."""
     if args.frames is not None:
+        names = [name for name in sorted(os.listdir(args.frames)) if name.endswith(".json")]
+        if not names:
+            raise FileNotFoundError(f"--frames {args.frames}: no *.json frame file to check")
         return ((name, load_frame(os.path.join(args.frames, name), validate=not args.no_validate))
-                for name in sorted(os.listdir(args.frames)) if name.endswith(".json"))
+                for name in names)
     n1, nd = args.enumerate
     if max(n1, nd) > MAX_SORT_SIZE:
         raise FrameSizeError(f"--enumerate {n1} {nd}: "
@@ -225,7 +225,7 @@ def cmd_verify(args) -> int:
     frames = _frames_from_args(args, s)
     res = compute_correspondent(s, max_nodes=args.max_nodes,
                                 assume_f3=args.assume_f3,
-                                threads=_threads(args.thread))
+                                threads=_THREADS[args.thread])
     if not res.sahlqvist:
         print("not-sahlqvist: nothing to verify")
         return EXIT_NEGATIVE
@@ -271,8 +271,7 @@ def cmd_verify(args) -> int:
 
 def cmd_check_frame(args) -> int:
     fr = load_frame(args.file, validate=False)
-    which = ("F0", "F1", "F2", "F3")
-    report = fr.check_axioms(which)
+    report = fr.check_axioms()
     doc = {"file": args.file,
            "z1": list(fr.z1), "zd": list(fr.zd),
            "axioms": {ax: {"passed": ok, **({"witness": why} if why else {})}
@@ -305,14 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sahlqvist correspondence for distribution-free modal logic")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, sequent=True):
-        if sequent:
-            p.add_argument("sequent", help="modal sequent, e.g. 'box p |- p'")
+    def common(p):
+        p.add_argument("sequent", help="modal sequent, e.g. 'box p |- p'")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--max-nodes", type=_positive, default=DEFAULT_NODE_BUDGET,
                        help="search node budget")
-        p.add_argument("--thread", choices=("translation", "cotranslation", "both"),
-                       default="both")
+        p.add_argument("--thread", choices=tuple(_THREADS), default="both")
 
     p = sub.add_parser("translate", help="print the sorted translations")
     p.add_argument("sequent")

@@ -12,17 +12,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    SORT1, SORTD, AndF, Eq, Exists, FalseF, FoFormula, Forall, Forall2,
-    ImpF, IVar, LambdaPredicate, NotF, PredApp, PVar, RelAtom, Leq,
-    Sequent, VarNamer, and_all, children, rebuild, or_all, word_rel,
+    AndF, Eq, Exists, FalseF, FoFormula, Forall, Forall2, ImpF, IVar,
+    LambdaPredicate, NotF, PredApp, PVar, RelAtom, Leq, Sequent, VarNamer,
+    and_all, children, flip, i_atom, rebuild, or_all, word_rel,
 )
 from .reduction import (
     Classification, InequalitySystem, ReductionStep, SOUND_ON_SMOOTH, ThreadResult,
     THREAD_COTRANSLATION, THREAD_TRANSLATION, classify, is_canonical_form,
-    normalize_canonical, DEFAULT_NODE_BUDGET,
+    canonical_key, normalize_canonical, DEFAULT_NODE_BUDGET,
 )
 from .translation import so_vars as translation_so_vars
 from .translation import standard_translation
+
+
+def _in_closure(u: IVar, member, namer: VarNamer) -> FoFormula:
+    """``u`` lies in the Galois closure of the points ``c`` of its sort at
+    which ``member(c)`` holds: every ``v`` I-related to ``u`` is I-related
+    to such a ``c``.  ``v`` and ``c`` are fresh, in that order."""
+    v = namer.fresh(flip(u.sort))
+    c = namer.fresh(u.sort)
+    return Forall(v, ImpF(i_atom(u, v), Exists(c, AndF(i_atom(c, v), member(c)))))
 
 
 def t_invariance(pvars, namer: VarNamer | None = None) -> FoFormula:
@@ -35,20 +44,9 @@ def t_invariance(pvars, namer: VarNamer | None = None) -> FoFormula:
     namer = namer or VarNamer()
     conjs = []
     for p in pvars:
-        if p.sort == SORT1:
-            u = namer.fresh(SORT1)
-            v = namer.fresh(SORTD)
-            u1 = namer.fresh(SORT1)
-            closure = Forall(v, ImpF(RelAtom("I", (u, v)),
-                                     Exists(u1, AndF(RelAtom("I", (u1, v)), PredApp(p, u1)))))
-            conjs.append(Forall(u, ImpF(closure, PredApp(p, u))))
-        else:
-            y = namer.fresh(SORTD)
-            z = namer.fresh(SORT1)
-            v = namer.fresh(SORTD)
-            closure = Forall(z, ImpF(RelAtom("I", (z, y)),
-                                     Exists(v, AndF(RelAtom("I", (z, v)), PredApp(p, v)))))
-            conjs.append(Forall(y, ImpF(closure, PredApp(p, y))))
+        u = namer.fresh(p.sort)
+        conjs.append(Forall(u, ImpF(_in_closure(u, lambda c: PredApp(p, c), namer),
+                                    PredApp(p, u))))
     return and_all(conjs)
 
 
@@ -72,19 +70,14 @@ class GuardedSO:
 def guarded_translation(sys: InequalitySystem) -> GuardedSO:
     if not is_canonical_form(sys):
         raise ValueError("guarded translation needs a system in canonical Sahlqvist form")
-    sort = sys.main.sort
-    anchor = IVar(0, sort)
-    namer = VarNamer(next1=1 if sort == SORT1 else 0,
-                     nextd=1 if sort == SORTD else 0)
+    anchor = IVar(0, sys.main.sort)
+    namer = VarNamer.past(anchor)
     constrained = [PVar(c.var.index, c.var.sort) for c in sys.stb]
     constrained += [PVar(c.var.index, c.var.sort) for c in sys.cvc]
-    unconstrained = [p for p in translation_so_vars(sys.main.lhs) + translation_so_vars(sys.main.rhs)
-                     if p not in constrained]
-    seen: list[PVar] = []
-    for p in unconstrained:
-        if p not in seen:
-            seen.append(p)
-    so = tuple((p, True) for p in constrained) + tuple((p, False) for p in seen)
+    unconstrained = dict.fromkeys(
+        p for p in translation_so_vars(sys.main.lhs) + translation_so_vars(sys.main.rhs)
+        if p not in constrained)
+    so = tuple((p, True) for p in constrained) + tuple((p, False) for p in unconstrained)
     t_inv = t_invariance(constrained, namer)
     antecedent = standard_translation(sys.main.lhs, anchor, namer, composite_boxes=True)
     consequent = standard_translation(sys.main.rhs, anchor, namer, composite_boxes=False)
@@ -194,10 +187,14 @@ def minimal_instantiation(d: Decomposition, var: PVar, constrained: bool,
     if not ats and not boxes:
         raise ValueError(f"{var} has no atoms to instantiate from")
     s = namer.fresh(var.sort)
+
+    def least(c: IVar) -> FoFormula:
+        """``c`` is one of the atoms' points or a boxed atom's successor."""
+        return or_all([Eq(c, u) for u in ats]
+                      + [RelAtom(word_rel(w), (t, c)) for t, w in boxes])
+
     if not constrained:
-        body = or_all([Eq(s, u) for u in ats]
-                      + [RelAtom(word_rel(w), (t, s)) for t, w in boxes])
-        return LambdaPredicate(s, body)
+        return LambdaPredicate(s, least(s))
     if not boxes and len(ats) == 1:
         return LambdaPredicate(s, Leq(ats[0], s))
     if not ats and len(boxes) == 1 and len(boxes[0][1]) == 1:
@@ -205,31 +202,10 @@ def minimal_instantiation(d: Decomposition, var: PVar, constrained: bool,
         return LambdaPredicate(s, RelAtom(word_rel(w), (t, s)))
     if not boxes:
         # closure of a finite set of points, written with I-atoms only
-        if var.sort == SORT1:
-            y = namer.fresh(SORTD)
-            body = Forall(y, ImpF(RelAtom("I", (s, y)),
-                                  or_all([RelAtom("I", (u, y)) for u in ats])))
-        else:
-            z = namer.fresh(SORT1)
-            body = Forall(z, ImpF(RelAtom("I", (z, s)),
-                                  or_all([RelAtom("I", (z, u)) for u in ats])))
-        return LambdaPredicate(s, body)
-    # general closure form
-    if var.sort == SORT1:
-        y = namer.fresh(SORTD)
-        z = namer.fresh(SORT1)
-        inner = or_all([Eq(z, u) for u in ats]
-                       + [RelAtom(word_rel(w), (t, z)) for t, w in boxes])
-        body = Forall(y, ImpF(RelAtom("I", (s, y)),
-                              Exists(z, AndF(RelAtom("I", (z, y)), inner))))
-    else:
-        z = namer.fresh(SORT1)
-        v = namer.fresh(SORTD)
-        inner = or_all([Eq(v, u) for u in ats]
-                       + [RelAtom(word_rel(w), (t, v)) for t, w in boxes])
-        body = Forall(z, ImpF(RelAtom("I", (z, s)),
-                              Exists(v, AndF(RelAtom("I", (z, v)), inner))))
-    return LambdaPredicate(s, body)
+        v = namer.fresh(flip(var.sort))
+        return LambdaPredicate(s, Forall(v, ImpF(i_atom(s, v),
+                                                 or_all([i_atom(u, v) for u in ats]))))
+    return LambdaPredicate(s, _in_closure(s, least, namer))
 
 
 def _subst_ivars(f: FoFormula, mapping: dict, namer: VarNamer) -> FoFormula:
@@ -244,8 +220,6 @@ def _subst_ivars(f: FoFormula, mapping: dict, namer: VarNamer) -> FoFormula:
         fresh = namer.fresh(f.var.sort)
         inner = {**mapping, f.var: fresh}
         return type(f)(fresh, _subst_ivars(f.body, inner, namer))
-    if isinstance(f, Forall2):
-        return Forall2(f.var, _subst_ivars(f.body, mapping, namer))
     kids = [_subst_ivars(k, mapping, namer) for k in children(f)]
     return rebuild(f, kids)
 
@@ -266,8 +240,6 @@ def eliminate(g: GuardedSO, d: Decomposition, inst: dict) -> FoFormula:
             if f.var in inst:
                 return beta_apply(inst[f.var], f.arg, g.namer)
             return FalseF()
-        if isinstance(f, (Forall, Exists, Forall2)):
-            return rebuild(f, [subst(f.body)])
         kids = [subst(k) for k in children(f)]
         return rebuild(f, kids)
 
@@ -299,12 +271,7 @@ def simplify_f3(f: FoFormula) -> FoFormula:
     ``exists u (R(a,u) /\\ x <= u)  ->  R(a,x)`` and
     ``exists u (R(u,a) /\\ u <= x)  ->  R(x,a)``.
     """
-    if isinstance(f, (Forall, Exists, Forall2)):
-        new = rebuild(f, [simplify_f3(f.body)])
-    elif f._subs:
-        new = rebuild(f, [simplify_f3(k) for k in children(f)])
-    else:
-        new = f
+    new = rebuild(f, [simplify_f3(k) for k in children(f)])
     if isinstance(new, Exists):
         conjs = _and_conjuncts(new.body)
         if len(conjs) == 2:
@@ -361,11 +328,10 @@ def correspondent_from(result: ThreadResult, assume_f3: bool = False) -> Corresp
     sys = normalize_canonical(result.system, steps)
     g = guarded_translation(sys)
     d = decompose(g)
+    inst: dict = {}
     if d.antecedent_false:
         formula: FoFormula = Eq(g.anchor, g.anchor)
-        inst: dict = {}
     else:
-        inst = {}
         mentioned = {a.var for a in d.at} | {b.var for b in d.boxed}
         for p, constrained in g.so_vars:
             if p in mentioned:
@@ -389,7 +355,6 @@ def compute_correspondent(s: Sequent, max_nodes: int = DEFAULT_NODE_BUDGET,
     before co-translation.  Rendering policies that reach the same canonical
     system are reported once, under the policy tried first.
     """
-    from .reduction import canonical_key
     cls = classify(s, max_nodes=max_nodes, threads=threads)
     corrs = []
     seen = set()

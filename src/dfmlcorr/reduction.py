@@ -41,8 +41,7 @@ class FormalInequality:
             raise ValueError("inequality sides must have the declared sort")
 
     def __str__(self) -> str:
-        op = "<=1" if self.sort == SORT1 else "<=d"
-        return f"{sorted_to_text(self.lhs)} {op} {sorted_to_text(self.rhs)}"
+        return f"{sorted_to_text(self.lhs)} <={self.sort} {sorted_to_text(self.rhs)}"
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,7 @@ class StabilityConstraint:
     var: SortedVar
 
     def __str__(self) -> str:
-        op = "<=1" if self.var.sort == SORT1 else "<=d"
-        return f"{self.var}'' {op} {self.var}"
+        return f"{self.var}'' <={self.var.sort} {self.var}"
 
 
 @dataclass(frozen=True)
@@ -64,8 +62,7 @@ class ChangeOfVariables:
             raise ValueError("change-of-variable constraint with mismatched sorts")
 
     def __str__(self) -> str:
-        op = "=1" if self.var.sort == SORT1 else "=d"
-        return f"{self.var} {op} {self.source}'"
+        return f"{self.var} ={self.var.sort} {self.source}'"
 
 
 @dataclass(frozen=True)
@@ -191,26 +188,15 @@ def _boxed_atom(f: SortedFormula) -> bool:
     return isinstance(f, SortedVar)
 
 
+# The operators a simple premiss is built with, by the sort they produce:
+# intersection and the additive operators of that sort.
+_PREMISS_OPERATORS = {SORT1: (Cap, DiaVert, Odot), SORTD: (Cap, DiaMinus, TDown, TRight)}
+
+
 def _simple_premiss(f: SortedFormula) -> bool:
-    if isinstance(f, (STop, SBot)):
+    if isinstance(f, (STop, SBot)) or _boxed_atom(f):
         return True
-    if _boxed_atom(f):
-        return True
-    if isinstance(f, Cap):
-        return _simple_premiss(f.left) and _simple_premiss(f.right)
-    if f.sort == SORT1:
-        if isinstance(f, DiaVert):
-            return _simple_premiss(f.arg)
-        if isinstance(f, Odot):
-            return _simple_premiss(f.left) and _simple_premiss(f.right)
-        return False
-    if isinstance(f, DiaMinus):
-        return _simple_premiss(f.arg)
-    if isinstance(f, TDown):
-        return _simple_premiss(f.arg)
-    if isinstance(f, TRight):
-        return _simple_premiss(f.left) and _simple_premiss(f.right)
-    return False
+    return type(f) in _PREMISS_OPERATORS[f.sort] and all(map(_simple_premiss, f._kids))
 
 
 def is_simple_sahlqvist(ineq: FormalInequality) -> bool:
@@ -246,15 +232,9 @@ def g_stable(f: SortedFormula) -> bool:
     extra shapes (while still sound) would reclassify sequents documented as
     not reducible.
     """
-    if isinstance(f, Prime):
+    if isinstance(f, (Prime, STop)):
         return True
-    if isinstance(f, STop):
-        return True
-    if isinstance(f, Cap):
-        return g_stable(f.left) and g_stable(f.right)
-    if isinstance(f, (BoxMinus, BoxVert, BTDown, BoxD)):
-        return g_stable(f.arg)
-    return False
+    return isinstance(f, (Cap, BoxMinus, BoxVert, BTDown, BoxD)) and all(map(g_stable, f._kids))
 
 
 def _cap_conjuncts(f: SortedFormula) -> list[SortedFormula]:
@@ -536,16 +516,13 @@ def _r7a(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
         yield None, _with_main(sys, SORT1, Odot(main.rhs.left, main.lhs), main.rhs.right)
 
 
-def _r7b(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
-    main = sys.main
-    if isinstance(main.lhs, DiaVert) and _is_pp(main.lhs.arg):
-        yield None, _with_main(sys, SORT1, main.lhs.arg, Box1(main.rhs))
-
-
-def _r7c(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
-    main = sys.main
-    if isinstance(main.lhs, DiaMinus) and _is_pp(main.lhs.arg):
-        yield None, _with_main(sys, SORTD, main.lhs.arg, BoxD(main.rhs))
+def _residuated(dia, box):
+    """R7b/c: dia X'' <= Y rewrites to X'' <= box Y, box the residual of dia."""
+    def rule(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
+        main = sys.main
+        if isinstance(main.lhs, dia) and _is_pp(main.lhs.arg):
+            yield None, _with_main(sys, main.sort, main.lhs.arg, box(main.rhs))
+    return rule
 
 
 def _r8(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
@@ -573,7 +550,8 @@ def _r9(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
 
 
 _SYSTEM_RULES = {"R4": _r4, "R6": _r6, "R1": _r1, "R2": _r2, "R3": _r3,
-                 "R7a": _r7a, "R7b": _r7b, "R7c": _r7c, "R8": _r8, "R9": _r9}
+                 "R7a": _r7a, "R7b": _residuated(DiaVert, Box1),
+                 "R7c": _residuated(DiaMinus, BoxD), "R8": _r8, "R9": _r9}
 
 
 def applicable_moves(sys: InequalitySystem):
@@ -649,17 +627,23 @@ def apply_rule(sys: InequalitySystem, rule: str, site) -> InequalitySystem | Non
 DEFAULT_NODE_BUDGET = 100_000
 
 
-def _r1_cleanup(sys: InequalitySystem, trace: list[ReductionStep]):
-    changed = True
-    while changed:
-        changed = False
-        for rule, site, nxt in applicable_moves(sys):
-            if rule == "R1":
-                trace.append(ReductionStep("R1", sys, nxt))
-                sys = nxt
-                changed = True
+def _greedy(sys: InequalitySystem, trace: list[ReductionStep], admits) -> InequalitySystem:
+    """Take the first move of ``sys`` that ``admits(sys)`` admits, as
+    ``(rule, child)``, and go on from its child until none is admitted;
+    ``trace`` gets each step taken."""
+    while True:
+        admitted = admits(sys)
+        for rule, _site, child in applicable_moves(sys):
+            if admitted(rule, child):
+                trace.append(ReductionStep(rule, sys, child))
+                sys = child
                 break
-    return sys
+        else:
+            return sys
+
+
+def _r1_cleanup(sys: InequalitySystem, trace: list[ReductionStep]):
+    return _greedy(sys, trace, lambda _sys: lambda rule, _child: rule == "R1")
 
 
 def reduce_search(start: FormalInequality | InequalitySystem,
@@ -722,22 +706,12 @@ def normalize_canonical(sys: InequalitySystem, trace: list[ReductionStep]) -> In
                     diamonds += 1
         return primes, diamonds
 
-    changed = True
-    while changed:
-        changed = False
-        base = measure(sys)
-        for rule, _site, child in applicable_moves(sys):
-            if rule not in _REWRITES:
-                continue
-            if measure(child) >= base:
-                continue
-            if not is_canonical_form(child):
-                continue
-            trace.append(ReductionStep(rule, sys, child))
-            sys = child
-            changed = True
-            break
-    return sys
+    def admits(s: InequalitySystem):
+        base = measure(s)
+        return lambda rule, child: rule in _REWRITES and measure(child) < base \
+            and is_canonical_form(child)
+
+    return _greedy(sys, trace, admits)
 
 
 # ---------------------------------------------------------------------------
@@ -798,10 +772,6 @@ def classify(s: Sequent, max_nodes: int = DEFAULT_NODE_BUDGET,
                 if key in seen_starts:
                     continue
                 seen_starts.add(key)
-                found = reduce_search(start, max_nodes=max_nodes)
-                if found is None:
-                    results.append(ThreadResult(thread, imp, box, start, None, None))
-                else:
-                    system, trace = found
-                    results.append(ThreadResult(thread, imp, box, start, system, trace))
+                system, trace = reduce_search(start, max_nodes=max_nodes) or (None, None)
+                results.append(ThreadResult(thread, imp, box, start, system, trace))
     return Classification(s, tuple(results))

@@ -68,7 +68,7 @@ class FiniteFrame:
     """
 
     def __init__(self, z1, zd, i_rel=(), r_dia=(), r_box=(), r_neg=(), t_rel=(),
-                 validate: bool = True, name: str | None = None):
+                 validate: bool = True):
         self.z1 = tuple(z1)
         self.zd = tuple(zd)
         if not self.z1 or not self.zd:
@@ -77,30 +77,20 @@ class FiniteFrame:
             raise FrameSizeError(f"carriers larger than {MAX_SORT_SIZE} are not supported")
         self.n1 = len(self.z1)
         self.nd = len(self.zd)
-        self._ix1 = {e: i for i, e in enumerate(self.z1)}
-        self._ixd = {e: i for i, e in enumerate(self.zd)}
-        if len(self._ix1) != self.n1 or len(self._ixd) != self.nd:
+        ix = {SORT1: {e: i for i, e in enumerate(self.z1)},
+              SORTD: {e: i for i, e in enumerate(self.zd)}}
+        if len(ix[SORT1]) != self.n1 or len(ix[SORTD]) != self.nd:
             raise FrameValidationError("duplicate carrier element names")
-        self.name = name
-
-        def pair_set(pairs, ix_a, ix_b, what):
+        # the arguments in the order of _FRAME_RELATIONS
+        for (key, (attr, sorts)), given in zip(_FRAME_RELATIONS.items(),
+                                               (i_rel, r_dia, r_box, r_neg, t_rel)):
             out = set()
-            for a, b in pairs:
-                if a not in ix_a or b not in ix_b:
-                    raise FrameValidationError(f"{what} mentions an unknown element: {(a, b)}")
-                out.add((ix_a[a], ix_b[b]))
-            return frozenset(out)
-
-        self.i_rel = pair_set(i_rel, self._ix1, self._ixd, "I")
-        self.r_dia = pair_set(r_dia, self._ix1, self._ix1, "Rdia")
-        self.r_box = pair_set(r_box, self._ixd, self._ixd, "Rbox")
-        self.r_neg = pair_set(r_neg, self._ixd, self._ix1, "Rneg")
-        t = set()
-        for y, x, v in t_rel:
-            if y not in self._ixd or x not in self._ix1 or v not in self._ixd:
-                raise FrameValidationError(f"T mentions an unknown element: {(y, x, v)}")
-            t.add((self._ixd[y], self._ix1[x], self._ixd[v]))
-        self.t_rel = frozenset(t)
+            for t in map(tuple, given):
+                idx = tuple(ix[sort].get(e) for e, sort in zip(t, sorts, strict=True))
+                if None in idx:
+                    raise FrameValidationError(f"{key} mentions an unknown element: {t}")
+                out.add(idx)
+            setattr(self, attr, frozenset(out))
 
         self.full1 = (1 << self.n1) - 1
         self.fulld = (1 << self.nd) - 1
@@ -133,18 +123,10 @@ class FiniteFrame:
 
     def polar1(self, u_mask: int) -> int:
         """Galois image of a Z1 subset: the y with no I-edge into the subset."""
-        out = 0
-        for y in range(self.nd):
-            if not (u_mask & self.icol[y]):
-                out |= 1 << y
-        return out
+        return self._inside(self.icol, ~u_mask)
 
     def polard(self, v_mask: int) -> int:
-        out = 0
-        for x in range(self.n1):
-            if not (v_mask & self.irow[x]):
-                out |= 1 << x
-        return out
+        return self._inside(self.irow, ~v_mask)
 
     def polar(self, sort: str, mask: int) -> int:
         return self._polar1_table[mask] if sort == SORT1 else self._polard_table[mask]
@@ -207,10 +189,6 @@ class FiniteFrame:
         return self._rows_of(self.r_neg, self.n1, 1)
 
     @cached_property
-    def rneg_arg(self):
-        return self._rows_of(self.r_neg, self.nd, 0)
-
-    @cached_property
     def t_sec(self):
         """t_sec[x][v] = {y : y T x v}."""
         out = [[0] * self.nd for _ in range(self.n1)]
@@ -259,25 +237,11 @@ class FiniteFrame:
         return [self._polar1_table[self.rpneg[z]] for z in range(self.n1)]
 
     @cached_property
-    def rd11(self):
-        """rd11[z][x] = {v : v R^d11 z x} = {v : x T' z v}."""
-        return [_transpose(self.tprime[z], self.n1) for z in range(self.n1)]
-
-    @cached_property
     def r111(self):
-        """r111[x][z] = {w : w R111 x z} = (R^d11 x z)'."""
-        return [[self._polard_table[self.rd11[x][z]] for z in range(self.n1)]
+        """r111[x][z] = {w : w R111 x z} = (R^d11 x z)', where the row
+        R^d11 x z = {v : z T' x v} is the transpose of tprime[x]."""
+        return [[self._polard_table[row] for row in _transpose(self.tprime[x], self.n1)]
                 for x in range(self.n1)]
-
-    def double_duals(self) -> dict:
-        """The derived double-dual relations as sets of index tuples."""
-        return {
-            "R''_dia": {(y, v) for y in range(self.nd) for v in bits(self.rddia[y])},
-            "R''_box": {(x, z) for x in range(self.n1) for z in bits(self.rdbox[x])},
-            "R''_neg": {(z, y) for z in range(self.n1) for y in bits(self.rdneg[z])},
-            "R111": {(w, x, z) for x in range(self.n1) for z in range(self.n1)
-                     for w in bits(self.r111[x][z])},
-        }
 
     def word_row(self, letters: tuple[str, ...], start: int) -> int:
         """Points reachable from ``start`` along a composite double-dual word."""
@@ -386,14 +350,12 @@ class FiniteFrame:
         return report
 
     def _check_separated(self):
-        rows1 = [self._polar1_table[1 << u] for u in range(self.n1)]
-        for u, w in itertools.combinations(range(self.n1), 2):
-            if rows1[u] == rows1[w]:
-                return (False, f"sort-1 points {self.z1[u]!r}, {self.z1[w]!r} are order-equivalent")
-        rowsd = [self._polard_table[1 << y] for y in range(self.nd)]
-        for u, w in itertools.combinations(range(self.nd), 2):
-            if rowsd[u] == rowsd[w]:
-                return (False, f"sort-d points {self.zd[u]!r}, {self.zd[w]!r} are order-equivalent")
+        for sort, names in ((SORT1, self.z1), (SORTD, self.zd)):
+            rows = [self.polar(sort, 1 << u) for u in range(len(names))]
+            for u, w in itertools.combinations(range(len(names)), 2):
+                if rows[u] == rows[w]:
+                    return (False, f"sort-{sort} points {names[u]!r}, {names[w]!r} "
+                                   f"are order-equivalent")
         return (True, None)
 
     def _check_smooth(self):
@@ -660,7 +622,7 @@ class _Nest:
     def step(self, tgt: int, src: int, sort: str, check: bool) -> None:
         """A change of variable: slot ``tgt`` is the polar of slot ``src``,
         assigned, or checked when ``tgt`` is already bound."""
-        polar = self.frame_local("P1" if sort == SORT1 else "Pd")
+        polar = self.frame_local("P" + sort)
         if check:
             self.guard(f"s{tgt} != {polar}[s{src}]", f"s{tgt}", f"s{src}")
         else:
@@ -685,14 +647,14 @@ class _Nest:
             self.level.setdefault(name, 0)
             return name
         if kind is STop:
-            return self.frame_local("F1" if f.sort == SORT1 else "Fd")
+            return self.frame_local("F" + f.sort)
         if kind is SBot:
             return "0"
         if kind is Cap or kind is Cup:
             args = (self.value(f.left), self.value(f.right))
             expr = f" {'&' if kind is Cap else '|'} ".join(args)
         elif kind is Prime:
-            args = (self.frame_local("P1" if f.arg.sort == SORT1 else "Pd"), self.value(f.arg))
+            args = (self.frame_local("P" + f.arg.sort), self.value(f.arg))
             expr = "%s[%s]" % args
         else:
             op = _OPERATOR_OF.get(kind)
@@ -703,7 +665,7 @@ class _Nest:
                 args = (table, self.value(f.arg))
                 expr = "%s[%s]" % args
             else:
-                size = self.frame_local("n1" if f.right.sort == SORT1 else "nd")
+                size = self.frame_local("n" + f.right.sort)
                 args = (table, self.value(f.left), size, self.value(f.right))
                 expr = "%s[%s << %s | %s]" % args
         name = self.names[f] = f"v{len(self.names)}"
@@ -745,7 +707,7 @@ class _Nest:
         elif kind is RelAtom:       # "<=", a relation of ``_REL_ROWS`` or a word
             attr, index, bit = _REL_ROWS.get(f.rel, (None, (0,), 1))
             if f.rel == "<=":
-                attr = "up1" if f.args[0].sort == SORT1 else "upd"
+                attr = "up" + f.args[0].sort
             if attr is not None:
                 rows = self.frame_local(attr, f"fr.{attr}")
             elif (rows := self.names.get(f.rel)) is None:     # a word's rows, keyed by it
@@ -1135,9 +1097,7 @@ def _systems_plan(systems: tuple) -> _SystemsPlan:
     steps = tuple((slots[tgt], slots[src], src.sort, check) for tgt, src, check in order)
     kernel = None
     if not pending and len(systems) == 2:
-        nest = _Nest(slots, "None", [("S1" if sort == SORT1 else "Sd") if stable
-                                     else ("R1" if sort == SORT1 else "Rd")
-                                     for stable, sort in spaces])
+        nest = _Nest(slots, "None", [("S" if stable else "R") + sort for stable, sort in spaces])
         for step in steps:
             nest.step(*step)
         (lhs1, rhs1), (lhs2, rhs2) = [(nest.value(sys.main.lhs), nest.value(sys.main.rhs))
@@ -1232,16 +1192,12 @@ FRAME_FORMAT_VERSION = 1
 
 
 def frame_to_json(frame: FiniteFrame) -> dict:
-    return {
-        "version": FRAME_FORMAT_VERSION,
-        "z1": list(frame.z1),
-        "zd": list(frame.zd),
-        "I": sorted([frame.z1[x], frame.zd[y]] for x, y in frame.i_rel),
-        "Rdia": sorted([frame.z1[u], frame.z1[z]] for u, z in frame.r_dia),
-        "Rbox": sorted([frame.zd[w], frame.zd[y]] for w, y in frame.r_box),
-        "Rneg": sorted([frame.zd[y], frame.z1[x]] for y, x in frame.r_neg),
-        "T": sorted([frame.zd[y], frame.z1[x], frame.zd[v]] for y, x, v in frame.t_rel),
-    }
+    doc = {"version": FRAME_FORMAT_VERSION, "z1": list(frame.z1), "zd": list(frame.zd)}
+    names = {SORT1: frame.z1, SORTD: frame.zd}
+    for key, (attr, sorts) in _FRAME_RELATIONS.items():
+        doc[key] = sorted([names[sort][i] for i, sort in zip(t, sorts)]
+                          for t in getattr(frame, attr))
+    return doc
 
 
 def load_frame(path: str, validate: bool = True) -> FiniteFrame:
@@ -1267,20 +1223,14 @@ def load_frame(path: str, validate: bool = True) -> FiniteFrame:
             raise FrameValidationError(f"frame file lacks the {key!r} field")
         if not names(doc[key]):
             raise FrameValidationError(f"the {key!r} field must be a list of names")
-    for key, arity in (("I", 2), ("Rdia", 2), ("Rbox", 2), ("Rneg", 2), ("T", 3)):
+    for key, (_, sorts) in _FRAME_RELATIONS.items():
         entries = doc.get(key, [])
-        if not isinstance(entries, list) or not all(names(e, arity) for e in entries):
+        if not isinstance(entries, list) or not all(names(e, len(sorts)) for e in entries):
             raise FrameValidationError(
-                f"the {key!r} field must be a list of lists of {arity} names")
-    return FiniteFrame(
-        doc["z1"], doc["zd"],
-        i_rel=[tuple(p) for p in doc.get("I", [])],
-        r_dia=[tuple(p) for p in doc.get("Rdia", [])],
-        r_box=[tuple(p) for p in doc.get("Rbox", [])],
-        r_neg=[tuple(p) for p in doc.get("Rneg", [])],
-        t_rel=[tuple(p) for p in doc.get("T", [])],
-        validate=validate,
-    )
+                f"the {key!r} field must be a list of lists of {len(sorts)} names")
+    return FiniteFrame(doc["z1"], doc["zd"], validate=validate,
+                       **{attr: [tuple(t) for t in doc.get(key, [])]
+                          for key, (attr, _) in _FRAME_RELATIONS.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -1312,6 +1262,11 @@ _BASE_RELATIONS = {
     "Rneg": ("r_neg", SORTD, (SORT1,), "rneg_sec", "rpneg", "rdneg"),
     "T": ("t_rel", SORTD, (SORT1, SORTD), "t_sec", "tprime", None),
 }
+# Frame-file key -> (the frame's tuple-set attribute, the sorts of a
+# tuple's positions): I, then each base relation, result first.
+_FRAME_RELATIONS = {"I": ("i_rel", (SORT1, SORTD)),
+                    **{key: (attr, (res_sort, *arg_sorts))
+                       for key, (attr, res_sort, arg_sorts, *_) in _BASE_RELATIONS.items()}}
 
 
 def relation_tuples(rel: str, n1: int, nd: int) -> list[tuple[int, ...]]:
@@ -1456,11 +1411,10 @@ class _Polarity:
                    SORTD: tuple([closed[1 << y] for y in range(nd)])}
         self.rows = {rel: {} for rel in _BASE_RELATIONS}
         self.shared = {
-            "z1": z1, "zd": zd, "n1": n1, "nd": nd, "name": None,
-            "full1": full1, "fulld": fulld,
+            "z1": z1, "zd": zd, "n1": n1, "nd": nd, "full1": full1, "fulld": fulld,
             "i_rel": frozenset((x, y) for x, row in enumerate(irow) for y in bits(row)),
-            "r_dia": frozenset(), "r_box": frozenset(), "r_neg": frozenset(),
-            "t_rel": frozenset(), "irow": irow, "icol": icol,
+            **{attr: frozenset() for attr, *_ in _BASE_RELATIONS.values()},
+            "irow": irow, "icol": icol,
             "_polar1_table": polar1, "_polard_table": polard,
             "stable1": tuple(sorted(set(close1))), "stabled": tuple(sorted(set(closed))),
             "up1": self.up[SORT1], "upd": self.up[SORTD],
@@ -1613,10 +1567,7 @@ def kripke_frame(n: int, r_dia=(), r_box=(), r_neg=(), t_rel=(),
                  validate: bool = True) -> FiniteFrame:
     """A classical frame: equal carriers and the identity polarity."""
     elems = [f"w{i}" for i in range(n)]
-    return FiniteFrame(elems, elems,
-                       i_rel=[(e, e) for e in elems],
-                       r_dia=[(elems[a], elems[b]) for a, b in r_dia],
-                       r_box=[(elems[a], elems[b]) for a, b in r_box],
-                       r_neg=[(elems[a], elems[b]) for a, b in r_neg],
-                       t_rel=[(elems[a], elems[b], elems[c]) for a, b, c in t_rel],
-                       validate=validate)
+    given = ([(i, i) for i in range(n)], r_dia, r_box, r_neg, t_rel)   # _FRAME_RELATIONS order
+    return FiniteFrame(elems, elems, validate=validate,
+                       **{attr: [tuple(elems[i] for i in t) for t in tuples]
+                          for (attr, _), tuples in zip(_FRAME_RELATIONS.values(), given)})

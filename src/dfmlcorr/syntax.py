@@ -377,8 +377,7 @@ class SortedSequent:
                  "sequent sides must match the declared sort")
 
     def __str__(self) -> str:
-        sep = "|-1" if self.sort == SORT1 else "|-d"
-        return f"{sorted_to_text(self.lhs)} {sep} {sorted_to_text(self.rhs)}"
+        return f"{sorted_to_text(self.lhs)} |-{self.sort} {sorted_to_text(self.rhs)}"
 
 
 def children(f) -> tuple:
@@ -587,6 +586,11 @@ def Leq(t1: IVar, t2: IVar) -> RelAtom:
     return RelAtom("<=", (t1, t2))
 
 
+def i_atom(a: IVar, b: IVar) -> RelAtom:
+    """The I atom between two points of opposite sorts, the sort-1 point first."""
+    return RelAtom("I", (a, b) if a.sort == SORT1 else (b, a))
+
+
 @dataclass(frozen=True)
 class Eq(FoFormula):
     t1: IVar
@@ -698,21 +702,6 @@ def or_all(disjs: list[FoFormula]) -> FoFormula:
     return out
 
 
-def free_ivars(f: FoFormula) -> set[IVar]:
-    if isinstance(f, (RelAtom,)):
-        return set(f.args)
-    if isinstance(f, Eq):
-        return {f.t1, f.t2}
-    if isinstance(f, PredApp):
-        return {f.arg}
-    if isinstance(f, (Forall, Exists)):
-        return free_ivars(f.body) - {f.var}
-    out: set[IVar] = set()
-    for kid in children(f):
-        out |= free_ivars(kid)
-    return out
-
-
 def fo_alpha_key(f: FoFormula, env: dict | None = None, counter: list | None = None):
     """Canonical key for alpha-equivalence comparison of formulas."""
     env = env or {}
@@ -747,6 +736,11 @@ class VarNamer:
 
     def __init__(self, next1: int = 0, nextd: int = 0):
         self._next = {SORT1: next1, SORTD: nextd}
+
+    @classmethod
+    def past(cls, anchor: IVar) -> VarNamer:
+        """A namer whose fresh variables of the anchor's sort come after it."""
+        return cls(**{"next" + anchor.sort: anchor.index + 1})
 
     def fresh(self, sort: str) -> IVar:
         v = IVar(self._next[sort], sort)
@@ -992,13 +986,6 @@ def parse_dfml(text: str) -> Sequent:
     rhs = _dfml_formula(p)
     p.eof()
     return Sequent(lhs, rhs)
-
-
-def parse_dfml_formula(text: str) -> DfmlFormula:
-    p = _Parser(text, MAX_DEPTH)
-    f = _dfml_formula(p)
-    p.eof()
-    return f
 
 
 def _dfml_formula(p: _Parser) -> DfmlFormula:

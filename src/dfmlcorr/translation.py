@@ -15,7 +15,7 @@ from .syntax import (
     Exists, FalseF, FoFormula, Forall, Forall2, Imp, ImpF, IVar, Neg, NotF,
     Odot, Or, OrF, PredApp, Prime, PropVar, PVar, RelAtom, RSpoon, Sequent,
     SortedFormula, SortedSequent, SortedVar, STop, SBot, TDown, Top, TRight,
-    TrueF, VarNamer, sorted_vars, word_rel,
+    TrueF, VarNamer, i_atom, sorted_vars, word_rel,
 )
 
 IMP_RSPOON = "rspoon"
@@ -147,6 +147,12 @@ _ST_UNARY = {
     BoxMinus: (Forall, "R''_box", True), BoxVert: (Forall, "R''_dia", True),
     BTDown: (Forall, "R''_neg", True),
 }
+# Likewise each binary operator, over a fresh point per argument, left
+# first: the ternary atom names the anchor first, or last with the two
+# points swapped.
+_ST_BINARY = {
+    Odot: (Exists, "R111", True), TRight: (Exists, "T", True), RSpoon: (Forall, "R111", False),
+}
 
 
 def standard_translation(f: SortedFormula, anchor: IVar,
@@ -160,9 +166,7 @@ def standard_translation(f: SortedFormula, anchor: IVar,
     """
     if anchor.sort != f.sort:
         raise ValueError("anchor sort does not match the formula sort")
-    namer = namer or VarNamer(next1=anchor.index + 1 if anchor.sort == SORT1 else 0,
-                              nextd=anchor.index + 1 if anchor.sort == SORTD else 0)
-    return _st(f, anchor, namer, composite_boxes)
+    return _st(f, anchor, namer or VarNamer.past(anchor), composite_boxes)
 
 
 def _st(f: SortedFormula, u: IVar, nm: VarNamer, comp: bool) -> FoFormula:
@@ -184,33 +188,22 @@ def _st(f: SortedFormula, u: IVar, nm: VarNamer, comp: bool) -> FoFormula:
     if isinstance(f, Cup):
         return OrF(_st(f.left, u, nm, comp), _st(f.right, u, nm, comp))
     if isinstance(f, Prime):
-        v = nm.fresh(SORTD if u.sort == SORT1 else SORT1)
-        i_args = (u, v) if u.sort == SORT1 else (v, u)
-        return Forall(v, ImpF(RelAtom("I", i_args), fo_neg(_st(f.arg, v, nm, comp))))
+        v = nm.fresh(f.arg.sort)
+        return Forall(v, ImpF(i_atom(u, v), fo_neg(_st(f.arg, v, nm, comp))))
     if type(f) in _ST_UNARY:
         quant, rel, anchor_first = _ST_UNARY[type(f)]
         v = nm.fresh(f.arg_sort)
         guard = RelAtom(rel, (u, v) if anchor_first else (v, u))
         body = _st(f.arg, v, nm, comp)
         return quant(v, AndF(guard, body) if quant is Exists else ImpF(guard, body))
-    if isinstance(f, Odot):
-        x = nm.fresh(SORT1)
-        z = nm.fresh(SORT1)
-        return Exists(x, Exists(z, AndF(AndF(RelAtom("R111", (u, x, z)),
-                                             _st(f.left, x, nm, comp)),
-                                        _st(f.right, z, nm, comp))))
-    if isinstance(f, TRight):
-        x = nm.fresh(SORT1)
-        y = nm.fresh(SORTD)
-        return Exists(x, Exists(y, AndF(AndF(RelAtom("T", (u, x, y)),
-                                             _st(f.left, x, nm, comp)),
-                                        _st(f.right, y, nm, comp))))
-    if isinstance(f, RSpoon):
-        x = nm.fresh(SORT1)
-        z = nm.fresh(SORT1)
-        return Forall(x, Forall(z, ImpF(AndF(RelAtom("R111", (z, x, u)),
-                                             _st(f.left, x, nm, comp)),
-                                        _st(f.right, z, nm, comp))))
+    if type(f) in _ST_BINARY:
+        quant, rel, anchor_first = _ST_BINARY[type(f)]
+        a = nm.fresh(f.left.sort)
+        b = nm.fresh(f.right.sort)
+        guard = AndF(RelAtom(rel, (u, a, b) if anchor_first else (b, a, u)),
+                     _st(f.left, a, nm, comp))
+        body = _st(f.right, b, nm, comp)
+        return quant(a, quant(b, AndF(guard, body) if quant is Exists else ImpF(guard, body)))
     raise TypeError(f"not a sorted formula: {f!r}")
 
 
@@ -223,14 +216,9 @@ def second_order_translation(s: SortedSequent) -> FoFormula:
     """Universal closure of ``ST(lhs) -> ST(rhs)`` over all predicate
     variables and the anchor point."""
     anchor = IVar(0, s.sort)
-    namer = VarNamer(next1=1 if s.sort == SORT1 else 0,
-                     nextd=1 if s.sort == SORTD else 0)
+    namer = VarNamer.past(anchor)
     body = ImpF(_st(s.lhs, anchor, namer, False), _st(s.rhs, anchor, namer, False))
     out: FoFormula = Forall(anchor, body)
-    seen: list[PVar] = []
-    for v in so_vars(s.lhs) + so_vars(s.rhs):
-        if v not in seen:
-            seen.append(v)
-    for v in reversed(seen):
+    for v in reversed(dict.fromkeys(so_vars(s.lhs) + so_vars(s.rhs))):
         out = Forall2(v, out)
     return out

@@ -295,8 +295,7 @@ def _neg_composite_symmetric(fr) -> bool:
     comp = set()
     for x in range(fr.n1):
         for y in bits(fr.irow[x]):
-            for z in bits(fr.rneg_arg[y]):
-                comp.add((x, z))
+            comp.update((x, z) for z in range(fr.n1) if (y, z) in fr.r_neg)
     return all((z, x) in comp for x, z in comp)
 
 

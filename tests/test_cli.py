@@ -224,6 +224,21 @@ def test_check_frame_reports_a_malformed_file(capsys, tmp_path, text, why):
         assert why in err
 
 
+@pytest.mark.parametrize("files", [(), ("notes.txt",)])
+def test_verify_refuses_a_frames_directory_without_frame_files(capsys, tmp_path, monkeypatch,
+                                                               files):
+    """A directory with no frame file would be reported as all agreeing
+    having checked nothing; it is refused before the search."""
+    for name in files:
+        (tmp_path / name).write_text("{}")
+    calls = []
+    monkeypatch.setattr(cli, "compute_correspondent", lambda *a, **k: calls.append("search"))
+    code, out, err = run(capsys, "verify", "box p |- p", "--frames", str(tmp_path))
+    assert code == 3
+    assert out == "" and calls == []
+    assert err == f"file error: --frames {tmp_path}: no *.json frame file to check\n"
+
+
 def test_check_frame_of_a_directory_is_a_file_error(capsys, tmp_path):
     code, out, err = run(capsys, "check-frame", str(tmp_path))
     assert code == 3

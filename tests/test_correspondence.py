@@ -218,7 +218,8 @@ def test_consequent_only_variable_becomes_false():
 def test_discharged_conjuncts_evaluate_true():
     """Substituting the chosen instantiations into the guard, atom and boxed
     conjuncts yields sentences true on every sampled frame."""
-    from dfmlcorr.syntax import AndF, Forall, free_ivars
+    from dfmlcorr.syntax import AndF, Forall
+    from test_translation import free_ivars
     for text in ("box p |- p", "p |- dia p", "dia p /\\ box q |- dia (p /\\ q)"):
         res = compute_correspondent(parse_dfml(text))
         c = res.primary

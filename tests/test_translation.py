@@ -11,8 +11,8 @@ from dfmlcorr.semantics import (
 from dfmlcorr.syntax import (
     SORT1, SORTD, Bot, Box, Box1, BoxD, BoxMinus, BoxVert, BTDown, Dia,
     DiaMinus, DiaVert, IVar, PropVar, SortedVar, TDown, Top, dfml_vars,
-    fo_alpha_eq, parse_dfml, parse_dfml_formula, parse_fo, parse_sorted,
-    parse_sorted_sequent, VarNamer,
+    Eq, Exists, Forall, PredApp, RelAtom, children, fo_alpha_eq, parse_dfml,
+    parse_fo, parse_sorted, parse_sorted_sequent, VarNamer,
 )
 from dfmlcorr.translation import (
     second_order_translation, standard_translation, translate_bullet,
@@ -20,7 +20,20 @@ from dfmlcorr.translation import (
 )
 
 from test_semantics import corpus_frames
-from test_syntax import dfml_trees
+from test_syntax import dfml_trees, parse_dfml_formula
+
+
+def free_ivars(f):
+    """The individual variables free in first-order formula ``f``."""
+    if isinstance(f, RelAtom):
+        return set(f.args)
+    if isinstance(f, Eq):
+        return {f.t1, f.t2}
+    if isinstance(f, PredApp):
+        return {f.arg}
+    if isinstance(f, (Forall, Exists)):
+        return free_ivars(f.body) - {f.var}
+    return set().union(*map(free_ivars, children(f)))
 
 
 def bullet(text):
@@ -120,7 +133,6 @@ def test_st_unary_operator_text(op, arg_sort, text):
 def test_st_free_variables():
     anchor = IVar(0, SORT1)
     got = standard_translation(parse_sorted("(diav P0'')''"), anchor)
-    from dfmlcorr.syntax import free_ivars
     assert free_ivars(got) == {anchor}
 
 
