@@ -11,6 +11,7 @@ deterministic rule/site ordering.
 from __future__ import annotations
 
 import collections
+import itertools
 from dataclasses import dataclass
 
 from .syntax import (
@@ -388,44 +389,57 @@ def _rules_at(node: SortedFormula) -> tuple[str, ...]:
 
 
 class _SearchMemo:
-    """What one ``reduce_search`` reuses across the systems it expands: the
-    redexes of a side under a constrained set, and R4/R6 substitutions.
-    Keys hold interned nodes, so a key names one tree for as long as the
-    memo lives, which is as long as its search."""
+    """What the searches of one ``classify`` call, or one ``reduce_search``
+    called alone, reuse across the systems they expand: the redex table of
+    each node under a constrained set, each side rebuilt by a rewrite, and
+    R4/R6 substitutions.  Keys hold interned nodes, so a key names one tree
+    for as long as the memo lives."""
 
     def __init__(self):
         self.redexes: dict = {}
+        self.sides: dict = {}
         self.subst: dict = {}
 
 
-# The memo of the running ``reduce_search``, None outside one.  It is module
-# state, set and reset by ``reduce_search`` alone, so that the search reaches
-# each system through ``applicable_moves(sys)`` like every other caller.
+# The memo of the running ``classify`` or ``reduce_search``, None outside
+# one.  It is module state, set and reset by those two alone, so that the
+# search reaches each system through ``applicable_moves(sys)`` like every
+# other caller.
 _memo: _SearchMemo | None = None
 
 
-def _redexes(root: SortedFormula, cons: frozenset[SortedVar]) -> dict[str, list]:
-    """Every rewrite redex of one side, from one pre-order walk:
-    rule -> [(path, rewritten node)] in path order."""
-    table = {} if _memo is None else _memo.redexes
-    key = (root, cons)
-    found = table.get(key)
+def _redexes(node: SortedFormula, cons: frozenset[SortedVar], table: dict | None = None) -> dict:
+    """Every rewrite redex of a side: rule -> [(path, rewritten node)] in path
+    order.  Kept per (node, constrained set) in ``table`` (the running
+    search's, else one for this call): the node's own at path (), then each
+    child's with the child's index put in front of the path, so that a side
+    differing from a seen one along one path costs the nodes of that path."""
+    if table is None:
+        table = {} if _memo is None else _memo.redexes
+    found = table.get((node, cons))
     if found is None:
-        found = table[key] = {}
-        for path, node in subterms(root):
-            for rule in _rules_at(node):
-                new = _REWRITES[rule](node, cons)
-                if new is not None:
-                    found.setdefault(rule, []).append((path, new))
+        found = {}
+        for rule in _rules_at(node):
+            new = _REWRITES[rule](node, cons)
+            if new is not None:
+                found[rule] = [((), new)]
+        for i, kid in enumerate(node._kids):
+            for rule, entries in _redexes(kid, cons, table).items():
+                found.setdefault(rule, []).extend([((i,) + path, new) for path, new in entries])
+        table[node, cons] = found
     return found
 
 
 def _rewritten(sys: InequalitySystem, side: str, path: tuple[int, ...],
                new: SortedFormula) -> InequalitySystem:
     main = sys.main
-    if side == "lhs":
-        return _with_main(sys, main.sort, replace_at(main.lhs, path, new), main.rhs)
-    return _with_main(sys, main.sort, main.lhs, replace_at(main.rhs, path, new))
+    old = main.lhs if side == "lhs" else main.rhs
+    table = {} if _memo is None else _memo.sides
+    out = table.get((old, path, new))
+    if out is None:
+        out = table[old, path, new] = replace_at(old, path, new)
+    lhs, rhs = (out, main.rhs) if side == "lhs" else (main.lhs, out)
+    return _with_main(sys, main.sort, lhs, rhs)
 
 
 def _with_main(sys: InequalitySystem, sort: str, lhs: SortedFormula,
@@ -557,9 +571,9 @@ _SYSTEM_RULES = {"R4": _r4, "R6": _r6, "R1": _r1, "R2": _r2, "R3": _r3,
 def applicable_moves(sys: InequalitySystem):
     """All rule applications in deterministic (rule, site) order.
 
-    One walk per side finds every rewrite redex (within a search, once per
-    side and constrained set); each child system is built only when it is
-    yielded, since the search may stop at the first."""
+    The redex tables give every rewrite redex of each side (within a search,
+    a side costs only the nodes no table holds yet); each child system is
+    built only when it is yielded, since the search may stop at the first."""
     cons = sys.constrained()
     sides = (("lhs", _redexes(sys.main.lhs, cons)), ("rhs", _redexes(sys.main.rhs, cons)))
     depths = _var_depths(sys.main)
@@ -653,14 +667,17 @@ def reduce_search(start: FormalInequality | InequalitySystem,
     Returns (system, trace) for the first canonical system in search order,
     with trailing R1 steps dropping stability constraints whose variable no
     longer occurs; returns None when no reachable system is canonical.
-    Redexes and substitutions are memoised for this search alone.
+    Redexes, rewritten sides and substitutions are memoised for this search
+    alone, or for the ``classify`` call that runs it.
     """
     global _memo
-    _memo = _SearchMemo()
+    if alone := _memo is None:
+        _memo = _SearchMemo()
     try:
         return _search(start, max_nodes)
     finally:
-        _memo = None
+        if alone:
+            _memo = None
 
 
 def _search(start: FormalInequality | InequalitySystem, max_nodes: int):
@@ -761,17 +778,22 @@ def classify(s: Sequent, max_nodes: int = DEFAULT_NODE_BUDGET,
              threads: tuple[str, ...] = (THREAD_TRANSLATION, THREAD_COTRANSLATION)) -> Classification:
     """Run the reduction search on the translation and the co-translation,
     under each rendering policy for implicative and boxed subformulas, and
-    report every success."""
+    report every success.  The searches share one memo, dropped when the
+    call returns or raises."""
+    global _memo
     results = []
     seen_starts = set()
-    for thread in threads:
-        for imp in (IMP_RSPOON, IMP_TRIGHT):
-            for box in (BOX_BOXMINUS, BOX_PRIME):
-                start = thread_inequality(s, thread, imp, box)
-                key = (thread, canonical_key(system_for(start)))
-                if key in seen_starts:
-                    continue
-                seen_starts.add(key)
-                system, trace = reduce_search(start, max_nodes=max_nodes) or (None, None)
-                results.append(ThreadResult(thread, imp, box, start, system, trace))
+    _memo = _SearchMemo()
+    try:
+        for thread, imp, box in itertools.product(threads, (IMP_RSPOON, IMP_TRIGHT),
+                                                  (BOX_BOXMINUS, BOX_PRIME)):
+            start = thread_inequality(s, thread, imp, box)
+            key = (thread, canonical_key(system_for(start)))
+            if key in seen_starts:
+                continue
+            seen_starts.add(key)
+            system, trace = reduce_search(start, max_nodes=max_nodes) or (None, None)
+            results.append(ThreadResult(thread, imp, box, start, system, trace))
+    finally:
+        _memo = None
     return Classification(s, tuple(results))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -85,8 +85,12 @@ class FiniteFrame:
         for (key, (attr, sorts)), given in zip(_FRAME_RELATIONS.items(),
                                                (i_rel, r_dia, r_box, r_neg, t_rel)):
             out = set()
-            for t in map(tuple, given):
-                idx = tuple(ix[sort].get(e) for e, sort in zip(t, sorts, strict=True))
+            for entry in given:
+                t = tuple(entry) if isinstance(entry, Iterable) else ()
+                if len(t) != len(sorts):
+                    raise FrameValidationError(
+                        f"each {key} entry holds {len(sorts)} elements, not {entry!r}")
+                idx = tuple(ix[sort].get(e) for e, sort in zip(t, sorts))
                 if None in idx:
                     raise FrameValidationError(f"{key} mentions an unknown element: {t}")
                 out.add(idx)

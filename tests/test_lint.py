@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, every private
-module-level function and class is used somewhere in the package, and one
-function holds the package's only ``exec``."""
+module-level function and class is used somewhere in the package, one
+function holds the package's only ``exec``, one function builds every ``I``
+atom, and two functions own the reduction search's memo."""
 import ast
 from pathlib import Path
 
@@ -84,9 +85,9 @@ def test_unreferenced_private_is_reported():
         "a.py: _recursive (line 2)", "a.py: _Unused (line 5)"]
 
 
-def call_sites(sources: dict[str, str], is_site) -> list[str]:
-    """Every call node ``c`` with ``is_site(c)`` in ``sources`` (module name
-    -> source), as ``module: qualified name of the enclosing function``."""
+def node_sites(sources: dict[str, str], is_site) -> list[str]:
+    """Every node ``n`` with ``is_site(n)`` in ``sources`` (module name ->
+    source), as ``module: qualified name of the enclosing function``."""
     sites = []
 
     def visit(module, node, path):
@@ -94,13 +95,18 @@ def call_sites(sources: dict[str, str], is_site) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(module, child, [*path, child.name])
                 continue
-            if isinstance(child, ast.Call) and is_site(child):
+            if is_site(child):
                 sites.append(f"{module}: {'.'.join(path) or '<module>'}")
             visit(module, child, path)
 
     for module, source in sources.items():
         visit(module, ast.parse(source), [])
     return sorted(sites)
+
+
+def call_sites(sources: dict[str, str], is_site) -> list[str]:
+    """Every call node ``c`` with ``is_site(c)`` in ``sources``."""
+    return node_sites(sources, lambda n: isinstance(n, ast.Call) and is_site(n))
 
 
 def exec_sites(sources: dict[str, str]) -> list[str]:
@@ -156,3 +162,43 @@ def test_i_atom_sites_are_reported():
          "syntax.RelAtom('I', ())\n")
     assert i_atom_sites({"syntax.py": syntax, "m.py": m}) == [
         "m.py: <module>", "m.py: <module>", "m.py: C.f", "m.py: i_atom", "syntax.py: other"]
+
+
+# The search memo's owners: the module-level default and the two functions
+# that make a memo and drop it.
+MEMO_OWNERS = {"reduction.py: <module>", "reduction.py: classify",
+               "reduction.py: reduce_search"}
+
+
+def memo_writers(sources: dict[str, str]) -> list[str]:
+    """Every assignment to a name or attribute ``_memo`` in ``sources``
+    outside the memo's owners, and every module-level one past the first."""
+    sites = node_sites(sources, lambda n: isinstance(n, (ast.Name, ast.Attribute))
+                       and isinstance(n.ctx, (ast.Store, ast.Del))
+                       and getattr(n, "id", getattr(n, "attr", None)) == "_memo")
+    module = [site for site in sites if site == "reduction.py: <module>"]
+    return [site for site in sites if site not in MEMO_OWNERS] + module[1:]
+
+
+def test_one_owner_per_memo():
+    """``reduction._memo`` is set and reset by ``reduce_search`` and
+    ``classify`` alone, so no memo outlives the call that made it."""
+    sources = {p.name: p.read_text() for p in Path(dfmlcorr.__file__).parent.glob("*.py")}
+    assert memo_writers(sources) == []
+
+
+def test_memo_writers_are_reported():
+    owners = ("_memo = None\n"
+              "def reduce_search(s):\n    global _memo\n    _memo = object()\n"
+              "    try:\n        pass\n    finally:\n        _memo = None\n"
+              "def classify(s):\n    global _memo\n    _memo = object()\n    del _memo\n")
+    assert memo_writers({"reduction.py": owners}) == []
+    strays = (owners + "_memo = {}\n"
+              "def helper():\n    global _memo\n    _memo = object()\n"
+              "def classify_more(s):\n    for _memo in ():\n        pass\n"
+              "class C:\n    def reduce_search(self):\n        self._memo = None\n")
+    other = ("from dfmlcorr import reduction\nreduction._memo = None\n"
+             "def classify():\n    reduction._memo: object = None\n")
+    assert memo_writers({"reduction.py": strays, "cli.py": other}) == [
+        "cli.py: <module>", "cli.py: classify", "reduction.py: C.reduce_search",
+        "reduction.py: classify_more", "reduction.py: helper", "reduction.py: <module>"]

@@ -365,6 +365,19 @@ def _reference_moves(sys):
                             sys, main=replace(main, lhs=Cap(kids[0], kids[1])))
 
 
+def _reference_redexes(root, cons):
+    """The redex scan as one pre-order walk of the whole side, with no
+    table: rule -> [(path, rewritten node)] in path order."""
+    from dfmlcorr import reduction
+    found = {}
+    for path, node in subterms(root):
+        for rule in reduction._rules_at(node):
+            new = reduction._REWRITES[rule](node, cons)
+            if new is not None:
+                found.setdefault(rule, []).append((path, new))
+    return found
+
+
 def _assert_same_moves(sys):
     """``applicable_moves`` equals the reference, and ``apply_rule`` returns
     each move's child, or None at a site no move of that rule has."""
@@ -495,6 +508,119 @@ def test_memo_does_not_outlive_its_search(monkeypatch):
     list(moves)
     assert apply_rule(sys, "R6", SortedVar(0, SORT1)) is not None
     assert reduction._memo is None and _live_memos() == []
+
+
+def _classify_all(sequents, max_nodes):
+    """``classify`` on each sequent; a call over budget ends its sequent."""
+    for text in sequents:
+        try:
+            classify(parse_dfml(text), max_nodes=max_nodes)
+        except NodeBudgetExceeded:
+            pass
+
+
+def test_classify_memo_lives_one_call(monkeypatch):
+    """The searches of one ``classify`` call share one memo, and a later
+    search reads redex tables an earlier one made; the memo is gone when the
+    call returns and when it raises, while the exception's traceback still
+    holds the call's frames."""
+    from dfmlcorr import reduction
+    memos, earlier = [], set()
+    hits = 0
+    real_search, real_moves = reduction.reduce_search, reduction.applicable_moves
+
+    def search(start, max_nodes):
+        memos.append(reduction._memo)
+        earlier.clear()
+        earlier.update(reduction._memo.redexes)
+        return real_search(start, max_nodes=max_nodes)
+
+    def moves(sys):
+        nonlocal hits
+        cons = sys.constrained()
+        hits += sum((side, cons) in earlier for side in (sys.main.lhs, sys.main.rhs))
+        return real_moves(sys)
+
+    monkeypatch.setattr(reduction, "reduce_search", search)
+    monkeypatch.setattr(reduction, "applicable_moves", moves)
+    classify(parse_dfml("dia dia p |- dia p"))
+    assert len(memos) > 1 and all(m is memos[0] for m in memos) and hits > 0
+    memos.clear()
+    assert reduction._memo is None and _live_memos() == []
+    with pytest.raises(NodeBudgetExceeded) as raised:
+        classify(parse_dfml("dia dia p |- dia p"), max_nodes=5)
+    assert raised.tb is not None and len(memos) == 1
+    memos.clear()
+    assert reduction._memo is None and _live_memos() == []
+
+
+def test_redex_tables_match_the_whole_tree_scan(monkeypatch):
+    """The redex table a search read for each side under its constrained
+    set equals one pre-order walk of the whole side: on every (side,
+    constrained set) that the corpus searches and a seeded 20-sequent slice
+    of the recorded pool visit, all run through ``classify``."""
+    from dfmlcorr import reduction
+    from dfmlcorr.corpus import CORPUS
+    read = {}
+    real = reduction.applicable_moves
+
+    def recording(sys):
+        moves = tuple(real(sys))
+        cons = sys.constrained()
+        for side in (sys.main.lhs, sys.main.rhs):
+            read.setdefault((side, cons), reduction._memo.redexes[side, cons])
+        return iter(moves)
+
+    monkeypatch.setattr(reduction, "applicable_moves", recording)
+    _classify_all([e.sequent for e in CORPUS], 100_000)
+    _classify_all(*_pool_slice(7, 20))
+    monkeypatch.undo()
+    for (side, cons), table in read.items():
+        assert table == _reference_redexes(side, cons), (str(side), sorted(map(str, cons)))
+    assert len(read) > 1_000
+    assert sum(len(entries) > 1 for table in read.values() for entries in table.values()) > 50
+
+
+def _search_work(sequents, max_nodes):
+    """Per sequent, the systems each search of its ``classify`` call expands
+    and the children those expansions yield, counted by wrapping
+    ``applicable_moves``, and whether the call ran out of budget."""
+    from dfmlcorr import reduction
+    work, counts = {}, []
+    real_search, real_moves = reduction.reduce_search, reduction.applicable_moves
+
+    def search(start, max_nodes):
+        counts.append([0, 0])
+        return real_search(start, max_nodes=max_nodes)
+
+    def moves(sys):
+        counts[-1][0] += 1
+        for move in real_moves(sys):
+            counts[-1][1] += 1
+            yield move
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reduction, "reduce_search", search)
+        patch.setattr(reduction, "applicable_moves", moves)
+        for text in sequents:
+            counts.clear()
+            try:
+                classify(parse_dfml(text), max_nodes=max_nodes)
+                over = False
+            except NodeBudgetExceeded:
+                over = True
+            work[text] = {"searches": [list(c) for c in counts], "over_budget": over}
+    return work
+
+
+def test_search_work_is_pinned():
+    """Each search expands as many systems, and they yield as many children,
+    as recorded in ``search_work.json`` before the searches of a call shared
+    a memo: sharing may not reorder or prune a search."""
+    from dfmlcorr.corpus import CORPUS
+    recorded = json.loads((Path(__file__).parent / "search_work.json").read_text())
+    assert _search_work([e.sequent for e in CORPUS], 100_000) == recorded["corpus"]
+    assert _search_work(*_pool_slice(7, 20)) == recorded["pool"]
 
 
 def _var(sort):

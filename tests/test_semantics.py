@@ -209,6 +209,17 @@ def test_f1_failure_witness():
     assert not ok and "a0" in why and "a1" in why
 
 
+@pytest.mark.parametrize("relations, message", [
+    ({"r_dia": [("a0", "a0", "a0")]}, "each Rdia entry holds 2 elements, not ('a0', 'a0', 'a0')"),
+    ({"i_rel": [("a0",)]}, "each I entry holds 2 elements, not ('a0',)"),
+    ({"i_rel": [5]}, "each I entry holds 2 elements, not 5"),
+])
+def test_malformed_relation_entry_is_a_frame_error(relations, message):
+    with pytest.raises(FrameValidationError) as raised:
+        FiniteFrame(["a0"], ["b0"], **relations)
+    assert str(raised.value) == message
+
+
 def test_f0_failure_on_empty_row():
     fr = FiniteFrame(["a0", "a1"], ["b0", "b1"], i_rel=[("a0", "b0"), ("a1", "b1")],
                      validate=False)
