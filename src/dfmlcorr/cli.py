@@ -83,7 +83,13 @@ def _classification_json(cls, start: bool) -> dict:
             "threads": threads}
 
 
-def _result_json(res, assume_f3: bool) -> dict:
+def _shown(c):
+    """The formula printed for correspondent ``c``: its F3 simplification,
+    which it has only under ``--assume-f3``, or else its plain form."""
+    return c.formula if c.f3_formula is None else c.f3_formula
+
+
+def _result_json(res) -> dict:
     doc = _classification_json(res.classification, start=True)
     doc["correspondents"] = []
     for c in res.correspondents:
@@ -98,7 +104,7 @@ def _result_json(res, assume_f3: bool) -> dict:
             "instantiations": {str(p): str(lam) for p, lam in c.instantiations.items()},
             "correspondent": str(c.formula),
         }
-        if assume_f3 and c.f3_formula is not None:
+        if c.f3_formula is not None:
             entry["correspondent_f3"] = str(c.f3_formula)
         doc["correspondents"].append(entry)
     return doc
@@ -154,14 +160,13 @@ def cmd_correspond(args) -> int:
                                 assume_f3=args.assume_f3,
                                 threads=_THREADS[args.thread])
     if args.json:
-        print(json.dumps(_result_json(res, args.assume_f3), indent=2))
+        print(json.dumps(_result_json(res), indent=2))
         return EXIT_OK if res.sahlqvist else EXIT_NEGATIVE
     if not res.sahlqvist:
         print("not-sahlqvist")
         return EXIT_NEGATIVE
     c = res.primary
-    formula = c.f3_formula if (args.assume_f3 and c.f3_formula is not None) else c.formula
-    print(f"correspondent ({c.thread}, anchor {c.anchor}): {formula}")
+    print(f"correspondent ({c.thread}, anchor {c.anchor}): {_shown(c)}")
     if args.trace:
         print(f"thread: {c.thread} ({c.imp}/{c.box})")
         print("reduction:")
@@ -174,12 +179,10 @@ def cmd_correspond(args) -> int:
         for p, lam in c.instantiations.items():
             print(f"  {p} := {lam}")
         print(f"correspondent: {c.formula}")
-        if args.assume_f3 and c.f3_formula is not None:
+        if c.f3_formula is not None:
             print(f"simplified under F3: {c.f3_formula}")
-    others = res.correspondents[1:]
-    for c2 in others:
-        f2 = c2.f3_formula if (args.assume_f3 and c2.f3_formula is not None) else c2.formula
-        print(f"also via {c2.thread} ({c2.imp}/{c2.box}, anchor {c2.anchor}): {f2}")
+    for c2 in res.correspondents[1:]:
+        print(f"also via {c2.thread} ({c2.imp}/{c2.box}, anchor {c2.anchor}): {_shown(c2)}")
     return EXIT_OK
 
 
@@ -230,7 +233,7 @@ def cmd_verify(args) -> int:
         print("not-sahlqvist: nothing to verify")
         return EXIT_NEGATIVE
     c = res.primary
-    formula = c.f3_formula if (args.assume_f3 and c.f3_formula is not None) else c.formula
+    formula = _shown(c)
     checked = 0
     disagreements = []      # (name, witness, frame_to_json doc): a kept frame keeps its tables
     per_frame = []

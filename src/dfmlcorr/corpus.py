@@ -1,7 +1,8 @@
 """The worked-example corpus: sequents with their expected symbolic outcomes.
 
 Each entry records how the sequent classifies, which threads reduce, the
-canonical systems and rule traces they reach, and (where fixed) the primary
+canonical systems and rule traces they reach, the system the normalisation
+before elimination reaches where it differs, and (where fixed) the primary
 correspondent.  The CLI's corpus command and the acceptance suite both run
 from this table, so the golden results live in exactly one place.
 """
@@ -31,6 +32,9 @@ class CorpusEntry:
     correspondent_f3: str | None = None
     # rule names that must appear in some reducing trace
     requires_rules: tuple = ()
+    # (thread, expected system) of a canonical system reached only after the
+    # prime-reducing normalisation that precedes second-order elimination
+    normalized: tuple[str, str] | None = None
 
 
 CORPUS: tuple[CorpusEntry, ...] = (
@@ -80,6 +84,7 @@ CORPUS: tuple[CorpusEntry, ...] = (
         },
         correspondent=("forall_d v. (y0 R''_dia v -> "
                        "(forall_d y5. (v R''_dia y5 -> y0 R''_dia y5)))"),
+        normalized=("cotranslation", "P^1 =d P0' | boxv P^1 <=d boxv boxv P^1"),
     ),
     CorpusEntry(
         name="k1",
@@ -204,6 +209,9 @@ CORPUS: tuple[CorpusEntry, ...] = (
         sahlqvist=True,
         threads={"cotranslation": True},
         requires_rules=(),
+        normalized=("cotranslation",
+                    "P0'' <=1 P0, P^2 =d P1' | "
+                    "boxm P0 tright boxv P^2 <=d boxv (P0 tright P^2)''"),
     ),
     CorpusEntry(
         name="fisher-servi-2",
@@ -218,16 +226,6 @@ CORPUS: tuple[CorpusEntry, ...] = (
         requires_rules=("R7c",),
     ),
 )
-
-# Canonical systems reached only after the prime-reducing normalisation that
-# precedes second-order elimination.
-NORMALIZED_SYSTEMS = {
-    "dia-4": ("cotranslation", "P^1 =d P0' | boxv P^1 <=d boxv boxv P^1"),
-    "fisher-servi-1": ("cotranslation",
-                       "P0'' <=1 P0, P^2 =d P1' | "
-                       "boxm P0 tright boxv P^2 <=d boxv (P0 tright P^2)''"),
-}
-
 
 def systems_match(actual: InequalitySystem, expected_text: str) -> bool:
     return canonical_key(actual) == canonical_key(parse_inequality_system(expected_text))
@@ -275,9 +273,8 @@ def run_entry(entry: CorpusEntry, max_nodes: int = 100_000) -> list[tuple[str, b
         got = str(res.primary.f3_formula) if res.sahlqvist else "-"
         out.append(("correspondent-f3", ok,
                     f"expected {entry.correspondent_f3!r}, got {got!r}"))
-    name = entry.name
-    if name in NORMALIZED_SYSTEMS and res.sahlqvist:
-        thread, expected = NORMALIZED_SYSTEMS[name]
+    if entry.normalized is not None and res.sahlqvist:
+        thread, expected = entry.normalized
         match = [c for c in res.correspondents if c.thread == thread]
         ok = bool(match) and systems_match(match[0].system, expected)
         got = str(match[0].system) if match else "-"

@@ -15,11 +15,11 @@ import itertools
 from dataclasses import dataclass
 
 from .syntax import (
-    BOX_LETTERS, SORT1, SORTD, BTDown, BoxD, Box1, BoxMinus, BoxVert, Cap, Cup,
-    DiaMinus, DiaVert, Odot, Positivity, Prime, RSpoon, SBot, STop, Sequent,
-    SortedFormula, SortedVar, TDown, TRight, children, flip, occurrences,
-    positive_occurrences, prime_depths, rebuild, replace_at, rspoon_free,
-    shape, sorted_to_text, sorted_vars, subterms,
+    BOX_LETTERS, SORT1, SORTD, SORTED_MEANING, BTDown, BoxD, Box1, BoxMinus,
+    BoxVert, Cap, Cup, DiaMinus, DiaVert, Exists, Odot, Positivity, Prime, RSpoon,
+    SBot, STop, Sequent, SortedFormula, SortedVar, TDown, TRight, children, flip,
+    occurrences, positive_occurrences, prime_depths, rebuild, replace_at,
+    rspoon_free, shape, sorted_to_text, sorted_vars, subterms,
 )
 from .translation import (BOX_BOXMINUS, BOX_PRIME, IMP_RSPOON, IMP_TRIGHT,
                           translate_sequent)
@@ -189,9 +189,14 @@ def _boxed_atom(f: SortedFormula) -> bool:
     return isinstance(f, SortedVar)
 
 
+# The additive operators, those whose standard translation is existential,
+# and the unary ones among them, the diamonds.
+_ADDITIVE = tuple(kind for kind, (quant, _, _) in SORTED_MEANING.items() if quant is Exists)
+_DIAMONDS = tuple(kind for kind in _ADDITIVE if len(kind.arg_sorts) == 1)
 # The operators a simple premiss is built with, by the sort they produce:
 # intersection and the additive operators of that sort.
-_PREMISS_OPERATORS = {SORT1: (Cap, DiaVert, Odot), SORTD: (Cap, DiaMinus, TDown, TRight)}
+_PREMISS_OPERATORS = {sort: (Cap, *(kind for kind in _ADDITIVE if kind.sort == sort))
+                      for sort in (SORT1, SORTD)}
 
 
 def _simple_premiss(f: SortedFormula) -> bool:
@@ -719,7 +724,7 @@ def normalize_canonical(sys: InequalitySystem, trace: list[ReductionStep]) -> In
             for _, n in subterms(root):
                 if isinstance(n, Prime):
                     primes += 1
-                elif isinstance(n, (DiaVert, DiaMinus, TDown)):
+                elif type(n) in _DIAMONDS:
                     diamonds += 1
         return primes, diamonds
 

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .syntax import (
-    SORT1, SORTD, And, AndF, Bot, Box, Dia, DfmlFormula, Eq, Exists, FalseF,
-    FoFormula, Forall, Forall2, Imp, ImpF, IVar, Neg, NotF, Or, OrF, PredApp,
-    PropVar, PVar, RelAtom, Sequent, SortedFormula, SortedVar, STop, SBot,
-    Cap, Cup, Prime, DiaVert, DiaMinus, Box1, BoxD, BoxMinus, BoxVert, TDown,
-    BTDown, Odot, RSpoon, TRight, Top, TrueF, dfml_vars, flip, rel_signature,
-    sorted_vars, word_rel,
+    SORT1, SORTD, SORTED_MEANING, And, AndF, Bot, Box, Dia, DfmlFormula, Eq,
+    Exists, FalseF, FoFormula, Forall, Forall2, Imp, ImpF, IVar, Neg, NotF, Or,
+    OrF, PredApp, PropVar, PVar, RelAtom, Sequent, SortedFormula, SortedVar,
+    STop, SBot, Cap, Cup, Prime, DiaVert, DiaMinus, Box1, BoxD, BoxMinus,
+    BoxVert, TDown, BTDown, Odot, RSpoon, TRight, Top, TrueF, dfml_vars, flip,
+    rel_signature, sorted_vars, word_rel,
 )
+from .translation import translate_bullet
 
 MAX_SORT_SIZE = 5
 # ``enumerate_frames`` lists all 2^(n1*nd) I-relations of a size before it
@@ -86,7 +87,9 @@ class FiniteFrame:
                                                (i_rel, r_dia, r_box, r_neg, t_rel)):
             out = set()
             for entry in given:
-                t = tuple(entry) if isinstance(entry, Iterable) else ()
+                # a string is iterable, but not a tuple of carrier elements
+                tuple_like = isinstance(entry, Iterable) and not isinstance(entry, str)
+                t = tuple(entry) if tuple_like else ()
                 if len(t) != len(sorts):
                     raise FrameValidationError(
                         f"each {key} entry holds {len(sorts)} elements, not {entry!r}")
@@ -428,24 +431,43 @@ class FiniteFrame:
 # Every mask fits in a byte, so an operator's values can be a ``bytes`` table.
 assert MAX_SORT_SIZE <= 8
 
-# The complex-algebra operators of ``FiniteFrame`` and the sorts of their
-# arguments.  A unary table is indexed by the argument mask; a binary one by
-# ``a << n_right | b``, with ``n_right`` the size of the right argument's sort.
-_OPERATOR_ARG_SORTS = {
-    "ldvert": (SORT1,), "ldminus": (SORTD,), "ltdown": (SORT1,),
-    "lbminus": (SORT1,), "lbvert": (SORTD,), "lbtdown": (SORTD,),
-    "bbox1": (SORT1,), "bboxd": (SORTD,),
-    "lodot": (SORT1, SORT1), "imp_t": (SORT1, SORT1), "ltright": (SORT1, SORTD),
+# Node type -> the complex-algebra operator whose table evaluates it, and
+# whose ``FiniteFrame`` method is the reference.
+_OPERATOR_OF = {
+    DiaVert: "ldvert", DiaMinus: "ldminus", TDown: "ltdown", BoxMinus: "lbminus",
+    BoxVert: "lbvert", BTDown: "lbtdown", Box1: "bbox1", BoxD: "bboxd",
+    Odot: "lodot", RSpoon: "imp_t", TRight: "ltright",
+}
+# Operator -> the sorts of its arguments.  A unary table is indexed by the
+# argument mask; a binary one by ``a << n_right | b``, with ``n_right`` the
+# size of the right argument's sort.
+_OPERATOR_ARG_SORTS = {op: kind.arg_sorts for kind, op in _OPERATOR_OF.items()}
+
+
+# Relation symbol -> (the frame's rows, the argument positions indexing
+# them, the argument position of the bit): the atom holds iff
+# ``rows[args[i]]...`` has bit ``args[bit]``, as in ``_rel_holds``.
+_REL_ROWS = {
+    "I": ("irow", (0,), 1),
+    "R_dia": ("rdia_sec", (1,), 0),
+    "R_box": ("rbox_sec", (1,), 0),
+    "R_neg": ("rneg_sec", (1,), 0),
+    "T": ("t_sec", (1, 2), 0),
+    "R'_dia": ("rpdia", (0,), 1),
+    "R'_box": ("rpbox", (0,), 1),
+    "R'_neg": ("rpneg", (0,), 1),
+    "T'": ("tprime", (1, 2), 0),
+    "R''_dia": ("rddia", (0,), 1),
+    "R''_box": ("rdbox", (0,), 1),
+    "R''_neg": ("rdneg", (0,), 1),
+    "R111": ("r111", (1, 2), 0),
 }
 
 
-# Unary operator -> (the frame's rows it reads, box?).
-_ROW_OPERATORS = {
-    "ldvert": ("rdia_sec", False), "ldminus": ("rbox_sec", False),
-    "ltdown": ("rneg_sec", False), "lbminus": ("rdbox", True),
-    "lbvert": ("rddia", True), "lbtdown": ("rdneg", True),
-    "bbox1": ("rdia_sec", True), "bboxd": ("rbox_sec", True),
-}
+# Unary operator -> (the frame's rows it reads, box?): the rows of its
+# relation, a box when it quantifies universally.
+_ROW_OPERATORS = {op: (_REL_ROWS[SORTED_MEANING[kind][1]][0], SORTED_MEANING[kind][0] is Forall)
+                  for kind, op in _OPERATOR_OF.items() if len(kind.arg_sorts) == 1}
 
 
 # _COMPLEMENT[n] is the ``bytes.translate`` table taking a mask of n points
@@ -523,15 +545,6 @@ class _OperatorTables(dict):
 # ---------------------------------------------------------------------------
 # Model checking
 # ---------------------------------------------------------------------------
-
-# Node type -> the operator whose table evaluates it, and whose
-# ``FiniteFrame`` method is the reference.
-_OPERATOR_OF = {
-    DiaVert: "ldvert", DiaMinus: "ldminus", TDown: "ltdown", BoxMinus: "lbminus",
-    BoxVert: "lbvert", BTDown: "lbtdown", Box1: "bbox1", BoxD: "bboxd",
-    Odot: "lodot", RSpoon: "imp_t", TRight: "ltright",
-}
-
 
 def model_check_sorted(frame: FiniteFrame, valuation: dict, f: SortedFormula) -> int:
     """Value of a sorted formula as a bitmask; valuation maps SortedVar -> mask."""
@@ -930,26 +943,6 @@ def _lookup(env: dict, v: IVar) -> int:
         raise KeyError(f"unassigned free variable {v}") from None
 
 
-# Relation symbol -> (the frame's rows, the argument positions indexing
-# them, the argument position of the bit): the atom holds iff
-# ``rows[args[i]]...`` has bit ``args[bit]``, as in ``_rel_holds``.
-_REL_ROWS = {
-    "I": ("irow", (0,), 1),
-    "R_dia": ("rdia_sec", (1,), 0),
-    "R_box": ("rbox_sec", (1,), 0),
-    "R_neg": ("rneg_sec", (1,), 0),
-    "T": ("t_sec", (1, 2), 0),
-    "R'_dia": ("rpdia", (0,), 1),
-    "R'_box": ("rpbox", (0,), 1),
-    "R'_neg": ("rpneg", (0,), 1),
-    "T'": ("tprime", (1, 2), 0),
-    "R''_dia": ("rddia", (0,), 1),
-    "R''_box": ("rdbox", (0,), 1),
-    "R''_neg": ("rdneg", (0,), 1),
-    "R111": ("r111", (1, 2), 0),
-}
-
-
 def compile_fo(f: FoFormula, free=()) -> Callable[[FiniteFrame, Sequence[int]], bool]:
     """``f`` as a generated function ``(frame, row) -> bool`` that agrees
     with ``eval_fo``, the reference; ``row[i]`` is the value of ``free[i]``,
@@ -1257,14 +1250,14 @@ def separated_i_masks(n1: int, nd: int):
 
 # Base relation -> (its pair-set attribute, result sort, argument sorts,
 # the attributes of its result sections, of their polars and of its double
-# dual).  Bit k of a relation's pattern is its k-th tuple
+# dual; T's is R111).  Bit k of a relation's pattern is its k-th tuple
 # (``relation_tuples``); the fields of the listed relations follow one
 # another from bit 0.
 _BASE_RELATIONS = {
     "Rdia": ("r_dia", SORT1, (SORT1,), "rdia_sec", "rpdia", "rddia"),
     "Rbox": ("r_box", SORTD, (SORTD,), "rbox_sec", "rpbox", "rdbox"),
     "Rneg": ("r_neg", SORTD, (SORT1,), "rneg_sec", "rpneg", "rdneg"),
-    "T": ("t_rel", SORTD, (SORT1, SORTD), "t_sec", "tprime", None),
+    "T": ("t_rel", SORTD, (SORT1, SORTD), "t_sec", "tprime", "r111"),
 }
 # Frame-file key -> (the frame's tuple-set attribute, the sorts of a
 # tuple's positions): I, then each base relation, result first.
@@ -1285,38 +1278,35 @@ def relation_tuples(rel: str, n1: int, nd: int) -> list[tuple[int, ...]]:
                                      for sort in (res_sort, *arg_sorts))))
 
 
-# Modal connective or sorted operator -> the base relation its semantics
-# reads, listed in the order Rbox, Rdia, Rneg, T.
-_RELATION_OF = {Box: "Rbox", Dia: "Rdia", Neg: "Rneg", Imp: "T"}
-_SORTED_RELATION_OF = {
-    DiaMinus: "Rbox", BoxMinus: "Rbox", BoxD: "Rbox",
-    DiaVert: "Rdia", BoxVert: "Rdia", Box1: "Rdia",
-    TDown: "Rneg", BTDown: "Rneg",
-    Odot: "T", RSpoon: "T", TRight: "T",
-}
+# The frame's rows of a base relation's sections or of its double dual ->
+# that relation.
+_BASE_OF_ROWS = {rows: rel for rel, (_, _, _, sec, _, dd) in _BASE_RELATIONS.items()
+                 for rows in (sec, dd)}
 
 
 def relations_needed(s: Sequent) -> tuple[str, ...]:
-    """The base relations the sequent's connectives read, in the order
+    """The base relations the sequent's translation reads, in the order
     Rbox, Rdia, Rneg, T, which fixes ``enumerate_frames``' bit layout."""
-    return _relations_read((s.lhs, s.rhs), _RELATION_OF)
+    return _relations_read((translate_bullet(s.lhs), translate_bullet(s.rhs)))
 
 
 def system_relations_needed(*systems) -> tuple[str, ...]:
     """The base relations the operators of the inequality systems' main
     inequalities read, in the order of ``relations_needed``."""
-    return _relations_read([f for sys in systems for f in (sys.main.lhs, sys.main.rhs)],
-                           _SORTED_RELATION_OF)
+    return _relations_read([f for sys in systems for f in (sys.main.lhs, sys.main.rhs)])
 
 
-def _relations_read(roots, relation_of: dict) -> tuple[str, ...]:
-    kinds = set()
+def _relations_read(roots) -> tuple[str, ...]:
+    """The base relations whose rows the operators of ``roots`` read, in
+    name order: Rbox, Rdia, Rneg, T."""
+    rels = set()
     todo = list(roots)
     while todo:
         f = todo.pop()
-        kinds.add(type(f))
+        if type(f) in SORTED_MEANING:
+            rels.add(_BASE_OF_ROWS[_REL_ROWS[SORTED_MEANING[type(f)][1]][0]])
         todo.extend(f._kids)
-    return tuple(dict.fromkeys(rel for kind, rel in relation_of.items() if kind in kinds))
+    return tuple(sorted(rels))
 
 
 # Patterns of a relation of at most this many bits keep their I-free facts

@@ -150,6 +150,9 @@ class SortedFormula:
     _subs: tuple[str, ...] = ()
     _fields: tuple[str, ...] = ()
     sort: str
+    # The sorts of the arguments, in field order; None when they follow the
+    # node's own sort (Cap, Cup, Prime).
+    arg_sorts: tuple[str, ...] | None = ()
     # Facts of a leaf; a compound node stores its own in ``_cache_facts``.
     # No node stores a reference to itself, which would make a cycle that
     # only the cycle collector frees: ``_shape`` is None when the node is its
@@ -272,98 +275,53 @@ class SBot(SortedFormula):
 
 
 @_node
-class Cap(SortedFormula):
-    left: SortedFormula
-    right: SortedFormula
-    _subs = ("left", "right")
-
-    def __post_init__(self):
-        _require(self.left.sort == self.right.sort, "cap needs equal sorts")
-        self.__dict__["sort"] = self.left.sort
-
-
-@_node
-class Cup(SortedFormula):
-    left: SortedFormula
-    right: SortedFormula
-    _subs = ("left", "right")
-
-    def __post_init__(self):
-        _require(self.left.sort == self.right.sort, "cup needs equal sorts")
-        self.__dict__["sort"] = self.left.sort
-
-
-@_node
 class Prime(SortedFormula):
     """Galois-connection map; flips the sort."""
 
     arg: SortedFormula
     _subs = ("arg",)
+    arg_sorts = None
 
     def __post_init__(self):
         self.__dict__["sort"] = flip(self.arg.sort)
 
 
-def _unary(name: str, arg_sort: str, res_sort: str):
-    @_node
-    class Node(SortedFormula):
-        arg: SortedFormula
-        _subs = ("arg",)
-        sort = res_sort
-
-        def __post_init__(self):
-            _require(self.arg.sort == arg_sort,
-                     f"{name} needs a sort-{arg_sort} argument")
-
-    Node.__name__ = Node.__qualname__ = name
-    Node.arg_sort = arg_sort
-    return Node
-
-
-DiaVert = _unary("DiaVert", SORT1, SORT1)      # diamond from the R_dia image
-DiaMinus = _unary("DiaMinus", SORTD, SORTD)    # diamond from the R_box image
-Box1 = _unary("Box1", SORT1, SORT1)            # right residual of DiaVert
-BoxD = _unary("BoxD", SORTD, SORTD)            # right residual of DiaMinus
-BoxMinus = _unary("BoxMinus", SORT1, SORT1)    # box over R''_box
-BoxVert = _unary("BoxVert", SORTD, SORTD)      # box over R''_dia
-TDown = _unary("TDown", SORT1, SORTD)          # additive image of R_neg
-BTDown = _unary("BTDown", SORTD, SORT1)        # box over R''_neg
-
-
-@_node
-class Odot(SortedFormula):
-    left: SortedFormula
-    right: SortedFormula
-    _subs = ("left", "right")
-    sort = SORT1
+def _operator(name: str, arg_sorts: tuple[str, ...] | None, res_sort: str | None = None):
+    """A sorted operator class taking one argument (``arg``) or two
+    (``left``, ``right``) of the sorts ``arg_sorts`` to a value of sort
+    ``res_sort``.  ``arg_sorts`` None makes a lattice connective: two
+    arguments of one sort, which is also its value's."""
+    subs = ("arg",) if arg_sorts is not None and len(arg_sorts) == 1 else ("left", "right")
 
     def __post_init__(self):
-        _require(self.left.sort == SORT1 and self.right.sort == SORT1,
-                 "odot needs sort-1 arguments")
+        sorts = tuple(getattr(self, sub).sort for sub in subs)
+        if arg_sorts is None:
+            _require(sorts[0] == sorts[1], f"{name} needs equal sorts")
+            self.__dict__["sort"] = sorts[0]
+        else:
+            _require(sorts == arg_sorts, f"{name} needs "
+                     f"{' and '.join(f'a sort-{sort}' for sort in arg_sorts)} argument")
+
+    namespace = {"__module__": __name__, "__annotations__": dict.fromkeys(subs, "SortedFormula"),
+                 "_subs": subs, "arg_sorts": arg_sorts, "__post_init__": __post_init__}
+    if res_sort is not None:
+        namespace["sort"] = res_sort
+    return _node(type(name, (SortedFormula,), namespace))
 
 
-@_node
-class RSpoon(SortedFormula):
-    left: SortedFormula
-    right: SortedFormula
-    _subs = ("left", "right")
-    sort = SORT1
-
-    def __post_init__(self):
-        _require(self.left.sort == SORT1 and self.right.sort == SORT1,
-                 "rspoon needs sort-1 arguments")
-
-
-@_node
-class TRight(SortedFormula):
-    left: SortedFormula       # sort 1
-    right: SortedFormula      # sort d
-    _subs = ("left", "right")
-    sort = SORTD
-
-    def __post_init__(self):
-        _require(self.left.sort == SORT1, "tright needs a sort-1 left argument")
-        _require(self.right.sort == SORTD, "tright needs a sort-d right argument")
+Cap = _operator("Cap", None)
+Cup = _operator("Cup", None)
+DiaVert = _operator("DiaVert", (SORT1,), SORT1)      # diamond from the R_dia image
+DiaMinus = _operator("DiaMinus", (SORTD,), SORTD)    # diamond from the R_box image
+Box1 = _operator("Box1", (SORT1,), SORT1)            # right residual of DiaVert
+BoxD = _operator("BoxD", (SORTD,), SORTD)            # right residual of DiaMinus
+BoxMinus = _operator("BoxMinus", (SORT1,), SORT1)    # box over R''_box
+BoxVert = _operator("BoxVert", (SORTD,), SORTD)      # box over R''_dia
+TDown = _operator("TDown", (SORT1,), SORTD)          # additive image of R_neg
+BTDown = _operator("BTDown", (SORTD,), SORT1)        # box over R''_neg
+Odot = _operator("Odot", (SORT1, SORT1), SORT1)      # additive image of R111
+RSpoon = _operator("RSpoon", (SORT1, SORT1), SORT1)  # right residual of Odot
+TRight = _operator("TRight", (SORT1, SORTD), SORTD)  # additive image of T
 
 
 @dataclass(frozen=True)
@@ -499,13 +457,6 @@ REL_SIG: dict[str, tuple[str, ...]] = {
     "<=": None,  # sort-polymorphic, both arguments of one sort
 }
 
-# The boxes that compose into a double-dual relation word, by letter:
-# ``x R''_box.neg y`` is the composite read off ``boxm btdown P^0``.  A word
-# chains by sort: each letter's argument sort is the next letter's sort.
-BOX_LETTERS = {BoxMinus: "box", BTDown: "neg", BoxVert: "dia"}
-_LETTER_BOX = {letter: cls for cls, letter in BOX_LETTERS.items()}
-
-
 @functools.cache   # FiniteFrame.word_rows checks its words again on every frame
 def _word_signature(letters: tuple[str, ...]) -> tuple[str, str]:
     """The sorts a box word's composite relation joins, after checking that
@@ -517,9 +468,9 @@ def _word_signature(letters: tuple[str, ...]) -> tuple[str, str]:
     except KeyError:
         raise ValueError(f"unknown letter in box word {letters}") from None
     for a, b in zip(boxes, boxes[1:]):
-        if a.arg_sort != b.sort:
+        if a.arg_sorts[0] != b.sort:
             raise SortError(f"box word {letters} is ill-sorted")
-    return boxes[0].sort, boxes[-1].arg_sort
+    return boxes[0].sort, boxes[-1].arg_sorts[0]
 
 
 def word_rel(letters: tuple[str, ...]) -> str:
@@ -763,6 +714,28 @@ SORTED_PREFIX = {"diav": DiaVert, "diam": DiaMinus, "boxm": BoxMinus, "boxv": Bo
                  "box1": Box1, "boxd": BoxD, "tdown": TDown, "btdown": BTDown}
 FO_BINARY = (("->", ImpF, True), ("\\/", OrF, False), ("/\\", AndF, False))
 FO_PREFIX = {"~": NotF}
+
+# What each sorted operator but the lattice connectives means on a frame, by
+# node class: the quantifier of its standard translation (``Exists`` for an
+# additive image, ``Forall`` for a box), the relation it reads, and whether
+# the relation atom names the anchor first or, after the other points in
+# reverse order, last.  The standard translation, the frame semantics and
+# the reduction rules read an operator's meaning from here and from nowhere
+# else; ``FiniteFrame``'s operator methods and ``model_check_sorted`` are the
+# independent reference.
+SORTED_MEANING = {
+    DiaVert: (Exists, "R_dia", True), DiaMinus: (Exists, "R_box", True),
+    TDown: (Exists, "R_neg", True), Odot: (Exists, "R111", True), TRight: (Exists, "T", True),
+    Box1: (Forall, "R_dia", False), BoxD: (Forall, "R_box", False),
+    BoxMinus: (Forall, "R''_box", True), BoxVert: (Forall, "R''_dia", True),
+    BTDown: (Forall, "R''_neg", True), RSpoon: (Forall, "R111", False),
+}
+# The boxes over a double-dual relation, by letter: they compose into a
+# relation word, ``x R''_box.neg y`` read off ``boxm btdown P^0``.  A word
+# chains by sort: each letter's argument sort is the next letter's sort.
+BOX_LETTERS = {cls: rel[4:] for cls, (_, rel, _) in SORTED_MEANING.items()
+               if rel.startswith("R''_")}
+_LETTER_BOX = {letter: cls for cls, letter in BOX_LETTERS.items()}
 
 
 def _levels(binary, prefix) -> dict[type, tuple[int, str, bool | None]]:

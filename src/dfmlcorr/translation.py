@@ -10,12 +10,11 @@ bullet side (through the ternary image operator, or through rspoon); the
 from __future__ import annotations
 
 from .syntax import (
-    BOX_LETTERS, SORT1, SORTD, And, AndF, BoxD, Box1, BoxMinus, BoxVert,
-    BTDown, Bot, Box, Cap, Cup, Dia, DiaMinus, DiaVert, DfmlFormula, Eq,
-    Exists, FalseF, FoFormula, Forall, Forall2, Imp, ImpF, IVar, Neg, NotF,
-    Odot, Or, OrF, PredApp, Prime, PropVar, PVar, RelAtom, RSpoon, Sequent,
-    SortedFormula, SortedSequent, SortedVar, STop, SBot, TDown, Top, TRight,
-    TrueF, VarNamer, i_atom, sorted_vars, word_rel,
+    BOX_LETTERS, SORT1, SORTD, SORTED_MEANING, And, AndF, BoxMinus, Bot, Box, Cap,
+    Cup, Dia, DiaMinus, DiaVert, DfmlFormula, Eq, Exists, FalseF, FoFormula,
+    Forall, Forall2, Imp, ImpF, IVar, Neg, NotF, Or, OrF, PredApp, Prime, PropVar,
+    PVar, RelAtom, RSpoon, Sequent, SortedFormula, SortedSequent, SortedVar, STop,
+    SBot, TDown, Top, TRight, TrueF, VarNamer, i_atom, sorted_vars, word_rel,
 )
 
 IMP_RSPOON = "rspoon"
@@ -136,25 +135,6 @@ def _boxed_word(f: SortedFormula) -> tuple[tuple[str, ...], SortedVar] | None:
     return None
 
 
-# The standard translation of each unary operator: a quantifier over a fresh
-# point of the argument's sort, guarded by a relation atom that names the
-# anchor first or second; an existential guards with a conjunction, a
-# universal with an implication.
-_ST_UNARY = {
-    DiaVert: (Exists, "R_dia", True), DiaMinus: (Exists, "R_box", True),
-    TDown: (Exists, "R_neg", True),
-    Box1: (Forall, "R_dia", False), BoxD: (Forall, "R_box", False),
-    BoxMinus: (Forall, "R''_box", True), BoxVert: (Forall, "R''_dia", True),
-    BTDown: (Forall, "R''_neg", True),
-}
-# Likewise each binary operator, over a fresh point per argument, left
-# first: the ternary atom names the anchor first, or last with the two
-# points swapped.
-_ST_BINARY = {
-    Odot: (Exists, "R111", True), TRight: (Exists, "T", True), RSpoon: (Forall, "R111", False),
-}
-
-
 def standard_translation(f: SortedFormula, anchor: IVar,
                          namer: VarNamer | None = None,
                          composite_boxes: bool = False) -> FoFormula:
@@ -190,20 +170,21 @@ def _st(f: SortedFormula, u: IVar, nm: VarNamer, comp: bool) -> FoFormula:
     if isinstance(f, Prime):
         v = nm.fresh(f.arg.sort)
         return Forall(v, ImpF(i_atom(u, v), fo_neg(_st(f.arg, v, nm, comp))))
-    if type(f) in _ST_UNARY:
-        quant, rel, anchor_first = _ST_UNARY[type(f)]
-        v = nm.fresh(f.arg_sort)
-        guard = RelAtom(rel, (u, v) if anchor_first else (v, u))
-        body = _st(f.arg, v, nm, comp)
-        return quant(v, AndF(guard, body) if quant is Exists else ImpF(guard, body))
-    if type(f) in _ST_BINARY:
-        quant, rel, anchor_first = _ST_BINARY[type(f)]
-        a = nm.fresh(f.left.sort)
-        b = nm.fresh(f.right.sort)
-        guard = AndF(RelAtom(rel, (u, a, b) if anchor_first else (b, a, u)),
-                     _st(f.left, a, nm, comp))
-        body = _st(f.right, b, nm, comp)
-        return quant(a, quant(b, AndF(guard, body) if quant is Exists else ImpF(guard, body)))
+    if type(f) in SORTED_MEANING:
+        # a quantifier over a fresh point per argument; the guard is the
+        # operator's relation atom and the meaning of each argument but the
+        # last, which an existential joins to the last by a conjunction and
+        # a universal by an implication
+        quant, rel, anchor_first = SORTED_MEANING[type(f)]
+        points = [nm.fresh(sort) for sort in f.arg_sorts]
+        guard = RelAtom(rel, (u, *points) if anchor_first else (*reversed(points), u))
+        for kid, v in zip(f._kids[:-1], points):
+            guard = AndF(guard, _st(kid, v, nm, comp))
+        body = _st(f._kids[-1], points[-1], nm, comp)
+        out = AndF(guard, body) if quant is Exists else ImpF(guard, body)
+        for v in reversed(points):
+            out = quant(v, out)
+        return out
     raise TypeError(f"not a sorted formula: {f!r}")
 
 

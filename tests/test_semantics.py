@@ -213,10 +213,12 @@ def test_f1_failure_witness():
     ({"r_dia": [("a0", "a0", "a0")]}, "each Rdia entry holds 2 elements, not ('a0', 'a0', 'a0')"),
     ({"i_rel": [("a0",)]}, "each I entry holds 2 elements, not ('a0',)"),
     ({"i_rel": [5]}, "each I entry holds 2 elements, not 5"),
+    # a string is iterable, but "ab" is not the pair ("a", "b")
+    ({"z1": ["a"], "zd": ["b"], "i_rel": ["ab"]}, "each I entry holds 2 elements, not 'ab'"),
 ])
 def test_malformed_relation_entry_is_a_frame_error(relations, message):
     with pytest.raises(FrameValidationError) as raised:
-        FiniteFrame(["a0"], ["b0"], **relations)
+        FiniteFrame(**{"z1": ["a0"], "zd": ["b0"], **relations})
     assert str(raised.value) == message
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dfmlcorr import syntax
+from dfmlcorr import semantics, syntax
 from dfmlcorr.syntax import (
     SORT1, SORTD, And, AndF, Bot, Box, BoxMinus, BoxVert, BTDown, Box1, BoxD,
     Cap, Cup, Dia, DiaMinus, DiaVert, Eq, FalseF, Forall, ImpF, IVar, Imp,
@@ -162,6 +162,53 @@ def test_grammar_doc_follows_the_operator_tables():
         assert -1 not in places and places == sorted(places), title
         for tok in prefix:
             assert f'"{tok}"' in grammar, (title, tok)
+
+
+def operator_table_faults(binary, prefix, tables: dict) -> list[str]:
+    """What keeps the sorted operator tables from agreeing: an operator of
+    the grammar tables ``binary`` and ``prefix``, the lattice connectives
+    aside, that a table of ``tables`` (name -> table) lacks, an entry for an
+    operator the grammar lacks, and a meaning whose relation atom is
+    ill-sorted against ``REL_SIG``."""
+    grammar = ({cls for _, cls, _ in binary} | set(prefix.values())) - {Cap, Cup}
+    faults = []
+    for name, table in tables.items():
+        faults += [f"{name} lacks {cls.__name__}" for cls in grammar - table.keys()]
+        faults += [f"{name} has {cls.__name__}, no grammar operator"
+                   for cls in table.keys() - grammar]
+    for cls, (_, rel, anchor_first) in tables["SORTED_MEANING"].items():
+        anchor = IVar(0, cls.sort)
+        points = [IVar(i, sort) for i, sort in enumerate(cls.arg_sorts, 1)]
+        try:
+            RelAtom(rel, (anchor, *points) if anchor_first else (*reversed(points), anchor))
+        except SortError as e:
+            faults.append(f"{cls.__name__}: {e}")
+    return sorted(faults)
+
+
+OPERATOR_TABLES = {"SORTED_MEANING": syntax.SORTED_MEANING,
+                   "_OPERATOR_OF": semantics._OPERATOR_OF}
+
+
+def test_operator_tables_agree():
+    """One meaning and one frame operator per sorted operator of the
+    grammar but the lattice connectives, each meaning's atom well-sorted."""
+    assert operator_table_faults(syntax.SORTED_BINARY, syntax.SORTED_PREFIX,
+                                 OPERATOR_TABLES) == []
+
+
+def test_operator_table_faults_are_reported():
+    meaning = dict(syntax.SORTED_MEANING)
+    del meaning[BoxD]
+    meaning[TDown] = (syntax.Exists, "R_neg", False)     # names the sort-d anchor last
+    prefix = {**syntax.SORTED_PREFIX, "cap": Cap}          # a lattice connective is no fault
+    assert operator_table_faults(syntax.SORTED_BINARY, prefix,
+                                 {**OPERATOR_TABLES, "SORTED_MEANING": meaning}) == [
+        "SORTED_MEANING lacks BoxD", "TDown: R_neg argument sort mismatch"]
+    binary = syntax.SORTED_BINARY[1:]                     # without RSpoon
+    assert operator_table_faults(binary, syntax.SORTED_PREFIX, OPERATOR_TABLES) == [
+        "SORTED_MEANING has RSpoon, no grammar operator",
+        "_OPERATOR_OF has RSpoon, no grammar operator"]
 
 
 # -- round-trips --------------------------------------------------------------
