@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import collections
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .syntax import (
     BOX_LETTERS, SORT1, SORTD, SORTED_MEANING, BTDown, BoxD, Box1, BoxMinus,
     BoxVert, Cap, Cup, DiaMinus, DiaVert, Exists, Odot, Positivity, Prime, RSpoon,
-    SBot, STop, Sequent, SortedFormula, SortedVar, TDown, TRight, children, flip,
-    occurrences, positive_occurrences, prime_depths, rebuild, replace_at,
-    rspoon_free, shape, sorted_to_text, sorted_vars, subterms,
+    SBot, STop, Sequent, SortedFormula, SortedSequent, SortedVar, TDown, TRight,
+    children, flip, occurrences, positive_occurrences, prime_depths, rebuild,
+    replace_at, rspoon_free, shape, sorted_to_text, sorted_vars, subterms,
 )
 from .translation import (BOX_BOXMINUS, BOX_PRIME, IMP_RSPOON, IMP_TRIGHT,
                           translate_sequent)
@@ -31,15 +32,20 @@ class NodeBudgetExceeded(Exception):
         self.budget = budget
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FormalInequality:
     sort: str
     lhs: SortedFormula
     rhs: SortedFormula
 
-    def __post_init__(self):
-        if self.lhs.sort != self.sort or self.rhs.sort != self.sort:
+    def __init__(self, sort: str, lhs: SortedFormula, rhs: SortedFormula):
+        # the search builds one per child: the fields are written once, here
+        if lhs.sort != sort or rhs.sort != sort:
             raise ValueError("inequality sides must have the declared sort")
+        facts = self.__dict__
+        facts["sort"] = sort
+        facts["lhs"] = lhs
+        facts["rhs"] = rhs
 
     def __str__(self) -> str:
         return f"{sorted_to_text(self.lhs)} <={self.sort} {sorted_to_text(self.rhs)}"
@@ -66,12 +72,23 @@ class ChangeOfVariables:
         return f"{self.var} ={self.var.sort} {self.source}'"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class InequalitySystem:
     stb: tuple[StabilityConstraint, ...]
     cvc: tuple[ChangeOfVariables, ...]
     main: FormalInequality
     fresh_counter: int
+
+    _constrained = None
+
+    def __init__(self, stb: tuple[StabilityConstraint, ...], cvc: tuple[ChangeOfVariables, ...],
+                 main: FormalInequality, fresh_counter: int):
+        # the search builds one per child: the fields are written once, here
+        facts = self.__dict__
+        facts["stb"] = stb
+        facts["cvc"] = cvc
+        facts["main"] = main
+        facts["fresh_counter"] = fresh_counter
 
     def __hash__(self) -> int:
         # Systems key memoised semantic plans.  Sorted nodes hash by
@@ -89,13 +106,13 @@ class InequalitySystem:
         return f"< {cs} | {self.main} >" if cs else f"< | {self.main} >"
 
     def constrained(self) -> frozenset[SortedVar]:
-        # Every rewrite matcher reads this set; build it once per system.
-        try:
-            return self._constrained
-        except AttributeError:
-            cons = frozenset([c.var for c in self.stb] + [c.var for c in self.cvc])
-            object.__setattr__(self, "_constrained", cons)
-            return cons
+        # Every rewrite matcher reads this set; build it once per system,
+        # and not for a child the search drops as already seen.
+        cons = self._constrained
+        if cons is None:
+            cons = self.__dict__["_constrained"] = \
+                frozenset([c.var for c in self.stb] + [c.var for c in self.cvc])
+        return cons
 
 
 def system_for(ineq: FormalInequality) -> InequalitySystem:
@@ -158,21 +175,33 @@ ReductionTrace = tuple[ReductionStep, ...]
 def canonical_key(sys: InequalitySystem) -> tuple:
     """Structure key, insensitive to variable numbering within each sort.
 
-    The shapes of the two sides (interned, so compared by identity) and
-    each variable occurrence numbered by the first occurrence of its
-    variable, in pre-order of the main inequality and then the constraints.
-    Its cost is the number of variable occurrences."""
+    The shape tokens of the two sides (compared by identity) and each
+    variable occurrence numbered by the first occurrence of its variable,
+    in pre-order of the main inequality and then the constraints.  Its cost
+    is the number of variable occurrences; within a search, the numbering
+    of the main inequality is read from the memo when its sides recur."""
     main = sys.main
-    order: dict[SortedVar, int] = {}
-    occ = tuple([order.setdefault(v, len(order))
-                 for v in occurrences(main.lhs) + occurrences(main.rhs)])
+    table = {} if _memo is None else _memo.numbered
+    numbered = table.get((main.lhs, main.rhs))
+    if numbered is None:
+        occ = occurrences(main.lhs) + occurrences(main.rhs)
+        order = dict(zip(dict.fromkeys(occ), itertools.count()))
+        numbered = table[main.lhs, main.rhs] = (order, (
+            shape(main.lhs), main.sort, shape(main.rhs), tuple(map(order.__getitem__, occ))))
+    order, main_key = numbered
+    if not (sys.stb or sys.cvc):
+        return ((), (), *main_key)
+    # a constrained variable that does not occur is numbered after those
+    # that do, in the order the constraints name it; the memo's numbering
+    # is shared, so it is extended in a copy
+    order = dict(order)
 
     def num(v: SortedVar) -> tuple[str, int]:
         return (v.sort, order.setdefault(v, len(order)))
 
-    stb = tuple(sorted(num(c.var) for c in sys.stb))
-    cvc = tuple(sorted((num(c.var), num(c.source)) for c in sys.cvc))
-    return (stb, cvc, shape(main.lhs), main.sort, shape(main.rhs), occ)
+    stb = tuple(sorted([num(c.var) for c in sys.stb]))
+    cvc = tuple(sorted([(num(c.var), num(c.source)) for c in sys.cvc]))
+    return (stb, cvc, *main_key)
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +281,6 @@ def _cap_conjuncts(f: SortedFormula) -> list[SortedFormula]:
 # ---------------------------------------------------------------------------
 # Rules
 # ---------------------------------------------------------------------------
-
-RULE_ORDER = (
-    "R5.1a", "R5.1b", "R5.2a", "R5.2b", "R5.3a", "R5.3b", "R5.4",
-    "R5.5a", "R5.5b", "R5.6a", "R5.6b", "R5.7a", "R5.7b", "R5.8", "R5.9",
-    "R4", "R6", "R1", "R2", "R3", "R7a", "R7b", "R7c", "R8", "R9",
-)
 
 SOUND_ON_SMOOTH = frozenset({
     "R1", "R2", "R3", "R4", "R5.1a", "R5.1b", "R5.2a", "R5.2b", "R5.3a", "R5.3b",
@@ -396,15 +419,20 @@ def _rules_at(node: SortedFormula) -> tuple[str, ...]:
 class _SearchMemo:
     """What the searches of one ``classify`` call, or one ``reduce_search``
     called alone, reuse across the systems they expand: the redex table of
-    each node under a constrained set, each side rebuilt by a rewrite, and
-    R4/R6 substitutions.  Keys hold interned nodes, so a key names one tree
-    for as long as the memo lives."""
+    each node under the constrained variables in it, the numbered main part
+    of ``canonical_key`` for each pair of sides, each side rebuilt by a
+    rewrite, and R4/R6 substitutions.  Keys hold interned nodes, so a key
+    names one tree for as long as the memo lives."""
 
     def __init__(self):
         self.redexes: dict = {}
+        self.numbered: dict = {}
         self.sides: dict = {}
         self.subst: dict = {}
 
+
+# The constrained variables of a node that has none, one set for all.
+_NO_VARS: frozenset[SortedVar] = frozenset()
 
 # The memo of the running ``classify`` or ``reduce_search``, None outside
 # one.  It is module state, set and reset by those two alone, so that the
@@ -415,12 +443,17 @@ _memo: _SearchMemo | None = None
 
 def _redexes(node: SortedFormula, cons: frozenset[SortedVar], table: dict | None = None) -> dict:
     """Every rewrite redex of a side: rule -> [(path, rewritten node)] in path
-    order.  Kept per (node, constrained set) in ``table`` (the running
-    search's, else one for this call): the node's own at path (), then each
-    child's with the child's index put in front of the path, so that a side
+    order.  Kept in ``table`` (the running search's, else one for this call)
+    per node and the constrained variables that occur in it, all that a
+    matcher reads of ``cons``: the node's own at path (), then each child's
+    with the child's index put in front of the path, so that a side
     differing from a seen one along one path costs the nodes of that path."""
     if table is None:
         table = {} if _memo is None else _memo.redexes
+    if cons:
+        narrowed = cons.intersection(node._occ)
+        if len(narrowed) < len(cons):
+            cons = narrowed or _NO_VARS
     found = table.get((node, cons))
     if found is None:
         found = {}
@@ -484,11 +517,9 @@ def _is_prime_chain(g: SortedFormula, var: SortedVar, depth: int) -> bool:
 # its main inequality, and yields (site, child).
 
 def _r4(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
-    main = sys.main
+    main, cons = sys.main, sys.constrained()
     for var, ds in depths.items():
-        if var in sys.constrained():
-            continue
-        if all(d == 2 for d in ds):
+        if var not in cons and ds.count(2) == len(ds):
             new_main = FormalInequality(
                 main.sort,
                 _subst_var_under_primes(main.lhs, var, 2, var),
@@ -500,7 +531,7 @@ def _r4(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
 def _r6(sys: InequalitySystem, depths: dict[SortedVar, list[int]]):
     main = sys.main
     for var, ds in depths.items():
-        if all(d == 1 for d in ds):
+        if ds.count(1) == len(ds):
             fresh = SortedVar(sys.fresh_counter, flip(var.sort))
             new_main = FormalInequality(
                 main.sort,
@@ -572,30 +603,51 @@ _SYSTEM_RULES = {"R4": _r4, "R6": _r6, "R1": _r1, "R2": _r2, "R3": _r3,
                  "R7a": _r7a, "R7b": _residuated(DiaVert, Box1),
                  "R7c": _residuated(DiaMinus, BoxD), "R8": _r8, "R9": _r9}
 
+# The rules on the whole system that can apply to a main inequality: R4, R6
+# and R1 to any, each other rule only under the top operator of its pattern's
+# left side (right side for R7a).
+_ANY_MAIN = ("R4", "R6", "R1")
+_LHS_DISPATCH = {Prime: ("R2", "R3"), DiaVert: ("R7b",), DiaMinus: ("R7c",),
+                 RSpoon: ("R8",), Cap: ("R9",)}
+_RHS_DISPATCH = {RSpoon: ("R7a",)}
+
+# The order moves come out in: every rewrite rule, then every rule on the
+# whole system, each in its table's order.
+RULE_ORDER = (*_REWRITES, *_SYSTEM_RULES)
+_RANK = {rule: rank for rank, rule in enumerate(RULE_ORDER)}
+
 
 def applicable_moves(sys: InequalitySystem):
     """All rule applications in deterministic (rule, site) order.
 
     The redex tables give every rewrite redex of each side (within a search,
-    a side costs only the nodes no table holds yet); each child system is
-    built only when it is yielded, since the search may stop at the first."""
+    a side costs only the nodes no table holds yet).  Only the rules that
+    can apply are visited: the rewrite rules with a redex, then the rules
+    on the whole system that the dispatch tables name for the main
+    inequality.  Each child system is built only when it is yielded, since
+    the search may stop at the first."""
+    main = sys.main
     cons = sys.constrained()
-    sides = (("lhs", _redexes(sys.main.lhs, cons)), ("rhs", _redexes(sys.main.rhs, cons)))
-    depths = _var_depths(sys.main)
-    for rule in RULE_ORDER:
-        if rule in _REWRITES:
-            for side, redexes in sides:
-                for path, new in redexes.get(rule, ()):
-                    yield rule, (side, path), _rewritten(sys, side, path, new)
-        else:
-            for site, child in _SYSTEM_RULES[rule](sys, depths):
-                yield rule, site, child
+    sides = (("lhs", _redexes(main.lhs, cons)), ("rhs", _redexes(main.rhs, cons)))
+    for rule in sorted(sides[0][1].keys() | sides[1][1].keys(), key=_RANK.__getitem__):
+        for side, redexes in sides:
+            for path, new in redexes.get(rule, ()):
+                yield rule, (side, path), _rewritten(sys, side, path, new)
+    present = (*_ANY_MAIN, *_LHS_DISPATCH.get(type(main.lhs), ()),
+               *_RHS_DISPATCH.get(type(main.rhs), ()))
+    depths = _var_depths(main)
+    for rule in sorted(present, key=_RANK.__getitem__):
+        for site, child in _SYSTEM_RULES[rule](sys, depths):
+            yield rule, site, child
+
+
+_SORT_INDEX = operator.attrgetter("sort", "index")
 
 
 def _var_depths(main: FormalInequality) -> dict[SortedVar, list[int]]:
     """``prime_depths`` of both sides, the variables ordered by (sort, index)."""
     depths = prime_depths(main.lhs, main.rhs)
-    return {v: depths[v] for v in sorted(depths, key=lambda v: (v.sort, v.index))}
+    return {v: depths[v] for v in sorted(depths, key=_SORT_INDEX)}
 
 
 def _is_pp(f: SortedFormula) -> bool:
@@ -691,25 +743,37 @@ def _search(start: FormalInequality | InequalitySystem, max_nodes: int):
         steps: list[ReductionStep] = []
         return _r1_cleanup(sys0, steps), tuple(steps)
     seen = {canonical_key(sys0)}
-    queue = collections.deque([(sys0, ())])
-    generated = 1
+    # Each queued system with the link to its parent: (rule, parent, the
+    # parent's link), None for the start; a trace is built only for the
+    # system returned.
+    queue = collections.deque([(sys0, None)])
     while queue:
-        sys, trace = queue.popleft()
+        sys, link = queue.popleft()
         for rule, _site, child in applicable_moves(sys):
-            key = canonical_key(child)
-            if key in seen:
+            known = len(seen)
+            seen.add(canonical_key(child))
+            if len(seen) == known:
                 continue
-            seen.add(key)
-            generated += 1
-            if generated > max_nodes:
+            if known >= max_nodes:
                 raise NodeBudgetExceeded(max_nodes)
-            child_trace = trace + (ReductionStep(rule, sys, child),)
+            child_link = (rule, sys, link)
             if is_canonical_form(child):
-                steps = list(child_trace)
+                steps = _trace_to(child, child_link)
                 final = _r1_cleanup(child, steps)
                 return final, tuple(steps)
-            queue.append((child, child_trace))
+            queue.append((child, child_link))
     return None
+
+
+def _trace_to(sys: InequalitySystem, link) -> list[ReductionStep]:
+    """The steps from the start of a search to ``sys``, read off its link."""
+    steps = []
+    while link is not None:
+        rule, parent, link = link
+        steps.append(ReductionStep(rule, parent, sys))
+        sys = parent
+    steps.reverse()
+    return steps
 
 
 def normalize_canonical(sys: InequalitySystem, trace: list[ReductionStep]) -> InequalitySystem:
@@ -774,8 +838,13 @@ class Classification:
 
 def thread_inequality(s: Sequent, thread: str, imp: str,
                       box: str = BOX_BOXMINUS) -> FormalInequality:
-    one, dual = translate_sequent(s, imp, box)
-    seq = one if thread == THREAD_TRANSLATION else dual
+    return _thread_of(translate_sequent(s, imp, box), thread)
+
+
+def _thread_of(translated: tuple[SortedSequent, SortedSequent],
+               thread: str) -> FormalInequality:
+    """The start inequality of ``thread`` in a ``translate_sequent`` pair."""
+    seq = translated[0] if thread == THREAD_TRANSLATION else translated[1]
     return FormalInequality(seq.sort, seq.lhs, seq.rhs)
 
 
@@ -788,11 +857,14 @@ def classify(s: Sequent, max_nodes: int = DEFAULT_NODE_BUDGET,
     global _memo
     results = []
     seen_starts = set()
+    translated = {}    # each rendering's translate_sequent pair, both threads
     _memo = _SearchMemo()
     try:
         for thread, imp, box in itertools.product(threads, (IMP_RSPOON, IMP_TRIGHT),
                                                   (BOX_BOXMINUS, BOX_PRIME)):
-            start = thread_inequality(s, thread, imp, box)
+            if (imp, box) not in translated:
+                translated[imp, box] = translate_sequent(s, imp, box)
+            start = _thread_of(translated[imp, box], thread)
             key = (thread, canonical_key(system_for(start)))
             if key in seen_starts:
                 continue

@@ -40,7 +40,7 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 
 # Children of a modal or first-order node, read from the fields its class
-# names in ``_subs``; a sorted node stores its tuple once (``_cache_facts``).
+# names in ``_subs``; a sorted node stores its tuple once, when it is built.
 _kids_of_subs = property(lambda self: tuple(getattr(self, name) for name in self._subs))
 
 
@@ -142,8 +142,21 @@ def dfml_vars(f: DfmlFormula) -> list[int]:
 
 # Every sorted node is interned: constructing a node structurally equal to a
 # live one returns that object, so equality and hashing are by identity and
-# the facts below are computed once per node, when it is first built.
+# the facts below are computed once per node, when it is first built.  A
+# node's shape is a ``_Shape`` token, interned the same way on its class and
+# its kids' tokens (a leaf's on its class and sort), so two nodes share a
+# token exactly when they are equal up to the indices of their variables.
+# Both tables are weak-valued: an entry lives as long as its node or token.
+# ``SortedFormula.__new__`` alone reads and writes them, through their
+# underlying dicts, so that a lookup is one C-level ``dict.get``.
 _INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_SHAPES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+class _Shape:
+    """A shape token: an object compared by identity, holding nothing."""
+
+    __slots__ = ("__weakref__",)
 
 
 class SortedFormula:
@@ -153,16 +166,16 @@ class SortedFormula:
     # The sorts of the arguments, in field order; None when they follow the
     # node's own sort (Cap, Cup, Prime).
     arg_sorts: tuple[str, ...] | None = ()
-    # Facts of a leaf; a compound node stores its own in ``_cache_facts``.
-    # No node stores a reference to itself, which would make a cycle that
-    # only the cycle collector frees: ``_shape`` is None when the node is its
-    # own shape, and a variable's ``_occ`` is a property.  ``_depths`` is
-    # aligned with ``_occ``: the primes immediately above each occurrence.
+    # Facts of a leaf; ``__new__`` stores a compound node's own.  No node
+    # stores a reference to itself, which would make a cycle that only the
+    # cycle collector frees: a variable's ``_occ`` is a property.
+    # ``_depths`` is aligned with ``_occ``: the primes immediately above each
+    # occurrence.  ``_chain``: the node is a variable under zero or more primes.
     _kids: tuple = ()
     _occ: tuple = ()
     _depths: tuple = ()
     _rspoon_free = True
-    _shape = None
+    _chain = False
 
     def __new__(cls, *args, **kwargs):
         """The interned node of ``cls`` with these fields, built, checked by
@@ -174,15 +187,47 @@ class SortedFormula:
                 raise _fields_error(cls)
             args += tuple(kwargs[name] for name in rest)
         key = (cls, *args)
-        node = _INTERNED.get(key)
-        if node is None:
-            if len(args) != len(cls._fields):
-                raise _fields_error(cls)
-            node = object.__new__(cls)
-            node.__dict__.update(zip(cls._fields, args))
-            node.__post_init__()
-            node._cache_facts()
-            _INTERNED[key] = node
+        ref = _INTERNED.data.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        if len(args) != len(cls._fields):
+            raise _fields_error(cls)
+        node = object.__new__(cls)
+        facts = node.__dict__
+        facts.update(zip(cls._fields, args))
+        node.__post_init__()
+        if not cls._subs:
+            shape_key = (cls, node.sort)
+        else:
+            # a compound node's fields are its kids
+            facts["_kids"] = args
+            first = args[0]
+            if len(args) == 1:
+                facts["_occ"] = first._occ
+                if cls is Prime and first._chain:
+                    facts["_chain"] = True
+                    facts["_depths"] = (first._depths[0] + 1,)
+                else:
+                    facts["_depths"] = first._depths
+                free = first._rspoon_free
+                shape_key = (cls, first._shape)
+            else:
+                second = args[1]
+                facts["_occ"] = first._occ + second._occ
+                facts["_depths"] = first._depths + second._depths
+                free = first._rspoon_free and second._rspoon_free
+                shape_key = (cls, first._shape, second._shape)
+            if cls is RSpoon or not free:
+                facts["_rspoon_free"] = False
+        ref = _SHAPES.data.get(shape_key)
+        token = None if ref is None else ref()
+        if token is None:
+            token = _Shape()
+            _SHAPES.data[shape_key] = weakref.KeyedRef(token, _SHAPES._remove, shape_key)
+        facts["_shape"] = token
+        _INTERNED.data[key] = weakref.KeyedRef(node, _INTERNED._remove, key)
         return node
 
     def __str__(self) -> str:
@@ -191,34 +236,6 @@ class SortedFormula:
     def __reduce__(self):
         # copy, deepcopy and unpickling construct again: the interned node
         return type(self), tuple(getattr(self, name) for name in self._fields)
-
-    def _cache_facts(self) -> None:
-        kids = tuple(getattr(self, name) for name in self._subs)
-        if not kids:
-            return
-        facts = self.__dict__
-        facts["_kids"] = kids
-        if len(kids) == 1:
-            facts["_occ"] = kids[0]._occ
-            if isinstance(self, Prime) and _is_chain(kids[0]):
-                facts["_depths"] = (kids[0]._depths[0] + 1,)
-            else:
-                facts["_depths"] = kids[0]._depths
-        else:
-            facts["_occ"] = kids[0]._occ + kids[1]._occ
-            facts["_depths"] = kids[0]._depths + kids[1]._depths
-        if isinstance(self, RSpoon) or not all(k._rspoon_free for k in kids):
-            facts["_rspoon_free"] = False
-        shapes = tuple(k._shape or k for k in kids)
-        if shapes != kids:
-            facts["_shape"] = type(self)(*shapes)
-
-
-def _is_chain(f: SortedFormula) -> bool:
-    """``f`` is a variable under zero or more primes."""
-    while isinstance(f, Prime):
-        f = f.arg
-    return isinstance(f, SortedVar)
 
 
 def _fields_error(cls) -> TypeError:
@@ -243,6 +260,7 @@ class SortedVar(SortedFormula):
     index: int
     sort: str
     _depths = (0,)
+    _chain = True
 
     def __post_init__(self):
         _require(self.sort in (SORT1, SORTD), "bad sort tag")
@@ -252,10 +270,6 @@ class SortedVar(SortedFormula):
     @property
     def _occ(self) -> tuple:
         return (self,)
-
-    def _cache_facts(self) -> None:
-        if self.index:
-            self.__dict__["_shape"] = SortedVar(0, self.sort)
 
 
 @_node
@@ -294,13 +308,15 @@ def _operator(name: str, arg_sorts: tuple[str, ...] | None, res_sort: str | None
     subs = ("arg",) if arg_sorts is not None and len(arg_sorts) == 1 else ("left", "right")
 
     def __post_init__(self):
-        sorts = tuple(getattr(self, sub).sort for sub in subs)
+        # the message is built only for a construction that fails
+        sorts = tuple([getattr(self, sub).sort for sub in subs])
         if arg_sorts is None:
-            _require(sorts[0] == sorts[1], f"{name} needs equal sorts")
+            if sorts[0] != sorts[1]:
+                raise SortError(f"{name} needs equal sorts")
             self.__dict__["sort"] = sorts[0]
-        else:
-            _require(sorts == arg_sorts, f"{name} needs "
-                     f"{' and '.join(f'a sort-{sort}' for sort in arg_sorts)} argument")
+        elif sorts != arg_sorts:
+            raise SortError(f"{name} needs "
+                            f"{' and '.join(f'a sort-{sort}' for sort in arg_sorts)} argument")
 
     namespace = {"__module__": __name__, "__annotations__": dict.fromkeys(subs, "SortedFormula"),
                  "_subs": subs, "arg_sorts": arg_sorts, "__post_init__": __post_init__}
@@ -376,9 +392,11 @@ def occurrences(f: SortedFormula) -> tuple[SortedVar, ...]:
     return f._occ
 
 
-def shape(f: SortedFormula) -> SortedFormula:
-    """``f`` with every variable renamed to index 0 of its sort."""
-    return f._shape or f
+def shape(f: SortedFormula) -> _Shape:
+    """The token of ``f``'s shape, ``f`` with every variable renamed to index
+    0 of its sort: live formulas share a token exactly when they share a
+    shape."""
+    return f._shape
 
 
 def sorted_vars(f: SortedFormula) -> list[SortedVar]:

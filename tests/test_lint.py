@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, every private
 module-level function and class is used somewhere in the package, one
 function holds the package's only ``exec``, one function builds every ``I``
-atom, and two functions own the reduction search's memo."""
+atom, two functions own the reduction search's memo, and one method owns
+the intern tables of sorted nodes and their shapes."""
 import ast
 from pathlib import Path
 
@@ -202,3 +203,46 @@ def test_memo_writers_are_reported():
     assert memo_writers({"reduction.py": strays, "cli.py": other}) == [
         "cli.py: <module>", "cli.py: classify", "reduction.py: C.reduce_search",
         "reduction.py: classify_more", "reduction.py: helper", "reduction.py: <module>"]
+
+
+# The intern tables' owners: each table's definition at module level, and
+# the one method that reads and writes them.
+INTERN_TABLES = ("_INTERNED", "_SHAPES")
+INTERN_OWNERS = {"syntax.py: <module>", "syntax.py: SortedFormula.__new__"}
+
+
+def intern_table_users(sources: dict[str, str]) -> list[str]:
+    """Every name, attribute or import of an intern table in ``sources``
+    outside its owners, and every module-level one past its definition."""
+    strays = []
+    for table in INTERN_TABLES:
+        sites = node_sites(sources, lambda n: getattr(
+            n, "id", getattr(n, "attr", getattr(n, "name", None))) == table
+            and isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
+        module = [site for site in sites if site == "syntax.py: <module>"]
+        strays += [site for site in sites if site not in INTERN_OWNERS] + module[1:]
+    return sorted(strays)
+
+
+def test_one_owner_per_intern_table():
+    """Only ``SortedFormula.__new__`` touches ``syntax._INTERNED`` and
+    ``syntax._SHAPES``, so that every entry is made the way the weak tables
+    expect and no other code can keep a node or a token alive."""
+    sources = {p.name: p.read_text() for p in Path(dfmlcorr.__file__).parent.glob("*.py")}
+    assert intern_table_users(sources) == []
+
+
+def test_intern_table_users_are_reported():
+    owner = ("_INTERNED = WeakValueDictionary()\n_SHAPES = WeakValueDictionary()\n"
+             "class SortedFormula:\n    def __new__(cls, *args):\n"
+             "        ref = _INTERNED.data.get(args)\n"
+             "        _SHAPES.data[args] = ref\n        return ref\n")
+    assert intern_table_users({"syntax.py": owner}) == []
+    strays = (owner + "_SHAPES = {}\n"
+              "def shape(f):\n    return _SHAPES.get(f)\n"
+              "class Other:\n    def __new__(cls):\n        return _INTERNED\n")
+    other = ("from dfmlcorr.syntax import _INTERNED\nfrom dfmlcorr import syntax\n"
+             "def clear():\n    syntax._SHAPES.clear()\n")
+    assert intern_table_users({"syntax.py": strays, "reduction.py": other}) == [
+        "reduction.py: <module>", "reduction.py: clear", "syntax.py: <module>",
+        "syntax.py: Other.__new__", "syntax.py: shape"]

@@ -475,6 +475,61 @@ def test_moves_match_reference_with_a_warm_memo(monkeypatch):
     assert redex_hits > calls // 4 and subst_warm > calls // 2
 
 
+# The rule order as it was listed before ``RULE_ORDER`` was read off the two
+# rule tables.
+_LISTED_RULE_ORDER = (
+    "R5.1a", "R5.1b", "R5.2a", "R5.2b", "R5.3a", "R5.3b", "R5.4",
+    "R5.5a", "R5.5b", "R5.6a", "R5.6b", "R5.7a", "R5.7b", "R5.8", "R5.9",
+    "R4", "R6", "R1", "R2", "R3", "R7a", "R7b", "R7c", "R8", "R9",
+)
+
+
+def _rule_by_rule_moves(sys):
+    """``applicable_moves`` as it was before it visited only the rules that
+    can apply: all 25 rules in the listed order, each rewrite rule looked up
+    in a whole-tree redex scan of each side."""
+    from dfmlcorr import reduction
+    cons = sys.constrained()
+    sides = (("lhs", _reference_redexes(sys.main.lhs, cons)),
+             ("rhs", _reference_redexes(sys.main.rhs, cons)))
+    depths = reduction._var_depths(sys.main)
+    for rule in _LISTED_RULE_ORDER:
+        if rule in reduction._REWRITES:
+            for side, redexes in sides:
+                for path, new in redexes.get(rule, ()):
+                    yield rule, (side, path), reduction._rewritten(sys, side, path, new)
+        else:
+            for site, child in reduction._SYSTEM_RULES[rule](sys, depths):
+                yield rule, site, child
+
+
+def test_moves_match_the_rule_by_rule_loop(monkeypatch):
+    """The moves each search found, visiting only the rules that can apply,
+    are the (rule, site, child) sequence of the loop over all 25 rules: on
+    every system the corpus searches and a seeded 20-sequent slice of the
+    recorded pool expand."""
+    from dfmlcorr import reduction
+    from dfmlcorr.corpus import CORPUS
+    assert RULE_ORDER == _LISTED_RULE_ORDER
+    used = {}
+    real = reduction.applicable_moves
+
+    def recording(sys):
+        moves = tuple(real(sys))
+        used.setdefault((sys, moves), None)
+        return iter(moves)
+
+    monkeypatch.setattr(reduction, "applicable_moves", recording)
+    _search_all([e.sequent for e in CORPUS], 100_000)
+    _search_all(*_pool_slice(7, 20))
+    monkeypatch.undo()
+    fired = set()
+    for sys, moves in used:
+        assert list(moves) == list(_rule_by_rule_moves(sys)), str(sys)
+        fired.update(rule for rule, _, _ in moves)
+    assert len(used) > 2_000 and len(fired) > 20
+
+
 def _live_memos():
     from dfmlcorr import reduction
     return [o for o in gc.get_objects() if isinstance(o, reduction._SearchMemo)]
@@ -555,8 +610,9 @@ def test_classify_memo_lives_one_call(monkeypatch):
 
 
 def test_redex_tables_match_the_whole_tree_scan(monkeypatch):
-    """The redex table a search read for each side under its constrained
-    set equals one pre-order walk of the whole side: on every (side,
+    """The redex table a search read for each side, kept under the
+    constrained variables that occur in the side, equals one pre-order walk
+    of the whole side under the whole constrained set: on every (side,
     constrained set) that the corpus searches and a seeded 20-sequent slice
     of the recorded pool visit, all run through ``classify``."""
     from dfmlcorr import reduction
@@ -568,7 +624,8 @@ def test_redex_tables_match_the_whole_tree_scan(monkeypatch):
         moves = tuple(real(sys))
         cons = sys.constrained()
         for side in (sys.main.lhs, sys.main.rhs):
-            read.setdefault((side, cons), reduction._memo.redexes[side, cons])
+            occurring = cons.intersection(sorted_vars(side))
+            read.setdefault((side, cons), reduction._memo.redexes[side, occurring])
         return iter(moves)
 
     monkeypatch.setattr(reduction, "applicable_moves", recording)

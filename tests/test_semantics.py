@@ -25,9 +25,10 @@ from dfmlcorr.syntax import (
     REL_SIG, SORT1, SORTD, AndF, BoxD, BoxMinus, BoxVert, BTDown, Box1, Cap,
     Cup, DiaMinus, DiaVert, Eq, Exists, FalseF, Forall, Forall2, ImpF, IVar,
     NotF, Odot, OrF, PredApp, Prime, PVar, RelAtom, RSpoon, SBot, STop,
-    SortedVar, TDown, TRight, TrueF, flip, parse_dfml, parse_fo, parse_sorted, rel_signature, sorted_vars,
-    word_rel,
+    SortedVar, TDown, TRight, TrueF, children, flip, parse_dfml, parse_fo, parse_sorted,
+    rebuild, rel_signature, sorted_vars, word_rel,
 )
+from dfmlcorr.translation import translate_bullet
 
 from test_syntax import dfml_trees, parse_dfml_formula
 
@@ -794,6 +795,25 @@ def test_compile_dfml_matches_model_check_dfml(fr, f, data):
     row = [data.draw(st.sampled_from(fr.stable1)) for _ in var_ids]
     want, _ = model_check_dfml(fr, dict(zip(var_ids, row)), f)
     assert compile_dfml(f, var_ids)(fr, row) == want
+
+
+def _read_as_oracle_operators(f):
+    """``f`` with each ``P''`` read as ``P`` and ``SBot(1)`` as
+    ``Prime(STop(d))``, the two places where the oracle's operators depart
+    from ``translate_bullet``."""
+    if isinstance(f, Prime) and isinstance(f.arg, Prime) and isinstance(f.arg.arg, SortedVar):
+        return f.arg.arg
+    if f == SBot(SORT1):
+        return Prime(STop(SORTD))
+    return rebuild(f, [_read_as_oracle_operators(kid) for kid in children(f)])
+
+
+@given(dfml_trees())
+def test_oracle_operators_are_the_bullet_translation(f):
+    """The oracle's map from modal formulas to sorted operators is
+    ``translate_bullet`` up to those two readings, so that the oracle and
+    ``relations_needed`` cannot drift apart."""
+    assert semantics._dfml_operators(f) is _read_as_oracle_operators(translate_bullet(f))
 
 
 def test_compile_dfml_constants_at_edgeless_points():

@@ -16,8 +16,8 @@ from dfmlcorr.syntax import (
     PVar, RSpoon, RelAtom, Sequent, SortError, SortedVar, STop, SBot, TDown,
     TRight, Top, MAX_DEPTH, _Parser, _dfml_formula, dfml_to_text, fo_to_text,
     parse_dfml, parse_fo, parse_sorted, parse_sorted_sequent, positive_occurrences,
-    sorted_to_text, _INTERNED, children, flip, occurrences, rspoon_free,
-    shape,
+    sorted_to_text, _INTERNED, _SHAPES, children, flip, occurrences, rspoon_free,
+    shape, subterms,
 )
 
 P = SortedVar(0, SORT1)
@@ -471,6 +471,21 @@ def test_table_entry_dies_with_the_node():
                    for node in list(_INTERNED.values()))
 
 
+def test_intern_tables_hold_only_live_entries():
+    """1,000 formulas over fresh variables, each of a new shape, enter both
+    tables while they live and leave nothing behind once dropped."""
+    gc.collect()
+    before = len(_INTERNED), len(_SHAPES)
+    f = STop(SORT1)
+    for i in range(1_000):
+        f = Cap(f, BoxMinus(SortedVar(5_000_000 + i, SORT1)))
+    assert len(_INTERNED) >= before[0] + 3_000
+    assert len(_SHAPES) >= before[1] + 1_000
+    del f
+    gc.collect()
+    assert (len(_INTERNED), len(_SHAPES)) == before
+
+
 def _reference_sort(f):
     if isinstance(f, (Cap, Cup)):
         return _reference_sort(f.left)
@@ -506,14 +521,19 @@ def _drawn_formulas():
     return st.one_of(sorted_formulas(SORT1, 4), sorted_formulas(SORTD, 4))
 
 
-@given(f=st.deferred(_drawn_formulas))
+@given(f=st.deferred(_drawn_formulas), g=st.deferred(_drawn_formulas))
 @settings(max_examples=300, deadline=None)
-def test_cached_facts_match_fresh_computation(f):
+def test_cached_facts_match_fresh_computation(f, g):
     for node in [f] + [getattr(f, name) for name in f._subs]:
         assert node.sort == _reference_sort(node)
         assert children(node) == tuple(getattr(node, name) for name in node._subs)
         assert occurrences(node) == tuple(_reference_occurrences(node))
         assert node._depths == tuple(_reference_depths(node))
         assert rspoon_free(node) == ("rspoon" not in sorted_to_text(node))
-        assert shape(node) is _reference_shape(node)
-        assert shape(shape(node)) is shape(node)
+        assert shape(node) is shape(_reference_shape(node))
+    # two formulas share a shape token exactly when their reference shape
+    # nodes are one object, checked on every pair of their subterms
+    nodes = [node for root in (f, g) for _, node in subterms(root)]
+    for a in nodes:
+        for b in nodes:
+            assert (shape(a) is shape(b)) == (_reference_shape(a) is _reference_shape(b))
