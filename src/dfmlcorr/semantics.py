@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -20,7 +21,7 @@ from .syntax import (
     OrF, PredApp, PropVar, PVar, RelAtom, Sequent, SortedFormula, SortedVar,
     STop, SBot, Cap, Cup, Prime, DiaVert, DiaMinus, Box1, BoxD, BoxMinus,
     BoxVert, TDown, BTDown, Odot, RSpoon, TRight, Top, TrueF, dfml_vars, flip,
-    rel_signature, sorted_vars, word_rel,
+    prime_depths, rel_signature, sorted_vars, word_rel,
 )
 from .translation import translate_bullet
 
@@ -61,12 +62,27 @@ def _transpose(rows, n: int) -> list:
     return out
 
 
+@lru_cache(maxsize=1024)
+def _representatives(polar: bytes) -> tuple:
+    """``(m, polar[m])`` for the first mask ``m`` of each polar, in mask
+    order: one tuple for all the frames that share a polar table."""
+    first: dict = {}
+    for m, p in enumerate(polar):
+        first.setdefault(p, m)
+    return tuple((m, p) for p, m in first.items())
+
+
 class FiniteFrame:
     """A finite two-sorted frame with the four modal relations.
 
     ``i_rel`` pairs live in Z1 x Zd; ``r_dia`` in Z1 x Z1 (result first),
     ``r_box`` in Zd x Zd, ``r_neg`` in Zd x Z1 and ``t_rel`` in Zd x Z1 x Zd.
     """
+
+    # True on an enumerated frame, whose ``_Polarity`` checked ``stable1``
+    # once: ``correspondence_oracle`` checks a built or loaded frame's on
+    # every call.
+    _stable1_checked = False
 
     def __init__(self, z1, zd, i_rel=(), r_dia=(), r_box=(), r_neg=(), t_rel=(),
                  validate: bool = True):
@@ -151,6 +167,23 @@ class FiniteFrame:
 
     def closed(self, mask: int) -> int:
         return self._polar1_table[self._polard_table[mask]]
+
+    @cached_property
+    def _close1_table(self):
+        return [self.close1(m) for m in range(1 << self.n1)]
+
+    @cached_property
+    def _closed_table(self):
+        return [self.closed(m) for m in range(1 << self.nd)]
+
+    @cached_property
+    def _polar1_reps(self):
+        """(U, polar1(U)) for the first mask U of each polar, in mask order."""
+        return _representatives(bytes(self._polar1_table))
+
+    @cached_property
+    def _polard_reps(self):
+        return _representatives(bytes(self._polard_table))
 
     @cached_property
     def stable1(self):
@@ -575,11 +608,14 @@ def model_check_sorted(frame: FiniteFrame, valuation: dict, f: SortedFormula) ->
 _MAX_LOOPS = 16
 
 
-# Local of a generated function -> the frame attribute it is bound to.
+# Local of a generated function -> the frame attribute it is bound to.  A
+# ``Q`` space holds (mask, its polar) for the first mask of each polar.
 _FRAME_LOCALS = {
     "P1": "fr._polar1_table", "Pd": "fr._polard_table", "n1": "fr.n1", "nd": "fr.nd",
+    "C1": "fr._close1_table", "Cd": "fr._closed_table",
     "F1": "fr.full1", "Fd": "fr.fulld", "S1": "fr.stable1", "Sd": "fr.stabled",
     "R1": "range(fr.full1 + 1)", "Rd": "range(fr.fulld + 1)",
+    "Q1": "fr._polar1_reps", "Qd": "fr._polard_reps",
     "E1": "range(fr.n1)", "Ed": "range(fr.nd)",
 }
 
@@ -590,66 +626,93 @@ _FRAME_LOCALS = {
 _MAX_NESTING = 100
 
 
+# A slot or node local of generated source.
+_LOCAL = re.compile(r"\b[sv]\d+\b")
+
+
 class _Nest:
     """The source of one generated function over a frame ``fr``.
 
     Free slot ``i`` gets a ``for`` over its space, in ``itertools.product``
-    order, and every statement goes into the loop of the deepest slot it
-    reads, so a value is recomputed only when a slot it reads changes.
-    Each interned node is one local, computed once however many roots share
-    it.  A first-order formula is one expression (``truth``).  The frame's
-    tables and rows are bound once per call, before the loops.  The source
-    holds slot numbers, operator names of ``_OPERATOR_OF``, indices into
-    the constants ``K`` and generated names, and no text of a formula.
+    order; a loop over a ``Q`` space binds the slot's polar too.  Every
+    local records the set of loops whose slots it reads, and its statement
+    goes into the deepest of them, so a value is recomputed only when a
+    slot it reads changes.  The statements that read exactly one inner
+    loop's slot fill that slot's table once per call, before the loops,
+    and the loop runs over the table's tuples; a guard among them leaves a
+    row out of the table.  A binary table's row is sliced at the loop of
+    its left argument when that loop is an outer one.  The closure of a
+    variable, or the polar of a change-of-variable target, is one lookup.
+    Each interned node is one local, computed once however many roots
+    share it.  A first-order formula is one expression (``truth``).  The
+    frame's tables and rows are bound once per call, before the loops.  The
+    source holds slot numbers, operator names of ``_OPERATOR_OF``, indices
+    into the constants ``K`` and generated names, and no text of a formula.
     """
 
     def __init__(self, slots: dict, result: str, spaces: Sequence[str] = ()):
         self.slots = slots
         self.result = result                # returned after the loops
+        self.spaces = spaces
         self.names: dict = {}               # node -> its local
-        self.level: dict = {"0": 0}         # local -> the loop that binds it
+        self.exprs: dict = {}               # expression -> the local that holds it
+        self.fresh = itertools.count()      # numbers the node locals v<n>
+        self.reads: dict = {"0": frozenset()}   # local -> the loops whose slots it reads
+        self.lines: list = []               # (reads, the local set or None, statement or guard)
         self.tables: dict = {}              # frame local -> its binding
         self.consts: list = []              # K, the values the source indexes
         self.binders = itertools.count()    # numbers the quantifier locals q<n>
+        self.sources: dict = {}             # change-of-variable target -> its source
+        self.polars: dict = {}              # slot over a Q space -> its polar's local
         self.depth = min(len(spaces), _MAX_LOOPS)
-        self.loops = [""] + [f"for s{i} in {space}:" for i, space in enumerate(spaces)]
-        if len(spaces) > self.depth:
-            folded = range(self.depth - 1, len(spaces))
-            self.loops[self.depth:] = [
-                f"for {', '.join(f's{i}' for i in folded)} in "
-                f"product({', '.join(spaces[i] for i in folded)}):"]
         for i, space in enumerate(spaces):
-            self.level[f"s{i}"] = min(i + 1, self.depth)
-            self.frame_local(space)
-        self.body: list[list[str]] = [[] for _ in range(self.depth + 1)]
+            self.reads[f"s{i}"] = frozenset((min(i + 1, self.depth),))
+            if self.frame_local(space)[0] == "Q":
+                self.polars[i] = None
 
     def frame_local(self, name: str, binding: str | None = None) -> str:
         """``name``, bound once per call to ``binding``, by default its
         entry of ``_FRAME_LOCALS``."""
         self.tables[name] = binding or _FRAME_LOCALS[name]
-        self.level[name] = 0
+        self.reads[name] = frozenset()
         return name
 
-    def emit(self, line: str, *reads: str) -> int:
-        """Put ``line`` in the loop of the deepest of ``reads``."""
-        level = max(self.level[name] for name in reads)
-        self.body[level].append(line)
-        return level
+    def loop(self, name: str) -> int:
+        """The deepest loop whose slot local ``name`` reads, 0 for none."""
+        return max(self.reads[name], default=0)
+
+    def emit(self, name: str, expr: str, *reads: str) -> str:
+        """``name = expr``, reading the slots that ``reads`` read."""
+        self.exprs.setdefault(expr, name)
+        self.reads[name] = frozenset().union(*(self.reads[r] for r in reads))
+        self.lines.append((self.reads[name], name, f"{name} = {expr}"))
+        return name
+
+    def share(self, expr: str, *reads: str) -> str:
+        """The local holding ``expr``, emitted the first time."""
+        name = self.exprs.get(expr)
+        return self.emit(f"v{next(self.fresh)}", expr, *reads) if name is None else name
 
     def step(self, tgt: int, src: int, sort: str, check: bool) -> None:
         """A change of variable: slot ``tgt`` is the polar of slot ``src``,
-        assigned, or checked when ``tgt`` is already bound."""
-        polar = self.frame_local("P" + sort)
+        assigned, or checked when ``tgt`` is already bound.  An assigned
+        target is also the local of the source's ``Prime`` (``share``), and
+        the loop over the source binds it when that runs over a ``Q`` space."""
+        target, source = f"s{tgt}", f"s{src}"
         if check:
-            self.guard(f"s{tgt} != {polar}[s{src}]", f"s{tgt}", f"s{src}")
+            self.guard(f"{target} != {self.frame_local('P' + sort)}[{source}]", target, source)
+            return
+        self.sources[target] = source
+        if src in self.polars and self.polars[src] is None:
+            self.polars[src] = target       # bound by the loop over the source
+            self.reads[target] = self.reads[source]
         else:
-            self.level[f"s{tgt}"] = self.emit(f"s{tgt} = {polar}[s{src}]", f"s{src}")
+            self.emit(target, f"{self.frame_local('P' + sort)}[{source}]", source)
 
     def guard(self, failed: str, *reads: str) -> None:
         """Skip every row on which ``failed`` holds: the rest of the loop
         that binds the deepest of ``reads``, or, outside the loops, all."""
-        level = max(self.level[name] for name in reads)
-        self.body[level].append(f"if {failed}: {'continue' if level else f'return {self.result}'}")
+        self.lines.append((frozenset().union(*(self.reads[r] for r in reads)), None, failed))
 
     def value(self, f) -> str:
         """The local holding the value of node ``f``."""
@@ -661,7 +724,7 @@ class _Nest:
             if f not in self.slots:
                 raise KeyError(f"no value for sorted variable {f}")
             name = self.names[f] = f"s{self.slots[f]:d}"
-            self.level.setdefault(name, 0)
+            self.reads.setdefault(name, frozenset())
             return name
         if kind is STop:
             return self.frame_local("F" + f.sort)
@@ -671,7 +734,21 @@ class _Nest:
             args = (self.value(f.left), self.value(f.right))
             expr = f" {'&' if kind is Cap else '|'} ".join(args)
         elif kind is Prime:
-            args = (self.frame_local("P" + f.arg.sort), self.value(f.arg))
+            arg = f.arg
+            if type(arg) is Prime:                  # a closure
+                args = (self.frame_local("C" + f.sort), self.value(arg.arg))
+            else:
+                inner = self.value(arg)
+                slot = self.slots.get(arg)
+                if inner in self.sources:           # the closure of the target's source
+                    args = (self.frame_local("C" + f.sort), self.sources[inner])
+                elif slot in self.polars:           # bound by the loop over the slot
+                    name = self.names[f] = self.polars[slot] = \
+                        self.polars[slot] or f"v{next(self.fresh)}"
+                    self.reads.setdefault(name, self.reads[inner])
+                    return name
+                else:
+                    args = (self.frame_local("P" + arg.sort), inner)
             expr = "%s[%s]" % args
         else:
             op = _OPERATOR_OF.get(kind)
@@ -683,10 +760,15 @@ class _Nest:
                 expr = "%s[%s]" % args
             else:
                 size = self.frame_local("n" + f.right.sort)
-                args = (table, self.value(f.left), size, self.value(f.right))
-                expr = "%s[%s << %s | %s]" % args
-        name = self.names[f] = f"v{len(self.names)}"
-        self.level[name] = self.emit(f"{name} = {expr}", *args)
+                left, right = self.value(f.left), self.value(f.right)
+                if self.loop(left) < self.loop(right):      # the left's row, at its loop
+                    row = self.share(f"{table}[{left} << {size}:{left} + 1 << {size}]", left)
+                    args = (row, right)
+                    expr = "%s[%s]" % args
+                else:
+                    args = (table, left, size, right)
+                    expr = "%s[%s << %s | %s]" % args
+        name = self.names[f] = self.share(expr, *args)
         return name
 
     def truth(self, f: FoFormula, scope: dict) -> str:
@@ -729,7 +811,7 @@ class _Nest:
                 rows = self.frame_local(attr, f"fr.{attr}")
             elif (rows := self.names.get(f.rel)) is None:     # a word's rows, keyed by it
                 letters = self.const(tuple(f.rel[4:].split(".")))
-                rows = self.names[f.rel] = self.frame_local(f"v{len(self.names)}",
+                rows = self.names[f.rel] = self.frame_local(f"v{next(self.fresh)}",
                                                             f"fr.word_rows({letters})")
             args = [f.args[i] for i in (*index, bit)]
             shape = rows + "[{}]" * len(index) + " >> {} & 1"
@@ -748,16 +830,50 @@ class _Nest:
 
     def compile(self, params: str, inner: Sequence[str], start: Sequence[str] = ()) -> Callable:
         """The function ``kernel(fr<params>)``: the frame locals, ``start``,
-        the loops with ``inner`` in the innermost, then ``return result``.
-        The source is kept as the function's ``source``."""
+        the statements outside the loops, the tables, then the loops with
+        ``inner`` in the innermost, then ``return result``.  The source is
+        kept as the function's ``source``."""
+        folded = len(self.spaces) > self.depth      # the last loop holds several slots
+        body: list[list[str]] = [[] for _ in range(self.depth + 1)]
+        slot_tables: dict = {}                      # loop -> (local, statement) of its table
+        for reads, name, line in self.lines:
+            level = max(reads, default=0)
+            if name is None:
+                line = f"if {line}: {'continue' if level else f'return {self.result}'}"
+            if level > 1 and len(reads) == 1 and not (folded and level == self.depth):
+                slot_tables.setdefault(level, []).append((name, line))
+            else:
+                body[level].append(line)
+        body[self.depth] += inner
+        used = set(_LOCAL.findall("\n".join([self.result, *itertools.chain(*body)])))
+        before: list[str] = []          # the tables, filled before the loops
+        heads = [""]
+        for level in range(1, self.depth + 1):
+            slots = range(level - 1, len(self.spaces) if level == self.depth else level)
+            bound = [self.bound(i) for i in slots]
+            if level in slot_tables:
+                stmts = slot_tables[level]
+                out = bound[0] + [name for name, _ in stmts if name in used]
+                table = f"v{next(self.fresh)}"
+                item = out[0] if len(out) == 1 else f"({', '.join(out)})"
+                before += [f"{table} = []",
+                           f"for {', '.join(bound[0])} in {self.spaces[level - 1]}:",
+                           *(f"    {line}" for _, line in stmts),
+                           f"    {table}.append({item})"]
+                heads.append(f"for {', '.join(out)} in {table}:")
+            elif len(bound) == 1:
+                heads.append(f"for {', '.join(bound[0])} in {self.spaces[level - 1]}:")
+            else:
+                targets = [names[0] if len(names) == 1 else f"({', '.join(names)})"
+                           for names in bound]
+                heads.append(f"for {', '.join(targets)} in "
+                             f"product({', '.join(self.spaces[i] for i in slots)}):")
         lines = [f"def kernel(fr{params}):"]
         lines += [f"    {name} = {expr}" for name, expr in self.tables.items()]
-        lines += [f"    {line}" for line in start]
-        self.body[self.depth] += inner
-        for level, block in enumerate(self.body):
-            if level:
-                lines.append("    " * level + self.loops[level])
-            lines += ["    " * (level + 1) + line for line in block]
+        lines += [f"    {line}" for line in (*start, *body[0], *before)]
+        for level in range(1, self.depth + 1):
+            lines.append("    " * level + heads[level])
+            lines += ["    " * (level + 1) + line for line in body[level]]
         lines.append(f"    return {self.result}")
         source = "\n".join(lines) + "\n"
         depth = max(itertools.accumulate((c in "([{") - (c in ")]}") for c in source))
@@ -769,6 +885,14 @@ class _Nest:
         kernel = namespace["kernel"]
         kernel.source = source
         return kernel
+
+    def bound(self, slot: int) -> list[str]:
+        """The locals the loop over ``slot`` binds: the slot's, and over a
+        ``Q`` space its polar's."""
+        if slot not in self.polars:
+            return [f"s{slot}"]
+        self.polars[slot] = self.polars[slot] or f"v{next(self.fresh)}"
+        return [f"s{slot}", self.polars[slot]]
 
 
 def compile_sorted(f: SortedFormula, slots: dict) -> Callable[[FiniteFrame, list], int]:
@@ -1020,17 +1144,29 @@ def system_equivalence_witness(frame: FiniteFrame, sys1, sys2):
     """A valuation satisfying both systems' constraints on which exactly one
     main inequality holds, or None when the systems agree everywhere.
 
-    The pair is compiled once (``_systems_plan``, memoised) into one
-    generated loop nest (``_Nest``): a loop per free variable, each change
-    of variable at the loop of its source, and each node of the four sides
-    computed once per change of the variables it reads, the two systems
-    sharing their common subterms.  The witness is the first valuation of
-    ``system_valuations(frame, (sys1, sys2))`` on which ``system_holds``,
-    the reference, tells the systems apart.
+    The pair is compiled once (``_systems_plan``, kept by the ids of the
+    two systems) into one generated loop nest (``_Nest``): a loop per free
+    variable, each change of variable at the loop of its source, and each
+    node of the four sides computed once per change of the variables it
+    reads, the two systems sharing their common subterms.  A variable read
+    only through its polar takes the first mask of each polar.  The witness
+    is the first valuation of ``system_valuations(frame, (sys1, sys2))`` on
+    which ``system_holds``, the reference, tells the systems apart.
     """
-    plan = _systems_plan((sys1, sys2))
+    entry = _witness_plans.get((id(sys1), id(sys2)))
+    if entry is None:
+        if len(_witness_plans) >= 256:
+            _witness_plans.clear()
+        entry = _witness_plans[id(sys1), id(sys2)] = (sys1, sys2, _systems_plan((sys1, sys2)))
+    plan = entry[-1]
     row = plan.kernel(frame) if plan.kernel else None
     return None if row is None else dict(zip(plan.keys, row))
+
+
+# Witness plans by the ids of their two systems, stored with the systems so
+# that no id is reused while cached, as ``_oracle_plans`` are: hashing both
+# systems on every frame would cost more than many a kernel.
+_witness_plans: dict = {}
 
 
 @dataclass(frozen=True)
@@ -1094,7 +1230,10 @@ def _systems_plan(systems: tuple) -> _SystemsPlan:
     steps = tuple((slots[tgt], slots[src], src.sort, check) for tgt, src, check in order)
     kernel = None
     if not pending and len(systems) == 2:
-        nest = _Nest(slots, "None", [("S" if stable else "R") + sort for stable, sort in spaces])
+        depths = prime_depths(*(side for sys in systems for side in (sys.main.lhs, sys.main.rhs)))
+        # a subset read only through its polar needs one mask per polar
+        nest = _Nest(slots, "None", [("S" if stable else "Q" if all(depths.get(v, ())) else "R")
+                                     + sort for v, (stable, sort) in zip(keys, spaces)])
         for step in steps:
             nest.step(*step)
         (lhs1, rhs1), (lhs2, rhs2) = [(nest.value(sys.main.lhs), nest.value(sys.main.rhs))
@@ -1142,12 +1281,17 @@ def correspondence_oracle(frame: FiniteFrame, s: Sequent, anchor: IVar,
     per-point loop of ``local_validity`` and ``eval_fo`` is the reference.
     """
     kernel = _oracle_plan(s, anchor, corr)
-    polar, polard = frame._polar1_table, frame._polard_table
-    for a in frame.stable1:
-        if polard[polar[a]] != a:
-            raise ValueError(f"valuation value {a} is not a stable set")
+    if not frame._stable1_checked:
+        _check_stable(frame.stable1, frame._polar1_table, frame._polard_table)
     w = kernel(frame)
     return None if w is None else (frame.z1 if anchor.sort == SORT1 else frame.zd)[w]
+
+
+def _check_stable(stable1, polar1, polard) -> None:
+    """Raise ``ValueError`` unless every mask of ``stable1`` is its own closure."""
+    for a in stable1:
+        if polard[polar1[a]] != a:
+            raise ValueError(f"valuation value {a} is not a stable set")
 
 
 # Oracle kernels by the ids of their (sequent, anchor, formula), stored
@@ -1170,14 +1314,14 @@ def _oracle_plan(s: Sequent, anchor: IVar, corr: FoFormula):
             refuted = f"{lhs} & ~{rhs}"
         else:       # the dual sequent: the polars, sort-d masks, the other way round
             refuted = f"{nest.frame_local('P1')}[{rhs}] & ~P1[{lhs}]"
-        nest.emit(f"failing |= {refuted}", lhs, rhs)
         w = f"q{next(nest.binders)}"
         holds = nest.truth(corr, {anchor: w})
         nest.result = (f"next(({w} for {w} in {nest.frame_local('E' + anchor.sort)} "
                        f"if failing >> {w} & 1 == ({holds})), None)")
         if len(_oracle_plans) >= 8:
             _oracle_plans.clear()
-        _oracle_plans[key] = (s, anchor, corr, nest.compile("", (), ["failing = 0"]))
+        _oracle_plans[key] = (s, anchor, corr, nest.compile("", [f"failing |= {refuted}"],
+                                                             ["failing = 0"]))
     return _oracle_plans[key][-1]
 
 
@@ -1410,9 +1554,11 @@ class _Polarity:
             **{attr: frozenset() for attr, *_ in _BASE_RELATIONS.values()},
             "irow": irow, "icol": icol,
             "_polar1_table": polar1, "_polard_table": polard,
+            "_close1_table": close1, "_closed_table": closed,
             "stable1": tuple(sorted(set(close1))), "stabled": tuple(sorted(set(closed))),
-            "up1": self.up[SORT1], "upd": self.up[SORTD],
+            "up1": self.up[SORT1], "upd": self.up[SORTD], "_stable1_checked": True,
         }
+        _check_stable(self.shared["stable1"], polar1, polard)
 
     def judge(self, patterns: _Patterns, pattern: int) -> tuple | None:
         """The record of ``patterns.rel`` with the given pattern, its frame

@@ -14,8 +14,11 @@ from functools import reduce
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dfmlcorr.corpus import CORPUS
+from dfmlcorr.correspondence import compute_correspondent
 from dfmlcorr.reduction import (
     ChangeOfVariables, FormalInequality, InequalitySystem, StabilityConstraint,
+    applicable_moves, canonical_key,
 )
 from dfmlcorr.semantics import (
     _MAX_LOOPS, _MAX_NESTING, _OPERATOR_OF, _REL_ROWS, FiniteFrame, _oracle_plan,
@@ -24,8 +27,8 @@ from dfmlcorr.semantics import (
     system_valuations,
 )
 from dfmlcorr.syntax import (
-    SORT1, SORTD, AndF, Cap, Eq, Exists, Forall, Forall2, ImpF, IVar, NotF, OrF,
-    PredApp, Prime, PVar, RelAtom, SortedVar, and_all, or_all, parse_dfml, parse_fo,
+    SORT1, SORTD, AndF, Cap, Cup, Eq, Exists, Forall, Forall2, ImpF, IVar, NotF, OrF,
+    PredApp, Prime, PVar, RelAtom, SortedVar, STop, and_all, or_all, parse_dfml, parse_fo,
     word_rel,
 )
 
@@ -38,6 +41,9 @@ FIXED_NAMES = {
     "kernel", "fr", "row", "failing", "product", "range", "None",
     "_polar1_table", "_polard_table", "op_tables", "n1", "nd", "full1", "fulld",
     "stable1", "stabled", "P1", "Pd", "F1", "Fd", "S1", "Sd", "R1", "Rd",
+    # closures, the representatives of each polar, and the tables of inner loops
+    "_close1_table", "_closed_table", "C1", "Cd", "_polar1_reps", "_polard_reps", "Q1", "Qd",
+    "append",
     # first-order formulas: the rows of ``_REL_ROWS`` and of ``<=`` and
     # words, the constants ``K`` and the point spaces
     "all", "any", "next", "bool", "K", "word_rows", "up1", "upd", "E1", "Ed",
@@ -63,6 +69,18 @@ def assert_generated(source: str) -> None:
         else:
             assert tok.type in (tokenize.OP, tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
                                 tokenize.DEDENT, tokenize.ENDMARKER), tok
+
+
+def nest_loops(source: str) -> list:
+    """The loops of a generated nest, outermost first: the function's last
+    loop and the loops nested in it, not the loops before it that fill the
+    tables of inner slots."""
+    loops = []
+    body = ast.parse(source).body[0].body
+    while any(isinstance(node, ast.For) for node in body):
+        loops.append([node for node in body if isinstance(node, ast.For)][-1])
+        body = loops[-1].body
+    return loops
 
 
 def reference_witness(fr, sys1, sys2):
@@ -134,6 +152,14 @@ _CYCLE = (ChangeOfVariables(P[1], Q[1]), ChangeOfVariables(Q[1], P[1]))
 _CHAIN = (ChangeOfVariables(P[2], Q[1]), ChangeOfVariables(Q[1], P[0]))     # newest first
 
 
+# Masks 0 and 1 of Z1 share the polar {b0, b1}, and masks 2 and 3 share {b1}:
+# a slot read only through its polar takes masks 0 and 2, and the witnesses
+# below have 2 in one slot and 0 in the other.
+_SHARED_POLARS = FiniteFrame(["a0", "a1"], ["b0", "b1"], i_rel=[("a1", "b0")], validate=False)
+_A, _B = Prime(P[0]), Prime(P[1])
+_TO_Q0 = ChangeOfVariables(Q[0], P[0])
+
+
 @given(fr=small_frames(), sys1=systems(), sys2=systems())
 @example(fr=kripke_frame(2), sys1=_with(FormalInequality(SORT1, P[1], P[0]), *_CHECK),
          sys2=_with(FormalInequality(SORTD, Q[0], Prime(P[1])), *_CHECK, stb=(P[1],)))
@@ -141,6 +167,12 @@ _CHAIN = (ChangeOfVariables(P[2], Q[1]), ChangeOfVariables(Q[1], P[0]))     # ne
          sys2=_with(FormalInequality(SORT1, P[1], Prime(Q[1])), *_CYCLE))
 @example(fr=kripke_frame(2), sys1=_with(FormalInequality(SORT1, P[2], P[0]), *_CHAIN),
          sys2=_with(FormalInequality(SORT1, P[0], P[2]), *_CHAIN))
+@example(fr=_SHARED_POLARS, sys1=_with(FormalInequality(SORTD, _A, _B)),
+         sys2=_with(FormalInequality(SORTD, _B, _A)))
+@example(fr=_SHARED_POLARS, sys1=_with(FormalInequality(SORTD, _B, _A)),
+         sys2=_with(FormalInequality(SORTD, STop(SORTD), Cup(_A, _B))))
+@example(fr=_SHARED_POLARS, sys1=_with(FormalInequality(SORTD, Q[0], _B), _TO_Q0),
+         sys2=_with(FormalInequality(SORTD, _B, Q[0]), _TO_Q0))
 @settings(max_examples=300, deadline=None)
 def test_witness_kernel_matches_reference_on_random_pairs(fr, sys1, sys2):
     check_pair(fr, sys1, sys2)
@@ -162,6 +194,16 @@ def test_crafted_pairs_reach_each_kind_of_step():
     assert [step[:2] for step in chain.steps] == [(1, 0), (2, 1)]
 
 
+def test_slots_read_through_their_polar_take_one_mask_per_polar():
+    """On ``_SHARED_POLARS`` the loops over P0 and P1 visit masks 0 and 2
+    only, and the witness is still the reference's first row."""
+    sys1, sys2 = _with(FormalInequality(SORTD, _A, _B)), _with(FormalInequality(SORTD, _B, _A))
+    assert _SHARED_POLARS._polar1_reps == ((0, 3), (2, 2))
+    assert _systems_plan((sys1, sys2)).kernel.source.count(" in Q1:") == 2
+    assert system_equivalence_witness(_SHARED_POLARS, sys1, sys2) == {P[0]: 0, P[1]: 2}
+    assert items(reference_witness(_SHARED_POLARS, sys1, sys2)) == [(P[0], 0), (P[1], 2)]
+
+
 # -- nests deeper than CPython's block limit -------------------------------------------
 
 def one_stable_set_frame():
@@ -181,7 +223,7 @@ def test_twenty_five_variable_system_compiles_and_agrees():
     differ = _with(FormalInequality(SORT1, Cap(as1[22], as1[23]), as1[24]), stb=stb)
     source = _systems_plan((same, differ)).kernel.source
     assert_generated(source)
-    assert "product(" in source and source.count("for ") == _MAX_LOOPS
+    assert "product(" in source and len(nest_loops(source)) == _MAX_LOOPS
     assert len(list(system_valuations(fr, (same, differ)))) == 8
     check_pair(fr, same, differ)
     assert system_equivalence_witness(fr, same, differ) is not None
@@ -197,6 +239,79 @@ def test_twenty_five_variable_sequent_through_the_oracle():
             source = _oracle_plan(s, anchor, f).source
             assert_generated(source)
             assert "product(" in source
+
+
+# -- the shape of the corpus kernels ---------------------------------------------------
+
+def corpus_applications() -> dict:
+    """Every rule application of the corpus searches, keyed by its two
+    systems' canonical keys: each step of each trace, and each one-step move
+    from a system a trace visits."""
+    apps, visited = {}, []
+    for entry in CORPUS:
+        res = compute_correspondent(parse_dfml(entry.sequent))
+        traces = [r.trace for r in res.classification.successes]
+        for r in res.classification.successes:
+            visited += [st.before for st in r.trace] + [r.system]
+        for trace in traces + [c.trace for c in res.correspondents]:
+            for st in trace:
+                apps.setdefault((canonical_key(st.before), canonical_key(st.after)),
+                                (st.before, st.after))
+    for sys in visited:
+        for _rule, _site, child in applicable_moves(sys):
+            apps.setdefault((canonical_key(sys), canonical_key(child)), (sys, child))
+    return apps
+
+
+def is_polar(node) -> bool:
+    """``node`` looks a local up in a polar table."""
+    return (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id in ("P1", "Pd") and isinstance(node.slice, ast.Name))
+
+
+def shape_faults(source: str) -> list[str]:
+    """The statements of a generated nest's inner loops that read only their
+    own loop's slot, and the polar lookups of a local that is itself a
+    polar: of a lookup, or of a loop over representatives."""
+    tree = ast.parse(source)
+    polars = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and is_polar(node.value):
+            polars.add(node.targets[0].id)
+        elif (isinstance(node, ast.For) and isinstance(node.iter, ast.Name)
+              and node.iter.id in ("Q1", "Qd")):
+            polars.add(node.target.elts[1].id)
+    faults = [ast.unparse(node) for node in ast.walk(tree)
+              if is_polar(node) and node.slice.id in polars]
+    reads: dict = {}        # local -> the nest loops whose targets it reads
+    for depth, loop in enumerate(nest_loops(source), 1):
+        for node in ast.walk(loop.target):
+            if isinstance(node, ast.Name):
+                reads[node.id] = {depth}
+        for stmt in loop.body:
+            if isinstance(stmt, ast.Assign):
+                got = set().union(*(reads.get(node.id, ()) for node in ast.walk(stmt.value)
+                                    if isinstance(node, ast.Name)))
+                reads[stmt.targets[0].id] = got
+                if depth > 1 and got == {depth}:
+                    faults.append(ast.unparse(stmt))
+    return faults
+
+
+def test_corpus_kernels_compute_inner_nodes_once_and_close_in_one_lookup():
+    """No witness kernel of a corpus rule application recomputes a node that
+    reads only an inner loop's slot for each row of the outer loops, or
+    looks up the polar of a polar; each of the kernel's devices occurs."""
+    apps = corpus_applications()
+    assert len(apps) > 150
+    sources = []
+    for sys1, sys2 in apps.values():
+        source = _systems_plan((sys1, sys2)).kernel.source
+        assert shape_faults(source) == [], source
+        assert "product(" not in source
+        sources.append(source)
+    for device in (".append(", " in Q1:", "C1[", "Cd[", " + 1 << n1]"):
+        assert any(device in source for source in sources), device
 
 
 # -- first-order formulas as one expression ---------------------------------------------

@@ -882,6 +882,23 @@ def test_oracle_rejects_an_unstable_valuation_value():
         correspondence_oracle(fr, s, IVar(0, SORT1), parse_fo("x0 = x0"))
 
 
+def test_oracle_checks_the_stable_sets_of_a_built_or_loaded_frame_on_every_call(tmp_path):
+    """An enumerated frame's stable sets are checked once, by its
+    ``_Polarity``; a frame built by hand or loaded from a file is checked on
+    each call, so one corrupted after a passing call still raises."""
+    s, x0 = parse_dfml("p |- p"), parse_fo("x0 = x0")
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps(frame_to_json(skew_frame())))
+    for fr in (skew_frame(), load_frame(str(path))):
+        assert not fr._stable1_checked
+        assert correspondence_oracle(fr, s, IVar(0, SORT1), x0) is None
+        fr.__dict__["stable1"] = [*fr.stable1, next(m for m in range(fr.full1 + 1)
+                                                    if fr.close1(m) != m)]
+        with pytest.raises(ValueError, match="is not a stable set"):
+            correspondence_oracle(fr, s, IVar(0, SORT1), x0)
+    assert all(fr._stable1_checked for fr in enumerate_frames(2, 2, ()))
+
+
 def reference_enumerate(n1, nd, relations, require=("F1", "F2"), sample=None, seed=0):
     """The enumerator as first specified: every (I-relation, relation bits)
     candidate built by name as a ``FiniteFrame`` and kept when
@@ -914,7 +931,8 @@ def reference_enumerate(n1, nd, relations, require=("F1", "F2"), sample=None, se
 
 def test_enumerator_matches_reference():
     """The same frames, in the same order, as building and checking every
-    candidate: every size up to 2+2 for each relation set of the corpus,
+    candidate, with the same closure tables and representatives of each
+    polar: every size up to 2+2 for each relation set of the corpus,
     with and without F3, and F3 without F2 (a seeded sample above 12
     relation bits), samples at 3+3 over T, and the benchmark's exhaustive
     sizes, Rbox at 2+3 and Rdia at 3+2, with and without F3."""
@@ -933,11 +951,13 @@ def test_enumerator_matches_reference():
               for require in (("F1", "F2"), ("F1", "F2", "F3"))]
     kept = 0
     for n1, nd, rels, require, sample, seed in cases:
-        got = [frame_to_json(fr) for fr in enumerate_frames(
-            n1, nd, rels, require=require, sample=sample, seed=seed)]
-        want = [frame_to_json(fr) for fr in reference_enumerate(
-            n1, nd, rels, require=require, sample=sample, seed=seed)]
-        assert got == want, (n1, nd, rels, require, sample, seed)
+        got = list(enumerate_frames(n1, nd, rels, require=require, sample=sample, seed=seed))
+        want = list(reference_enumerate(n1, nd, rels, require=require, sample=sample, seed=seed))
+        assert list(map(frame_to_json, got)) == list(map(frame_to_json, want)), \
+            (n1, nd, rels, require, sample, seed)
+        for fr, ref in zip(got, want):      # the closures and representatives too
+            for attr in ("_close1_table", "_closed_table", "_polar1_reps", "_polard_reps"):
+                assert list(getattr(fr, attr)) == list(getattr(ref, attr)), attr
         kept += len(got)
     assert kept > 5000
 
