@@ -21,7 +21,7 @@ from .syntax import (
     OrF, PredApp, PropVar, PVar, RelAtom, Sequent, SortedFormula, SortedVar,
     STop, SBot, Cap, Cup, Prime, DiaVert, DiaMinus, Box1, BoxD, BoxMinus,
     BoxVert, TDown, BTDown, Odot, RSpoon, TRight, Top, TrueF, dfml_vars, flip,
-    prime_depths, rel_signature, sorted_vars, word_rel,
+    prime_depths, rebuild, rel_signature, sorted_vars, word_rel,
 )
 from .translation import translate_bullet
 
@@ -628,6 +628,8 @@ _MAX_NESTING = 100
 
 # A slot or node local of generated source.
 _LOCAL = re.compile(r"\b[sv]\d+\b")
+# Numbers each generated function's file name.
+_KERNEL_NUMBERS = itertools.count()
 
 
 class _Nest:
@@ -881,7 +883,8 @@ class _Nest:
             raise FormulaDepthError(f"a formula nests {depth} brackets deep in generated "
                                     f"code; at most {_MAX_NESTING} are supported")
         namespace = {"product": itertools.product, "K": tuple(self.consts)}
-        exec(compile(source, "<generated evaluator>", "exec"), namespace)
+        # a file name of its own: a profile tells the kernels apart
+        exec(compile(source, f"<generated evaluator {next(_KERNEL_NUMBERS)}>", "exec"), namespace)
         kernel = namespace["kernel"]
         kernel.source = source
         return kernel
@@ -945,28 +948,18 @@ def _dfml_value(frame: FiniteFrame, valuation: dict, f: DfmlFormula) -> int:
 
 def _dfml_operators(f: DfmlFormula) -> SortedFormula:
     """The sorted formula whose value is ``_dfml_value`` of ``f`` on stable
-    valuations: ``translate_bullet`` with variables unprimed and ``bot`` as
-    the polar of the full sort-d carrier, its value on every frame."""
-    kind = type(f)
-    if kind is PropVar:
-        return SortedVar(f.index, SORT1)
-    if kind is Top:
-        return STop(SORT1)
-    if kind is Bot:
+    valuations: ``translate_bullet(f)`` read on them, each ``P''`` as ``P``,
+    a stable set being its own closure, and ``bot`` as the polar of the full
+    sort-d carrier, its value on every frame."""
+    return _on_stable_valuations(translate_bullet(f))
+
+
+def _on_stable_valuations(g: SortedFormula) -> SortedFormula:
+    if type(g) is Prime and type(g.arg) is Prime and type(g.arg.arg) is SortedVar:
+        return g.arg.arg
+    if g is SBot(SORT1):
         return Prime(STop(SORTD))
-    if kind is And:
-        return Cap(_dfml_operators(f.left), _dfml_operators(f.right))
-    if kind is Or:
-        return Prime(Prime(Cup(_dfml_operators(f.left), _dfml_operators(f.right))))
-    if kind is Box:
-        return BoxMinus(_dfml_operators(f.arg))
-    if kind is Dia:
-        return Prime(Prime(DiaVert(_dfml_operators(f.arg))))
-    if kind is Neg:
-        return Prime(TDown(_dfml_operators(f.arg)))
-    if kind is Imp:
-        return RSpoon(_dfml_operators(f.left), _dfml_operators(f.right))
-    raise TypeError(f"not a modal formula: {f!r}")
+    return rebuild(g, [_on_stable_valuations(kid) for kid in g._kids])
 
 
 def compile_dfml(f: DfmlFormula, var_ids) -> Callable[[FiniteFrame, Sequence[int]], int]:
@@ -1236,11 +1229,13 @@ def _systems_plan(systems: tuple) -> _SystemsPlan:
                                      + sort for v, (stable, sort) in zip(keys, spaces)])
         for step in steps:
             nest.step(*step)
-        (lhs1, rhs1), (lhs2, rhs2) = [(nest.value(sys.main.lhs), nest.value(sys.main.rhs))
-                                      for sys in systems]
-        # the rows under a prefix on which the systems agree are skipped whole
-        nest.guard(f"(not {lhs1} & ~{rhs1}) == (not {lhs2} & ~{rhs2})", lhs1, rhs1, lhs2, rhs2)
-        kernel = nest.compile("", [f"return ({''.join(f's{i}, ' for i in range(len(keys)))})"])
+        sides = [(nest.value(sys.main.lhs), nest.value(sys.main.rhs)) for sys in systems]
+        if sides[0] == sides[1]:        # equal on every row: no loop can find a witness
+            kernel = _Nest(slots, "None").compile("", ())
+        else:   # the rows under a prefix on which the systems agree are skipped whole
+            (lhs1, rhs1), (lhs2, rhs2) = sides
+            nest.guard(f"(not {lhs1} & ~{rhs1}) == (not {lhs2} & ~{rhs2})", lhs1, rhs1, lhs2, rhs2)
+            kernel = nest.compile("", [f"return ({''.join(f's{i}, ' for i in range(len(keys)))})"])
     return _SystemsPlan(tuple(keys), spaces, steps, not pending, kernel)
 
 

@@ -52,6 +52,18 @@ class DfmlFormula:
         return dfml_to_text(self)
 
 
+def _connective(base: type, name: str, *fields: str, subs: tuple[str, ...] | None = None) -> type:
+    """A modal or first-order node class ``name`` of ``base`` that does not
+    check its fields: a frozen dataclass of ``fields``, in order, whose
+    subformulas are ``subs``, by default every field, and whose other
+    fields are bound variables.  A node class that checks its own fields
+    is written out."""
+    subs = fields if subs is None else subs
+    annotations = {field: base.__name__ if field in subs else "IVar | PVar" for field in fields}
+    return dataclass(frozen=True)(type(name, (base,), {
+        "__module__": __name__, "__annotations__": annotations, "_subs": subs}))
+
+
 @dataclass(frozen=True)
 class PropVar(DfmlFormula):
     index: int
@@ -61,55 +73,14 @@ class PropVar(DfmlFormula):
             raise ValueError("propositional variable index must be >= 0")
 
 
-@dataclass(frozen=True)
-class Top(DfmlFormula):
-    pass
-
-
-@dataclass(frozen=True)
-class Bot(DfmlFormula):
-    pass
-
-
-@dataclass(frozen=True)
-class And(DfmlFormula):
-    left: DfmlFormula
-    right: DfmlFormula
-    _subs = ("left", "right")
-
-
-@dataclass(frozen=True)
-class Or(DfmlFormula):
-    left: DfmlFormula
-    right: DfmlFormula
-    _subs = ("left", "right")
-
-
-@dataclass(frozen=True)
-class Box(DfmlFormula):
-    arg: DfmlFormula
-    _subs = ("arg",)
-
-
-@dataclass(frozen=True)
-class Dia(DfmlFormula):
-    arg: DfmlFormula
-    _subs = ("arg",)
-
-
-@dataclass(frozen=True)
-class Neg(DfmlFormula):
-    """The weak (quasi-complement) negation."""
-
-    arg: DfmlFormula
-    _subs = ("arg",)
-
-
-@dataclass(frozen=True)
-class Imp(DfmlFormula):
-    left: DfmlFormula
-    right: DfmlFormula
-    _subs = ("left", "right")
+Top = _connective(DfmlFormula, "Top")
+Bot = _connective(DfmlFormula, "Bot")
+And = _connective(DfmlFormula, "And", "left", "right")
+Or = _connective(DfmlFormula, "Or", "left", "right")
+Box = _connective(DfmlFormula, "Box", "arg")
+Dia = _connective(DfmlFormula, "Dia", "arg")
+Neg = _connective(DfmlFormula, "Neg", "arg")      # the weak (quasi-complement) negation
+Imp = _connective(DfmlFormula, "Imp", "left", "right")
 
 
 @dataclass(frozen=True)
@@ -582,64 +553,16 @@ class PredApp(FoFormula):
         _require(self.var.sort == self.arg.sort, "predicate/argument sort mismatch")
 
 
-@dataclass(frozen=True)
-class TrueF(FoFormula):
-    pass
-
-
-@dataclass(frozen=True)
-class FalseF(FoFormula):
-    pass
-
-
-@dataclass(frozen=True)
-class NotF(FoFormula):
-    arg: FoFormula
-    _subs = ("arg",)
-
-
-@dataclass(frozen=True)
-class AndF(FoFormula):
-    left: FoFormula
-    right: FoFormula
-    _subs = ("left", "right")
-
-
-@dataclass(frozen=True)
-class OrF(FoFormula):
-    left: FoFormula
-    right: FoFormula
-    _subs = ("left", "right")
-
-
-@dataclass(frozen=True)
-class ImpF(FoFormula):
-    left: FoFormula
-    right: FoFormula
-    _subs = ("left", "right")
-
-
-@dataclass(frozen=True)
-class Forall(FoFormula):
-    var: IVar
-    body: FoFormula
-    _subs = ("body",)
-
-
-@dataclass(frozen=True)
-class Exists(FoFormula):
-    var: IVar
-    body: FoFormula
-    _subs = ("body",)
-
-
-@dataclass(frozen=True)
-class Forall2(FoFormula):
-    """Second-order universal quantifier over a predicate variable."""
-
-    var: PVar
-    body: FoFormula
-    _subs = ("body",)
+TrueF = _connective(FoFormula, "TrueF")
+FalseF = _connective(FoFormula, "FalseF")
+NotF = _connective(FoFormula, "NotF", "arg")
+AndF = _connective(FoFormula, "AndF", "left", "right")
+OrF = _connective(FoFormula, "OrF", "left", "right")
+ImpF = _connective(FoFormula, "ImpF", "left", "right")
+Forall = _connective(FoFormula, "Forall", "var", "body", subs=("body",))
+Exists = _connective(FoFormula, "Exists", "var", "body", subs=("body",))
+# second-order universal quantifier over a predicate variable
+Forall2 = _connective(FoFormula, "Forall2", "var", "body", subs=("body",))
 
 
 @dataclass(frozen=True)

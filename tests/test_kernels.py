@@ -24,7 +24,7 @@ from dfmlcorr.semantics import (
     _MAX_LOOPS, _MAX_NESTING, _OPERATOR_OF, _REL_ROWS, FiniteFrame, _oracle_plan,
     _systems_plan, bits, compile_fo, correspondence_oracle, enumerate_frames, eval_fo,
     kripke_frame, separated_i_masks, system_equivalence_witness, system_holds,
-    system_valuations,
+    system_relations_needed, system_valuations,
 )
 from dfmlcorr.syntax import (
     SORT1, SORTD, AndF, Cap, Cup, Eq, Exists, Forall, Forall2, ImpF, IVar, NotF, OrF,
@@ -312,6 +312,31 @@ def test_corpus_kernels_compute_inner_nodes_once_and_close_in_one_lookup():
         sources.append(source)
     for device in (".append(", " in Q1:", "C1[", "Cd[", " + 1 << n1]"):
         assert any(device in source for source in sources), device
+
+
+def test_r6_step_with_shared_sides_compiles_to_a_kernel_without_loops():
+    """An R6 step of ``box-t``'s search leaves both systems' main sides the
+    same nodes: its kernel returns None without a loop, and the reference
+    finds no witness on its 2+2 family either."""
+    entry = next(entry for entry in CORPUS if entry.name == "box-t")
+    res = compute_correspondent(parse_dfml(entry.sequent))
+    step = next(st for r in res.classification.successes for st in r.trace if st.rule == "R6")
+    source = _systems_plan((step.before, step.after)).kernel.source
+    assert "for " not in source, source
+    frames = list(enumerate_frames(2, 2, system_relations_needed(step.before, step.after),
+                                   require=("F1", "F2")))
+    assert len(frames) > 100
+    for fr in frames:
+        assert system_equivalence_witness(fr, step.before, step.after) is None
+        assert reference_witness(fr, step.before, step.after) is None
+
+
+def test_each_kernel_is_compiled_under_a_file_name_of_its_own():
+    """A profile of the generated functions tells them apart."""
+    x0 = IVar(0, SORT1)
+    one, two = compile_fo(Eq(x0, x0), (x0,)), compile_fo(Eq(x0, x0), (x0,))
+    assert one.__code__.co_filename != two.__code__.co_filename
+    assert one.__code__.co_filename.startswith("<generated evaluator ")
 
 
 # -- first-order formulas as one expression ---------------------------------------------

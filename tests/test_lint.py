@@ -1,8 +1,9 @@
 """Every module of the package uses each name it imports, every private
 module-level function and class is used somewhere in the package, one
 function holds the package's only ``exec``, one function builds every ``I``
-atom, two functions own the reduction search's memo, and one method owns
-the intern tables of sorted nodes and their shapes."""
+atom, two functions own the reduction search's memo, one method owns the
+intern tables of sorted nodes and their shapes, and only the reference
+interpreters name one another."""
 import ast
 from pathlib import Path
 
@@ -246,3 +247,53 @@ def test_intern_table_users_are_reported():
     assert intern_table_users({"syntax.py": strays, "reduction.py": other}) == [
         "reduction.py: <module>", "reduction.py: clear", "syntax.py: <module>",
         "syntax.py: Other.__new__", "syntax.py: shape"]
+
+
+# The reference interpreters, which the engine's generated evaluators are
+# checked against, and the unary ``FiniteFrame`` operator methods they read.
+# Each may name the others; no other function may name any of them.
+REFERENCE_INTERPRETERS = (
+    "model_check_sorted", "model_check_dfml", "_dfml_value", "eval_fo", "_ev", "_rel_holds",
+    "_REL_HOLDS", "_lookup", "sequent_valuations", "local_validity", "frame_validity",
+    "system_valuations", "system_holds", "_plan_rows",
+)
+REFERENCE_METHODS = ("ldvert", "ldminus", "ltdown", "lbminus", "lbvert", "lbtdown",
+                     "bbox1", "bboxd")
+REFERENCE_SITES = {f"semantics.py: {name}" for name in REFERENCE_INTERPRETERS}
+
+
+def reference_users(sources: dict[str, str]) -> list[str]:
+    """Every name or attribute of a reference interpreter or operator
+    method in ``sources`` outside the reference, and every module-level one
+    past the first, the definition of ``_REL_HOLDS``."""
+    names = {*REFERENCE_INTERPRETERS, *REFERENCE_METHODS}
+    sites = node_sites(sources, lambda n: isinstance(n, (ast.Name, ast.Attribute))
+                       and getattr(n, "id", getattr(n, "attr", None)) in names)
+    module = [site for site in sites if site == "semantics.py: <module>"]
+    return [site for site in sites if site not in REFERENCE_SITES | {"semantics.py: <module>"}] \
+        + module[1:]
+
+
+def test_the_engine_names_no_reference_interpreter():
+    """The fast paths stay off the references they are tested against: only
+    the reference interpreters call one another or the frame's unary
+    operator methods."""
+    sources = {p.name: p.read_text() for p in Path(dfmlcorr.__file__).parent.glob("*.py")}
+    assert reference_users(sources) == []
+
+
+def test_reference_users_are_reported():
+    reference = ("_REL_HOLDS = {}\n"
+                 "def eval_fo(fr, f):\n    return _ev(fr, f, {}, {})\n"
+                 "def _ev(fr, f, env, penv):\n    return _REL_HOLDS[f](fr) or _ev(fr, f, env, penv)\n"
+                 "def _dfml_value(fr, val, f):\n    return fr.ldvert(_dfml_value(fr, val, f))\n")
+    assert reference_users({"semantics.py": reference}) == []
+    strays = (reference + "_REL_HOLDS.update(x=None)\n"
+              "def engine(fr, f):\n    return fr.bboxd(model_check_sorted(fr, {}, f))\n"
+              "class Kernel:\n    def run(self, fr):\n        return semantics.eval_fo(fr, None)\n"
+              "def table(fr):\n    return getattr(fr, 'ldvert')\n")
+    other = ("from dfmlcorr.semantics import system_holds\n"
+             "def audit(fr, s):\n    return system_holds\n")
+    assert reference_users({"semantics.py": strays, "cli.py": other}) == [
+        "cli.py: audit", "semantics.py: Kernel.run", "semantics.py: engine",
+        "semantics.py: engine", "semantics.py: <module>"]

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import pickle
 import re
@@ -14,7 +15,7 @@ from dfmlcorr.syntax import (
     Cap, Cup, Dia, DiaMinus, DiaVert, Eq, FalseF, Forall, ImpF, IVar, Imp,
     Neg, NotF, Odot, Or, OrF, ParseError, Positivity, PredApp, Prime, PropVar,
     PVar, RSpoon, RelAtom, Sequent, SortError, SortedVar, STop, SBot, TDown,
-    TRight, Top, MAX_DEPTH, _Parser, _dfml_formula, dfml_to_text, fo_to_text,
+    TRight, Top, TrueF, MAX_DEPTH, _Parser, _dfml_formula, dfml_to_text, fo_to_text,
     parse_dfml, parse_fo, parse_sorted, parse_sorted_sequent, positive_occurrences,
     sorted_to_text, _INTERNED, _SHAPES, children, flip, occurrences, rspoon_free,
     shape, subterms,
@@ -416,6 +417,55 @@ def fo_trees():
 @settings(max_examples=250)
 def test_fo_round_trip_random(f):
     assert parse_fo(fo_to_text(f)) == f
+
+
+# -- modal and first-order nodes -----------------------------------------------
+
+# The node classes ``syntax._connective`` builds, by name: their fields in
+# order and a value for each.  Every field but a quantifier's ``var`` is a
+# subformula.
+_DFML_KIDS = (PropVar(0), Neg(PropVar(1)))
+_FO_KIDS = (TrueF(), NotF(FalseF()))
+CONNECTIVES = {
+    **{name: ((), ()) for name in ("Top", "Bot", "TrueF", "FalseF")},
+    **{name: (("arg",), _DFML_KIDS[:1]) for name in ("Box", "Dia", "Neg")},
+    **{name: (("left", "right"), _DFML_KIDS) for name in ("And", "Or", "Imp")},
+    "NotF": (("arg",), _FO_KIDS[:1]),
+    **{name: (("left", "right"), _FO_KIDS) for name in ("AndF", "OrF", "ImpF")},
+    "Forall": (("var", "body"), (IVar(1, SORTD), _FO_KIDS[1])),
+    "Exists": (("var", "body"), (IVar(2, SORT1), _FO_KIDS[0])),
+    "Forall2": (("var", "body"), (PVar(0, SORTD), _FO_KIDS[1])),
+}
+
+
+@pytest.mark.parametrize("name", CONNECTIVES)
+def test_factory_built_nodes_keep_their_dataclass_behaviour(name):
+    cls, (names, values) = getattr(syntax, name), CONNECTIVES[name]
+    assert f"\n{name} = _connective(" in Path(syntax.__file__).read_text()
+    assert tuple(f.name for f in dataclasses.fields(cls)) == names
+    node = cls(*values)
+    # keyword construction, in any order, is positional construction
+    assert cls(**dict(reversed(list(zip(names, values))))) == node
+    twin = cls(*copy.deepcopy(values))
+    assert twin == node and hash(twin) == hash(node)
+    assert twin is not node
+    if names:
+        assert cls(*values[:-1], Top() if issubclass(cls, syntax.DfmlFormula) else FalseF()) != node
+        with pytest.raises(TypeError):
+            cls()
+    other = next(getattr(syntax, k) for k, (ns, _) in CONNECTIVES.items()
+                 if ns == names and k != name)
+    assert other(*values) != node
+    assert repr(node) == f"{name}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
+    for field in (*names, "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, field, values[0] if values else None)
+    assert node._subs == tuple(n for n in names if n != "var")
+    assert children(node) == tuple(getattr(node, n) for n in node._subs)
+    assert copy.copy(node) == node and copy.deepcopy(node) == node
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(node, protocol))
+        assert type(back) is cls and back == node
 
 
 # -- interned sorted nodes -----------------------------------------------------
