@@ -497,9 +497,10 @@ _REL_ROWS = {
 }
 
 
-# Unary operator -> (the frame's rows it reads, box?): the rows of its
-# relation, a box when it quantifies universally.
-_ROW_OPERATORS = {op: (_REL_ROWS[SORTED_MEANING[kind][1]][0], SORTED_MEANING[kind][0] is Forall)
+# Unary operator -> (the frame's rows it reads, its argument's sort, box?):
+# the rows of its relation, a box when it quantifies universally.
+_ROW_OPERATORS = {op: (_REL_ROWS[SORTED_MEANING[kind][1]][0], kind.arg_sorts[0],
+                       SORTED_MEANING[kind][0] is Forall)
                   for kind, op in _OPERATOR_OF.items() if len(kind.arg_sorts) == 1}
 
 
@@ -517,11 +518,12 @@ def _union_table(rows, n: int) -> bytes:
     return bytes(table)
 
 
-def _row_table(rows, n: int, box: bool) -> bytes:
+@lru_cache(maxsize=1024)
+def _row_table(rows: bytes, n: int, box: bool) -> bytes:
     """The table of a unary operator over ``rows``, indexed by the masks of
     ``n`` points.  A diamond's value is the union of the rows of its
     argument's points; a box's value holds the points whose row lies inside
-    its argument."""
+    its argument.  One table for all the frames with these rows."""
     if not box:
         return _union_table(rows, n)
     # x is outside box(m) iff its row meets the complement of m, whose
@@ -530,47 +532,26 @@ def _row_table(rows, n: int, box: bool) -> bytes:
     return meets[::-1].translate(_COMPLEMENT[len(rows)])
 
 
-class _RowTables(dict):
-    """The unary operator tables over ``rows`` that many frames share, each
-    built the first time a frame looks it up; ``ops[op]`` = (the size of
-    its argument's sort, box?)."""
-
-    __slots__ = ("rows", "ops")
-
-    def __init__(self, rows, ops: dict):
-        self.rows, self.ops = rows, ops
-
-    def __missing__(self, op: str) -> bytes:
-        table = self[op] = _row_table(self.rows, *self.ops[op])
-        return table
-
-
 class _OperatorTables(dict):
-    """A frame's operator tables, each built the first time it is looked up.
-    An enumerated frame starts with the tables its ``shared`` ``_RowTables``
-    have built and takes the others from them.  Otherwise a unary table is
-    built from the rows it reads (``_row_table``), a binary one from its
-    ``FiniteFrame`` method, the reference for both."""
+    """A frame's operator tables, each looked up on first use.  A unary
+    table is kept once per distinct rows it reads, for every frame built,
+    loaded or enumerated (``_row_table``); a binary one is built per frame
+    from its ``FiniteFrame`` method, the reference for both."""
 
-    __slots__ = ("frame", "shared")
+    __slots__ = ("frame",)
 
-    def __init__(self, frame: FiniteFrame, shared: tuple = ()):
-        self.frame, self.shared = frame, shared
-        for tables in shared:
-            self.update(tables)
+    def __init__(self, frame: FiniteFrame):
+        self.frame = frame
 
     def __missing__(self, op: str) -> bytes:
         fr = self.frame
-        sizes = [fr.n1 if sort == SORT1 else fr.nd for sort in _OPERATOR_ARG_SORTS[op]]
-        shared = next((tables for tables in self.shared if op in tables.ops), None)
-        if shared is not None:
-            table = shared[op]
-        elif op in _ROW_OPERATORS:
-            attr, box = _ROW_OPERATORS[op]
-            table = _row_table(getattr(fr, attr), sizes[0], box)
+        if op in _ROW_OPERATORS:
+            attr, sort, box = _ROW_OPERATORS[op]
+            table = _row_table(bytes(getattr(fr, attr)), fr.n1 if sort == SORT1 else fr.nd, box)
         else:
             fn = getattr(fr, op)
-            table = bytes(fn(a, b) for a in range(1 << sizes[0]) for b in range(1 << sizes[1]))
+            n_a, n_b = (fr.n1 if sort == SORT1 else fr.nd for sort in _OPERATOR_ARG_SORTS[op])
+            table = bytes(fn(a, b) for a in range(1 << n_a) for b in range(1 << n_b))
         self[op] = table
         return table
 
@@ -1459,8 +1440,7 @@ class _Patterns(dict):
     """One base relation's patterns at one pair of carrier sizes, each
     mapped, when first met, to the facts that do not depend on I: its
     result sections as ``bytes`` (``secs[a]`` = the results related to the
-    a-th argument tuple), its pair-set and section frame fields, and the
-    ``_RowTables`` of the unary operators over the sections.  One per
+    a-th argument tuple) and its pair-set and section frame fields.  One per
     relation per ``enumerate_frames`` call, shared by all its I-relations."""
 
     def __init__(self, rel: str, n1: int, nd: int):
@@ -1479,16 +1459,6 @@ class _Patterns(dict):
             self.lines.append((sort, n, stride, [a for a in range(self.n_args)
                                                  if not a // stride % n]))
             stride *= n
-        # rows attribute -> {operator: (its argument's size, box?)} of the
-        # unary operators reading those rows
-        self.ops = {attr: {op: (size[_OPERATOR_ARG_SORTS[op][0]], box)
-                           for op, (read, box) in _ROW_OPERATORS.items() if read == attr}
-                    for attr in (self.sec_attr, self.dd_attr)}
-
-    def row_tables(self, attr: str, rows) -> tuple:
-        """``(_RowTables over rows read as attr,)``, or () if no operator reads them."""
-        ops = self.ops[attr]
-        return (_RowTables(rows, ops),) if ops else ()
 
     def __missing__(self, pattern: int) -> tuple:
         secs = [0] * self.n_args
@@ -1504,7 +1474,7 @@ class _Patterns(dict):
             n_v = self.arg_ns[1]
             sections = tuple(tuple(secs[x * n_v:(x + 1) * n_v]) for x in range(self.arg_ns[0]))
         facts = secs, ((self.pairs_attr, frozenset(self.space[k] for k in bits(pattern))),
-                       (self.sec_attr, sections)), self.row_tables(self.sec_attr, sections)
+                       (self.sec_attr, sections))
         if len(self.space) <= _KEPT_PATTERN_BITS:
             self[pattern] = facts
         return facts
@@ -1557,12 +1527,11 @@ class _Polarity:
 
     def judge(self, patterns: _Patterns, pattern: int) -> tuple | None:
         """The record of ``patterns.rel`` with the given pattern, its frame
-        fields as (attribute, value) pairs and its ``_RowTables``, or None
-        when it fails F2 or F3 (if required).  F2, the R' and double-dual
-        rows and the tables over the latter read the sections only through
-        their polar images: ``self.rows`` keeps them per relation and tuple
-        of images."""
-        secs, fields, tables = patterns[pattern]
+        fields as (attribute, value) pairs, or None when it fails F2 or F3
+        (if required).  F2 and the R' and double-dual rows read the sections
+        only through their polar images: ``self.rows`` keeps them per
+        relation and tuple of images."""
+        secs, fields = patterns[pattern]
         pols = secs.translate(self.polar_of[patterns.res_sort])
         memo = self.rows[patterns.rel]
         rows = memo.get(pols, False)
@@ -1570,7 +1539,7 @@ class _Polarity:
             rows = memo[pols] = self._rows(patterns, pols)
         if rows is None or self.monotone and not self._monotone(patterns, secs):
             return None
-        return fields + rows[0], tables + rows[1]
+        return fields + rows
 
     def kept(self, patterns: _Patterns):
         """The records of the patterns that pass, in pattern order."""
@@ -1579,8 +1548,7 @@ class _Polarity:
 
     def _rows(self, patterns: _Patterns, pols: bytes) -> tuple | None:
         """The R' and double-dual row fields for the sections' polar images
-        ``pols`` and the ``_RowTables`` over the latter, or None when F2 is
-        required and fails."""
+        ``pols``, or None when F2 is required and fails."""
         # Smooth: along each argument, the others fixed, the arguments whose
         # polar holds a given point form a stable set of that argument's sort.
         lines = []
@@ -1597,11 +1565,10 @@ class _Polarity:
         if len(patterns.arg_ns) == 1:
             rows = bytes(lines)         # R' rows: polar point -> its arguments
             dd = rows.translate(self.polar_of[patterns.arg_sorts[0]])
-            return (((patterns.polar_attr, rows), (patterns.dd_attr, dd)),
-                    patterns.row_tables(patterns.dd_attr, dd))
+            return (patterns.polar_attr, rows), (patterns.dd_attr, dd)
         n_x, n_v = patterns.arg_ns
         return ((patterns.polar_attr, tuple(tuple(pols[x * n_v:(x + 1) * n_v])
-                                            for x in range(n_x))),), ()
+                                            for x in range(n_x))),)
 
     def _monotone(self, patterns: _Patterns, secs: bytes) -> bool:
         """F3 for one relation: each section is an up-set, and sections
@@ -1621,11 +1588,8 @@ class _Polarity:
     def frame(self, records) -> FiniteFrame:
         fr = FiniteFrame.__new__(FiniteFrame)
         fields = dict(self.shared)
-        holders = ()
-        for rec, tables in records:
+        for rec in records:
             fields.update(rec)
-            holders += tables
-        fields["op_tables"] = _OperatorTables(fr, holders)
         fr.__dict__ = fields
         return fr
 
@@ -1636,9 +1600,11 @@ def enumerate_frames(n1: int, nd: int, relations: tuple[str, ...],
     """Frames of the given carrier sizes over the listed base relations.
 
     Relations not listed are empty; this is exhaustive for the sequents and
-    correspondents that only mention the listed relations.  ``sample`` caps
-    the number of relation combinations tried, drawn from a seeded generator
-    (used for the ternary relation, whose full space is intractable).
+    correspondents that only mention the listed relations.  ``sample`` = K
+    draws exactly K candidates (an I-relation and the relation bits) from a
+    seeded generator, with replacement, so a small space is drawn with
+    repeats and a frame that passes is yielded once per draw (used for the
+    ternary relation, whose full space is intractable).
 
     Frames come in the order of (I-relation, relation bits) candidates,
     named ``a<i>`` and ``b<i>``, and are those on which ``FiniteFrame``'s
@@ -1646,10 +1612,9 @@ def enumerate_frames(n1: int, nd: int, relations: tuple[str, ...],
     Each I-relation's tables are built once (``_Polarity``), each pattern's
     I-free facts once per call (``_Patterns``), and F2 with the R' and
     double-dual rows once per I-relation and tuple of polar images of a
-    pattern's sections.  The unary operator tables over a pattern's sections
-    and over those double-dual rows are built on first lookup at the same
-    levels, and every frame after that starts with them in its
-    ``op_tables``.  Nothing is kept past the call.
+    pattern's sections.  The unary operator tables are kept once per
+    distinct rows for every frame (``_row_table``); nothing else is kept
+    past the call.
     """
     import random
 
@@ -1670,7 +1635,7 @@ def enumerate_frames(n1: int, nd: int, relations: tuple[str, ...],
             # The first relation holds the lowest bits, so it varies fastest;
             # the last one's patterns are judged as they come.
             inner = [list(pol.kept(pats)) for pats in patterns[:-1]]
-            outer = pol.kept(patterns[-1]) if relations else [((), ())]
+            outer = pol.kept(patterns[-1]) if relations else [()]
             for last in outer:
                 for records in itertools.product(*reversed(inner)):
                     yield pol.frame((last, *records))

@@ -1,9 +1,9 @@
 """Every module of the package uses each name it imports, every private
 module-level function and class is used somewhere in the package, one
-function holds the package's only ``exec``, one function builds every ``I``
-atom, two functions own the reduction search's memo, one method owns the
-intern tables of sorted nodes and their shapes, and only the reference
-interpreters name one another."""
+function holds the package's only ``exec``, one method looks up every unary
+operator table, one function builds every ``I`` atom, two functions own the
+reduction search's memo, one method owns the intern tables of sorted nodes
+and their shapes, and only the reference interpreters name one another."""
 import ast
 from pathlib import Path
 
@@ -137,6 +137,17 @@ def test_one_exec_site():
     """Every generated evaluator goes through one code generator."""
     sources = {p.name: p.read_text() for p in Path(dfmlcorr.__file__).parent.glob("*.py")}
     assert exec_sites(sources) == ["semantics.py: _Nest.compile"]
+
+
+def test_one_row_table_caller():
+    """Every unary operator table is looked up through one method, so the
+    cache keyed by the rows it reads is the only way one is built."""
+    sources = {p.name: p.read_text() for p in Path(dfmlcorr.__file__).parent.glob("*.py")}
+
+    def calls_row_table(call: ast.Call) -> bool:
+        return getattr(call.func, "id", getattr(call.func, "attr", None)) == "_row_table"
+
+    assert call_sites(sources, calls_row_table) == ["semantics.py: _OperatorTables.__missing__"]
 
 
 def test_exec_sites_are_reported():

@@ -1012,13 +1012,15 @@ def rebuilt(fr):
 
 
 def test_shared_operator_tables_match_fresh_ones():
-    """Every operator table an enumerated frame starts with or looks up
-    equals a fresh ``_OperatorTables`` entry and the values of the
-    ``FiniteFrame`` method on the frame rebuilt by name, and so do its
-    double-dual rows the rebuilt frame's: every frame up to 2+2 for each
-    relation set of the corpus, with and without F3 (a seeded sample above
-    12 relation bits, as in ``test_enumerator_matches_reference``), and a
-    seeded 3+3 sample over Rbox, Rdia and Rneg."""
+    """Every operator table an enumerated frame looks up equals a fresh
+    ``_OperatorTables`` entry and the values of the ``FiniteFrame`` method
+    on the frame rebuilt by name, and so do its double-dual rows the rebuilt
+    frame's: every frame up to 2+2 for each relation set of the corpus, with
+    and without F3 (a seeded sample above 12 relation bits, as in
+    ``test_enumerator_matches_reference``), and a seeded 3+3 sample over
+    Rbox, Rdia and Rneg.  Each fresh entry's unary lookup finds the table
+    the frame just looked up; beyond those, more than 1000 of the frames'
+    own unary lookups find a table an earlier frame's rows built."""
     rel_sets = sorted({relations_needed(parse_dfml(e.sequent)) for e in CORPUS})
     cases = []
     for rels in rel_sets:
@@ -1027,20 +1029,21 @@ def test_shared_operator_tables_match_fresh_ones():
             for require in (("F1", "F2"), ("F1", "F2", "F3")):
                 cases.append((n1, nd, rels, require, None if n_bits <= 12 else 2000))
     cases.append((3, 3, ("Rbox", "Rdia", "Rneg"), ("F1", "F2"), 3000))
-    frames = started = 0
+    semantics._row_table.cache_clear()
+    frames = 0
     for n1, nd, rels, require, sample in cases:
         for fr in enumerate_frames(n1, nd, rels, require=require, sample=sample, seed=1):
             ref = rebuilt(fr)
             for attr in ("rddia", "rdbox", "rdneg"):
                 assert list(getattr(fr, attr)) == getattr(ref, attr), (attr, frame_to_json(fr))
-            started += len(fr.op_tables)
             for op, sorts in semantics._OPERATOR_ARG_SORTS.items():
                 masks = [range(1 << (fr.n1 if sort == SORT1 else fr.nd)) for sort in sorts]
                 want = bytes(getattr(ref, op)(*args) for args in itertools.product(*masks))
                 assert fr.op_tables[op] == semantics._OperatorTables(fr)[op] == want, \
                     (op, frame_to_json(fr))
             frames += 1
-    assert frames > 3000 and started > 1000
+    fresh_hits = len(semantics._ROW_OPERATORS) * frames
+    assert frames > 3000 and semantics._row_table.cache_info().hits > fresh_hits + 1000
 
 
 def test_polarity_tables_match_the_reference_frame():
@@ -1076,15 +1079,16 @@ def test_operator_tables_are_shared_per_pattern_and_polar_image(monkeypatch):
     """In ``enumerate_frames(2, 3, ("Rbox",))`` the frames over one
     I-relation whose sections have the same polar images share one lbminus
     table object, and each pattern's ldminus table is built at most once in
-    the call."""
+    the call: builds are counted under a fresh cache of the same bound."""
     built = []
     row_table = semantics._row_table
 
     def counted(rows, n, box):
-        built.append((bytes(rows), n, box))
-        return row_table(rows, n, box)
+        built.append((rows, n, box))
+        return row_table.__wrapped__(rows, n, box)
 
-    monkeypatch.setattr(semantics, "_row_table", counted)
+    monkeypatch.setattr(semantics, "_row_table",
+                        lru_cache(maxsize=row_table.cache_parameters()["maxsize"])(counted))
     frames = list(enumerate_frames(2, 3, ("Rbox",)))
     shared = {}
     for fr in frames:
@@ -1095,6 +1099,26 @@ def test_operator_tables_are_shared_per_pattern_and_polar_image(monkeypatch):
     assert all(len(tables) == 1 for tables in shared.values())
     ldminus = [rows for rows, n, box in built if (n, box) == (3, False)]    # lbminus: (2, True)
     assert len(ldminus) == len(set(ldminus)) <= 512
+
+
+def test_unary_tables_are_shared_across_construction_paths(tmp_path):
+    """One frame built by hand, loaded from its ``frame_to_json`` file and
+    enumerated gets one lbminus and one ldminus table object; a frame with
+    other rows gets other objects, equal to the values of the reference
+    methods."""
+    frames = list(enumerate_frames(2, 2, ("Rbox",)))
+    enumerated = next(fr for fr in frames if any(fr.rbox_sec) and any(fr.rdbox))
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(frame_to_json(enumerated)))
+    same = [rebuilt(enumerated), load_frame(str(path)), enumerated]
+    other = next(fr for fr in frames if list(fr.rbox_sec) != list(enumerated.rbox_sec)
+                 and list(fr.rdbox) != list(enumerated.rdbox))
+    for op in ("lbminus", "ldminus"):
+        tables = [fr.op_tables[op] for fr in same]
+        assert all(table is tables[0] for table in tables), op
+        assert other.op_tables[op] is not tables[0]
+        assert other.op_tables[op] == bytes(getattr(other, op)(m) for m in range(1 << 2))
+
 
 def test_enumerator_edge_cases():
     assert list(enumerate_frames(0, 1, ("Rbox",))) == []
