@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .correspondence import compute_correspondent
-from .reduction import InequalitySystem, canonical_key, parse_inequality_system
+from .reduction import (DEFAULT_NODE_BUDGET, InequalitySystem, canonical_key,
+                        parse_inequality_system)
 from .syntax import fo_alpha_eq, parse_dfml, parse_fo
 
 
@@ -231,7 +232,8 @@ def systems_match(actual: InequalitySystem, expected_text: str) -> bool:
     return canonical_key(actual) == canonical_key(parse_inequality_system(expected_text))
 
 
-def run_entry(entry: CorpusEntry, max_nodes: int = 100_000) -> list[tuple[str, bool, str]]:
+def run_entry(entry: CorpusEntry,
+              max_nodes: int = DEFAULT_NODE_BUDGET) -> list[tuple[str, bool, str]]:
     """Evaluate one corpus entry; returns (check, ok, detail) triples."""
     out: list[tuple[str, bool, str]] = []
     s = parse_dfml(entry.sequent)
@@ -282,6 +284,6 @@ def run_entry(entry: CorpusEntry, max_nodes: int = 100_000) -> list[tuple[str, b
     return out
 
 
-def run_corpus(max_nodes: int = 100_000):
+def run_corpus(max_nodes: int = DEFAULT_NODE_BUDGET):
     """(entry name, checks) for the whole corpus."""
     return [(e.name, run_entry(e, max_nodes)) for e in CORPUS]

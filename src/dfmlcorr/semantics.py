@@ -72,6 +72,44 @@ def _representatives(polar: bytes) -> tuple:
     return tuple((m, p) for p, m in first.items())
 
 
+# Base relation -> (its pair-set attribute, result sort, argument sorts,
+# the attributes of its result sections, of their polars and of its double
+# dual; T's is R111).  Bit k of a relation's pattern is its k-th tuple
+# (``relation_tuples``); the fields of the listed relations follow one
+# another from bit 0.
+_BASE_RELATIONS = {
+    "Rdia": ("r_dia", SORT1, (SORT1,), "rdia_sec", "rpdia", "rddia"),
+    "Rbox": ("r_box", SORTD, (SORTD,), "rbox_sec", "rpbox", "rdbox"),
+    "Rneg": ("r_neg", SORTD, (SORT1,), "rneg_sec", "rpneg", "rdneg"),
+    "T": ("t_rel", SORTD, (SORT1, SORTD), "t_sec", "tprime", "r111"),
+}
+# Frame-file key -> (the frame's tuple-set attribute, the sorts of a
+# tuple's positions): I, then each base relation, result first.
+_FRAME_RELATIONS = {"I": ("i_rel", (SORT1, SORTD)),
+                    **{key: (attr, (res_sort, *arg_sorts))
+                       for key, (attr, res_sort, arg_sorts, *_) in _BASE_RELATIONS.items()}}
+
+
+def _unary_rows(rel: str) -> tuple:
+    """The row properties of the unary base relation ``rel``, as named in
+    ``_BASE_RELATIONS``: result sections ``sec[a]`` = {r : r R a}, R' as
+    argument rows ``rows[p]`` = {a : p R' a}, where p R' a iff p in (R a)',
+    and R'' as rows ``dd[p]`` = {q : p R'' q} = (p R')'."""
+    attr, res_sort, (arg_sort,), sec_attr, polar_attr, _ = _BASE_RELATIONS[rel]
+
+    def sections(self):
+        return self._rows_of(getattr(self, attr), self.n1 if arg_sort == SORT1 else self.nd, 1)
+
+    def polars(self):       # one row per point of the sort opposite the result's
+        polars = [self.polar(res_sort, sec) for sec in getattr(self, sec_attr)]
+        return _transpose(polars, self.nd if res_sort == SORT1 else self.n1)
+
+    def double_duals(self):
+        return [self.polar(arg_sort, row) for row in getattr(self, polar_attr)]
+
+    return cached_property(sections), cached_property(polars), cached_property(double_duals)
+
+
 class FiniteFrame:
     """A finite two-sorted frame with the four modal relations.
 
@@ -214,19 +252,9 @@ class FiniteFrame:
 
     # -- sections and derived relations -------------------------------------
 
-    @cached_property
-    def rdia_sec(self):
-        """rdia_sec[z] = {u : u Rdia z} (result section)."""
-        return self._rows_of(self.r_dia, self.n1, 1)
-
-    @cached_property
-    def rbox_sec(self):
-        return self._rows_of(self.r_box, self.nd, 1)
-
-    @cached_property
-    def rneg_sec(self):
-        """rneg_sec[x] = {y : y Rneg x}."""
-        return self._rows_of(self.r_neg, self.n1, 1)
+    rdia_sec, rpdia, rddia = _unary_rows("Rdia")
+    rbox_sec, rpbox, rdbox = _unary_rows("Rbox")
+    rneg_sec, rpneg, rdneg = _unary_rows("Rneg")
 
     @cached_property
     def t_sec(self):
@@ -239,42 +267,12 @@ class FiniteFrame:
     # Galois duals, stored as argument rows.
 
     @cached_property
-    def rpdia(self):
-        """rpdia[y] = {z : y R'dia z}, where y R'dia z iff y in (Rdia z)'."""
-        return _transpose([self._polar1_table[sec] for sec in self.rdia_sec], self.nd)
-
-    @cached_property
-    def rpbox(self):
-        """rpbox[x] = {y : x R'box y}."""
-        return _transpose([self._polard_table[sec] for sec in self.rbox_sec], self.n1)
-
-    @cached_property
-    def rpneg(self):
-        """rpneg[z] = {x : z R'neg x}."""
-        return _transpose([self._polard_table[sec] for sec in self.rneg_sec], self.n1)
-
-    @cached_property
     def tprime(self):
         """tprime[z][v] = {x : x T' z v} = (T z v)'."""
         return [[self._polard_table[self.t_sec[z][v]] for v in range(self.nd)]
                 for z in range(self.n1)]
 
     # Double duals, stored as result rows.
-
-    @cached_property
-    def rddia(self):
-        """rddia[y] = {v : y R''dia v} = (y R'dia)'."""
-        return [self._polar1_table[self.rpdia[y]] for y in range(self.nd)]
-
-    @cached_property
-    def rdbox(self):
-        """rdbox[x] = {z : x R''box z} = (x R'box)'."""
-        return [self._polard_table[self.rpbox[x]] for x in range(self.n1)]
-
-    @cached_property
-    def rdneg(self):
-        """rdneg[z] = {y : z R''neg y} = (z R'neg)'."""
-        return [self._polar1_table[self.rpneg[z]] for z in range(self.n1)]
 
     @cached_property
     def r111(self):
@@ -399,15 +397,15 @@ class FiniteFrame:
         return (True, None)
 
     def _check_smooth(self):
-        for y in range(self.nd):
-            if self.close1(self.rpdia[y]) != self.rpdia[y]:
-                return (False, f"R'dia section at {self.zd[y]!r} is not stable")
-        for x in range(self.n1):
-            if self.closed(self.rpbox[x]) != self.rpbox[x]:
-                return (False, f"R'box section at {self.z1[x]!r} is not co-stable")
-        for z in range(self.n1):
-            if self.close1(self.rpneg[z]) != self.rpneg[z]:
-                return (False, f"R'neg section at {self.z1[z]!r} is not stable")
+        names = {SORT1: self.z1, SORTD: self.zd}
+        close = {SORT1: self.close1, SORTD: self.closed}
+        for rel, (_, res_sort, arg_sorts, _, polar_attr, _) in _BASE_RELATIONS.items():
+            if len(arg_sorts) == 1:         # T' is checked below
+                kind = "stable" if arg_sorts[0] == SORT1 else "co-stable"
+                for p, row in enumerate(getattr(self, polar_attr)):
+                    if close[arg_sorts[0]](row) != row:
+                        return (False, f"R'{rel[1:]} section at "
+                                       f"{names[flip(res_sort)][p]!r} is not {kind}")
         for x in range(self.n1):
             for v in range(self.nd):
                 sec = 0
@@ -426,38 +424,19 @@ class FiniteFrame:
         return (True, None)
 
     def _check_monotone(self):
-        # Each relation: increasing in its result, decreasing in the arguments.
-        for u, z in self.r_dia:
-            for u2 in bits(self.up1[u]):
-                if (u2, z) not in self.r_dia:
-                    return (False, f"Rdia not increasing at {self.z1[u]!r}<={self.z1[u2]!r}")
-            for z2 in range(self.n1):
-                if self.leq(SORT1, z2, z) and (u, z2) not in self.r_dia:
-                    return (False, f"Rdia not decreasing at argument {self.z1[z]!r}")
-        for w, y in self.r_box:
-            for w2 in bits(self.upd[w]):
-                if (w2, y) not in self.r_box:
-                    return (False, "Rbox not increasing in its result")
-            for y2 in range(self.nd):
-                if self.leq(SORTD, y2, y) and (w, y2) not in self.r_box:
-                    return (False, "Rbox not decreasing in its argument")
-        for y, x in self.r_neg:
-            for y2 in bits(self.upd[y]):
-                if (y2, x) not in self.r_neg:
-                    return (False, "Rneg not increasing in its result")
-            for x2 in range(self.n1):
-                if self.leq(SORT1, x2, x) and (y, x2) not in self.r_neg:
-                    return (False, "Rneg not decreasing in its argument")
-        for y, x, v in self.t_rel:
-            for y2 in bits(self.upd[y]):
-                if (y2, x, v) not in self.t_rel:
-                    return (False, "T not increasing in its result")
-            for x2 in range(self.n1):
-                if self.leq(SORT1, x2, x) and (y, x2, v) not in self.t_rel:
-                    return (False, "T not decreasing in its first argument")
-            for v2 in range(self.nd):
-                if self.leq(SORTD, v2, v) and (y, x, v2) not in self.t_rel:
-                    return (False, "T not decreasing in its second argument")
+        # Each relation: a tuple stays related when its result grows or one
+        # argument shrinks.
+        names = {SORT1: self.z1, SORTD: self.zd}
+        for rel, (attr, res_sort, arg_sorts, *_) in _BASE_RELATIONS.items():
+            tuples = getattr(self, attr)
+            for t in tuples:
+                for i, sort in enumerate((res_sort, *arg_sorts)):
+                    for p in range(len(names[sort])):
+                        lo, hi = (t[i], p) if i == 0 else (p, t[i])
+                        if self.leq(sort, lo, hi) and (*t[:i], p, *t[i + 1:]) not in tuples:
+                            where = f"at {names[sort][lo]!r}<={names[sort][hi]!r}"
+                            return (False, f"{rel} not increasing {where}" if i == 0 else
+                                    f"{rel} not decreasing in argument {i} {where}")
         return (True, None)
 
 
@@ -1312,8 +1291,8 @@ def frame_to_json(frame: FiniteFrame) -> dict:
     doc = {"version": FRAME_FORMAT_VERSION, "z1": list(frame.z1), "zd": list(frame.zd)}
     names = {SORT1: frame.z1, SORTD: frame.zd}
     for key, (attr, sorts) in _FRAME_RELATIONS.items():
-        doc[key] = sorted([names[sort][i] for i, sort in zip(t, sorts)]
-                          for t in getattr(frame, attr))
+        tuples = [[names[sort][i] for i, sort in zip(t, sorts)] for t in getattr(frame, attr)]
+        doc[key] = sorted(tuples, key=lambda t: [(isinstance(n, str), n) for n in t])  # numbers first
     return doc
 
 
@@ -1366,24 +1345,6 @@ def separated_i_masks(n1: int, nd: int):
         if len(set(_transpose(rows, nd))) != nd:
             continue
         yield rows
-
-
-# Base relation -> (its pair-set attribute, result sort, argument sorts,
-# the attributes of its result sections, of their polars and of its double
-# dual; T's is R111).  Bit k of a relation's pattern is its k-th tuple
-# (``relation_tuples``); the fields of the listed relations follow one
-# another from bit 0.
-_BASE_RELATIONS = {
-    "Rdia": ("r_dia", SORT1, (SORT1,), "rdia_sec", "rpdia", "rddia"),
-    "Rbox": ("r_box", SORTD, (SORTD,), "rbox_sec", "rpbox", "rdbox"),
-    "Rneg": ("r_neg", SORTD, (SORT1,), "rneg_sec", "rpneg", "rdneg"),
-    "T": ("t_rel", SORTD, (SORT1, SORTD), "t_sec", "tprime", "r111"),
-}
-# Frame-file key -> (the frame's tuple-set attribute, the sorts of a
-# tuple's positions): I, then each base relation, result first.
-_FRAME_RELATIONS = {"I": ("i_rel", (SORT1, SORTD)),
-                    **{key: (attr, (res_sort, *arg_sorts))
-                       for key, (attr, res_sort, arg_sorts, *_) in _BASE_RELATIONS.items()}}
 
 
 def relation_tuples(rel: str, n1: int, nd: int) -> list[tuple[int, ...]]:
@@ -1609,12 +1570,13 @@ def enumerate_frames(n1: int, nd: int, relations: tuple[str, ...],
     Frames come in the order of (I-relation, relation bits) candidates,
     named ``a<i>`` and ``b<i>``, and are those on which ``FiniteFrame``'s
     ``check_axioms(require)`` passes; a rejected candidate is never built.
-    Each I-relation's tables are built once (``_Polarity``), each pattern's
-    I-free facts once per call (``_Patterns``), and F2 with the R' and
-    double-dual rows once per I-relation and tuple of polar images of a
-    pattern's sections.  The unary operator tables are kept once per
-    distinct rows for every frame (``_row_table``); nothing else is kept
-    past the call.
+    The I-relations are the separated ones (``separated_i_masks``), even if
+    ``require`` lacks F1.  Each I-relation's tables are built once
+    (``_Polarity``), each pattern's I-free facts once per call
+    (``_Patterns``), and F2 with the R' and double-dual rows once per
+    I-relation and tuple of polar images of a pattern's sections.  The unary
+    operator tables are kept once per distinct rows for every frame
+    (``_row_table``); nothing else is kept past the call.
     """
     import random
 

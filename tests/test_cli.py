@@ -5,6 +5,7 @@ import pytest
 
 from dfmlcorr import cli
 from dfmlcorr.cli import _frames_from_args, main
+from dfmlcorr.semantics import frame_to_json, load_frame
 from dfmlcorr.syntax import MAX_DEPTH, parse_dfml
 
 
@@ -222,6 +223,29 @@ def test_check_frame_reports_a_malformed_file(capsys, tmp_path, text, why):
         assert code == 1
         assert err.startswith("frame error: ") and err.count("\n") == 1
         assert why in err
+
+
+def test_verify_reports_a_disagreement_on_mixed_names(capsys, tmp_path):
+    """Point names may be strings or numbers.  K1's first disagreeing 2+2
+    frame, its points renamed to mix the two, is reported with its frame
+    document, tuples sorted numbers first, and reads back as the same frame."""
+    doc = {"version": 1, "z1": ["a", 1], "zd": ["b", 2],
+           "I": [["a", "b"], [1, "b"], [1, 2]], "Rdia": [[1, 1]]}
+    (tmp_path / "k1.json").write_text(json.dumps(doc))
+    k1 = "dia p /\\ box q |- dia (p /\\ q)"
+    code, out, err = run(capsys, "verify", k1, "--frames", str(tmp_path))
+    assert (code, err) == (1, "")
+    assert "k1.json: DISAGREE at a\n" in out
+    code, out, err = run(capsys, "verify", k1, "--frames", str(tmp_path), "--json")
+    assert (code, err) == (1, "")
+    [disagreement] = json.loads(out)["disagreements"]
+    written = disagreement["frame_doc"]
+    assert written["I"] == [[1, 2], [1, "b"], ["a", "b"]]
+    (tmp_path / "back.json").write_text(json.dumps(written))
+    frame, back = load_frame(str(tmp_path / "k1.json")), load_frame(str(tmp_path / "back.json"))
+    for attr in ("z1", "zd", "i_rel", "r_dia", "r_box", "r_neg", "t_rel"):
+        assert getattr(back, attr) == getattr(frame, attr), attr
+    assert frame_to_json(back) == written
 
 
 @pytest.mark.parametrize("files", [(), ("notes.txt",)])

@@ -3,13 +3,19 @@ module-level function and class is used somewhere in the package, one
 function holds the package's only ``exec``, one method looks up every unary
 operator table, one function builds every ``I`` atom, two functions own the
 reduction search's memo, one method owns the intern tables of sorted nodes
-and their shapes, and only the reference interpreters name one another."""
+and their shapes, only the reference interpreters name one another, and
+every hook the benchmark under ``perfbench/`` sets into the package
+resolves."""
 import ast
+import importlib
+import inspect
+import types
 from pathlib import Path
 
 import pytest
 
 import dfmlcorr
+from dfmlcorr import cli, semantics
 
 MODULES = sorted(p for p in Path(dfmlcorr.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -308,3 +314,105 @@ def test_reference_users_are_reported():
     assert reference_users({"semantics.py": strays, "cli.py": other}) == [
         "cli.py: audit", "semantics.py: Kernel.run", "semantics.py: engine",
         "semantics.py: engine", "semantics.py: <module>"]
+
+
+# The benchmark reaches into the package from outside: ``perfbench/tracing.py``
+# wraps the entry points its ``TRACED`` table lists, and
+# ``perfbench/workloads.run_cli`` swaps ``cli.correspondence_oracle`` to time
+# each frame.  A refactor that broke either would end a run as ``run_failed``.
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def traced_entries(source: str) -> tuple:
+    """The ``TRACED`` table of a tracing module's source, read without running it."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] \
+                == ["TRACED"]:
+            return ast.literal_eval(node.value)
+    raise LookupError("no TRACED table")
+
+
+def unresolved_traced(entries, modules: dict) -> list[str]:
+    """Every ``(module, attribute, kind)`` entry ``Tracer.install`` would not
+    find where it looks: a function bound in ``modules[module]``, or for
+    ``Class.method`` one in the class's own ``__dict__``; and every "gen"
+    entry that is not a generator function, or generator not marked "gen"."""
+    missing = []
+    for module, attr, kind in entries:
+        owner = modules.get(module)
+        cls_name, _, meth = attr.rpartition(".")
+        cls = getattr(owner, cls_name, None) if cls_name else None
+        fn = vars(cls).get(meth) if isinstance(cls, type) else getattr(owner, attr, None)
+        if not callable(fn) or (kind == "gen") != inspect.isgeneratorfunction(fn):
+            missing.append(f"{module}.{attr}")
+    return missing
+
+
+def test_traced_entry_points_resolve():
+    modules = {p.stem: importlib.import_module(f"dfmlcorr.{p.stem}") for p in MODULES}
+    entries = traced_entries(TRACING.read_text())
+    assert ("semantics", "FiniteFrame.check_axioms", "call") in entries
+    assert unresolved_traced(entries, modules) == []
+
+
+def test_unresolved_traced_entries_are_reported():
+    class Base:
+        def inherited(self):
+            pass
+
+    class Frame(Base):
+        def own(self):
+            pass
+
+    def gen():
+        yield
+
+    module = types.SimpleNamespace(Frame=Frame, oracle=lambda: None, gen=gen, table={})
+    source = ("import sys\nTRACED = (\n"
+              "    ('semantics', 'oracle', 'call'), ('semantics', 'Frame.own', 'call'),\n"
+              "    ('semantics', 'gen', 'gen'), ('semantics', 'Frame.inherited', 'call'),\n"
+              "    ('semantics', 'table', 'call'), ('semantics', 'gone', 'call'),\n"
+              "    ('semantics', 'oracle', 'gen'), ('semantics', 'gen', 'outer'),\n"
+              "    ('semantics', 'Gone.own', 'call'), ('cli', 'main', 'call'),\n)\n")
+    assert unresolved_traced(traced_entries(source), {"semantics": module}) == [
+        "semantics.Frame.inherited", "semantics.table", "semantics.gone", "semantics.oracle",
+        "semantics.gen", "semantics.Gone.own", "cli.main"]
+    with pytest.raises(LookupError):
+        traced_entries("TRACED_TOO = ()\n")
+
+
+def global_calls(source: str, function: str) -> set[str]:
+    """The names the module-level function ``function`` of ``source`` calls
+    bare without binding them itself, so that each call looks the name up
+    in the module's globals."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            bound = {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+            bound |= {n.id for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)}
+            bound |= {a.asname or a.name for n in ast.walk(node)
+                      if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+            return {c.func.id for c in ast.walk(node)
+                    if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)} - bound
+    return set()
+
+
+def test_verify_calls_the_oracle_by_its_global_name():
+    """``cmd_verify`` calls ``cli.correspondence_oracle`` as a global, the
+    binding the benchmark swaps, and that binding is the oracle."""
+    source = (Path(dfmlcorr.__file__).parent / "cli.py").read_text()
+    assert "correspondence_oracle" in global_calls(source, "cmd_verify")
+    assert cli.correspondence_oracle is semantics.correspondence_oracle
+
+
+def test_global_calls_are_reported():
+    source = ("def cmd_verify(args, check):\n"
+              "    oracle = semantics.correspondence_oracle\n"
+              "    from semantics import correspondence_oracle as bound\n"
+              "    for correspondence_oracle in ():\n        pass\n"
+              "    return check(args) or oracle(args) or correspondence_oracle(args) \\\n"
+              "        or semantics.run(args) or bound(args) or run(args)\n"
+              "def other():\n    return correspondence_oracle()\n")
+    assert global_calls(source, "cmd_verify") == {"run"}
+    assert global_calls(source, "other") == {"correspondence_oracle"}
+    assert global_calls(source, "missing") == set()

@@ -210,6 +210,41 @@ def test_f1_failure_witness():
     assert not ok and "a0" in why and "a1" in why
 
 
+# Two frames with one order each, a1 <= a0 on Z1 and b0 <= b1 on Zd.
+_ORDERED_1 = {"z1": ["a0", "a1"], "zd": ["b0"], "i_rel": [("a1", "b0")]}
+_ORDERED_D = {"z1": ["a0"], "zd": ["b0", "b1"], "i_rel": [("a0", "b0")]}
+
+
+@pytest.mark.parametrize("carriers, relation, axiom, message", [
+    (_ORDERED_1, {"r_dia": [("a1", "a0")]}, "F2", "R'dia section at 'b0' is not stable"),
+    (_ORDERED_D, {"r_box": [("b0", "b1")]}, "F2", "R'box section at 'a0' is not co-stable"),
+    (_ORDERED_1, {"r_neg": [("b0", "a0")]}, "F2", "R'neg section at 'a1' is not stable"),
+    (_ORDERED_1, {"t_rel": [("b0", "a0", "b0")]}, "F2",
+     "T' section at ('a1', 'b0') is not stable"),
+    (_ORDERED_D, {"t_rel": [("b0", "a0", "b1")]}, "F2",
+     "T' section at ('a0', 'a0') is not co-stable"),
+    (_ORDERED_1, {"r_dia": [("a1", "a0")]}, "F3", "Rdia not increasing at 'a1'<='a0'"),
+    (_ORDERED_1, {"r_dia": [("a0", "a0")]}, "F3",
+     "Rdia not decreasing in argument 1 at 'a1'<='a0'"),
+    (_ORDERED_D, {"r_box": [("b0", "b0")]}, "F3", "Rbox not increasing at 'b0'<='b1'"),
+    (_ORDERED_D, {"r_box": [("b1", "b1")]}, "F3",
+     "Rbox not decreasing in argument 1 at 'b0'<='b1'"),
+    (_ORDERED_D, {"r_neg": [("b0", "a0")]}, "F3", "Rneg not increasing at 'b0'<='b1'"),
+    (_ORDERED_1, {"r_neg": [("b0", "a0")]}, "F3",
+     "Rneg not decreasing in argument 1 at 'a1'<='a0'"),
+    (_ORDERED_D, {"t_rel": [("b0", "a0", "b0")]}, "F3", "T not increasing at 'b0'<='b1'"),
+    (_ORDERED_1, {"t_rel": [("b0", "a0", "b0")]}, "F3",
+     "T not decreasing in argument 1 at 'a1'<='a0'"),
+    (_ORDERED_D, {"t_rel": [("b1", "a0", "b1")]}, "F3",
+     "T not decreasing in argument 2 at 'b0'<='b1'"),
+])
+def test_f2_f3_failure_witness(carriers, relation, axiom, message):
+    """F2 names the section that is not (co-)stable; F3 names the relation,
+    the position that moved and the two points, the smaller first."""
+    fr = FiniteFrame(**carriers, **relation, validate=False)
+    assert fr.check_axioms((axiom,))[axiom] == (False, message)
+
+
 @pytest.mark.parametrize("relations, message", [
     ({"r_dia": [("a0", "a0", "a0")]}, "each Rdia entry holds 2 elements, not ('a0', 'a0', 'a0')"),
     ({"i_rel": [("a0",)]}, "each I entry holds 2 elements, not ('a0',)"),
@@ -929,10 +964,21 @@ def reference_enumerate(n1, nd, relations, require=("F1", "F2"), sample=None, se
             yield fr
 
 
+# Base relation -> the rows ``_Polarity`` stores for it on an enumerated
+# frame: the sections, the R' rows and (unary only) the double-dual rows.
+ENUMERATED_ROWS = {"Rdia": ("rdia_sec", "rpdia", "rddia"), "Rbox": ("rbox_sec", "rpbox", "rdbox"),
+                   "Rneg": ("rneg_sec", "rpneg", "rdneg"), "T": ("t_sec", "tprime")}
+
+
+def as_lists(rows) -> list:
+    """Rows as lists of masks, or of lists of masks, whatever sequences hold them."""
+    return [row if isinstance(row, int) else list(row) for row in rows]
+
+
 def test_enumerator_matches_reference():
     """The same frames, in the same order, as building and checking every
-    candidate, with the same closure tables and representatives of each
-    polar: every size up to 2+2 for each relation set of the corpus,
+    candidate, with the same closure tables, representatives of each polar
+    and rows of each enumerated relation: every size up to 2+2 for each relation set of the corpus,
     with and without F3, and F3 without F2 (a seeded sample above 12
     relation bits), samples at 3+3 over T, and the benchmark's exhaustive
     sizes, Rbox at 2+3 and Rdia at 3+2, with and without F3."""
@@ -955,9 +1001,12 @@ def test_enumerator_matches_reference():
         want = list(reference_enumerate(n1, nd, rels, require=require, sample=sample, seed=seed))
         assert list(map(frame_to_json, got)) == list(map(frame_to_json, want)), \
             (n1, nd, rels, require, sample, seed)
-        for fr, ref in zip(got, want):      # the closures and representatives too
+        rows = [attr for rel in rels for attr in ENUMERATED_ROWS[rel]]
+        for fr, ref in zip(got, want):      # the closures, representatives and rows too
             for attr in ("_close1_table", "_closed_table", "_polar1_reps", "_polard_reps"):
                 assert list(getattr(fr, attr)) == list(getattr(ref, attr)), attr
+            for attr in rows:
+                assert as_lists(getattr(fr, attr)) == as_lists(getattr(ref, attr)), attr
         kept += len(got)
     assert kept > 5000
 
