@@ -512,20 +512,24 @@ def _row_table(rows: bytes, n: int, box: bool) -> bytes:
 
 
 class _OperatorTables(dict):
-    """A frame's operator tables, each looked up on first use.  A unary
-    table is kept once per distinct rows it reads, for every frame built,
-    loaded or enumerated (``_row_table``); a binary one is built per frame
-    from its ``FiniteFrame`` method, the reference for both."""
+    """A frame's operator tables, each looked up on first use, by operator
+    name or by ``(rows attribute, argument sort, box?)``, the key of the
+    union or box table over any rows of the frame (a guarded quantifier's,
+    ``_Nest.mask``).  A unary table is kept once per distinct rows it reads,
+    for every frame built, loaded or enumerated (``_row_table``); a binary
+    one is built per frame from its ``FiniteFrame`` method, the reference
+    for both."""
 
     __slots__ = ("frame",)
 
     def __init__(self, frame: FiniteFrame):
         self.frame = frame
 
-    def __missing__(self, op: str) -> bytes:
+    def __missing__(self, op: str | tuple) -> bytes:
         fr = self.frame
-        if op in _ROW_OPERATORS:
-            attr, sort, box = _ROW_OPERATORS[op]
+        key = _ROW_OPERATORS.get(op, op)
+        if type(key) is tuple:
+            attr, sort, box = key
             table = _row_table(bytes(getattr(fr, attr)), fr.n1 if sort == SORT1 else fr.nd, box)
         else:
             fn = getattr(fr, op)
@@ -590,6 +594,50 @@ _MAX_NESTING = 100
 _LOCAL = re.compile(r"\b[sv]\d+\b")
 # Numbers each generated function's file name.
 _KERNEL_NUMBERS = itertools.count()
+# _LOWEST[m] = the index of the lowest bit of mask m, None for m = 0.
+_LOWEST = (None, *((m & -m).bit_length() - 1 for m in range(1, 256)))
+
+
+def _operands(f: FoFormula):
+    """The subformulas of ``f``; of a chain of one connective, ``/\\`` or
+    ``\\/``, that ``f`` heads, every operand, left to right."""
+    kind, args, todo = type(f), [], [f]
+    if kind is not AndF and kind is not OrF:
+        return f._kids
+    while todo:
+        g = todo.pop()
+        if type(g) is kind:
+            todo += (g.right, g.left)
+        else:
+            args.append(g)
+    return args
+
+
+def _row_args(f) -> tuple[tuple, IVar]:
+    """The index arguments and the bit argument of atom ``f``: it holds iff
+    its row at the index arguments has the bit argument's bit.  A predicate
+    application's row is its predicate's mask."""
+    if type(f) is PredApp:
+        return (f.var,), f.arg
+    _, index, bit = _REL_ROWS.get(f.rel, (None, (0,), 1))    # "<=" and words: (0,), 1
+    return tuple(f.args[i] for i in index), f.args[bit]
+
+
+def _guard(f: FoFormula, v: IVar) -> tuple | None:
+    """``(rows attribute, box?, h)`` when quantifier ``f`` is ``exists u (A
+    /\\ h)`` or ``forall u (A -> h)``, with ``A`` an atom of one-index rows
+    (I, R, R', R'' or ``<=``) between ``u`` and ``v``: box when ``A``'s row is
+    ``v``'s, whose mask over ``v`` is then the box table of the rows, and
+    otherwise their union table, at the mask of ``h`` over ``u``."""
+    body, u = f.body, f.var
+    if type(body) is not (AndF if type(f) is Exists else ImpF) or type(body.left) is not RelAtom:
+        return None
+    rel = body.left.rel
+    attr = "up" + u.sort if rel == "<=" else _REL_ROWS.get(rel, (None,))[0]    # words: None
+    index, bit = _row_args(body.left)
+    if attr is None or len(index) != 1 or u == v or {index[0], bit} != {u, v}:
+        return None
+    return attr, index[0] == v, body.right
 
 
 class _Nest:
@@ -606,8 +654,11 @@ class _Nest:
     its left argument when that loop is an outer one.  The closure of a
     variable, or the polar of a change-of-variable target, is one lookup.
     Each interned node is one local, computed once however many roots
-    share it.  A first-order formula is one expression (``truth``).  The
-    frame's tables and rows are bound once per call, before the loops.  The
+    share it.  A first-order formula is one expression (``truth``), which
+    reads the mask of the points where a subformula holds (``mask``) in
+    place of a loop over them wherever it can; the free variables of its
+    nodes are worked out once.  The frame's tables and rows are bound once
+    per call, before the loops.  The
     source holds slot numbers, operator names of ``_OPERATOR_OF``, indices
     into the constants ``K`` and generated names, and no text of a formula.
     """
@@ -626,6 +677,9 @@ class _Nest:
         self.binders = itertools.count()    # numbers the quantifier locals q<n>
         self.sources: dict = {}             # change-of-variable target -> its source
         self.polars: dict = {}              # slot over a Q space -> its polar's local
+        self.free_vars: dict = {}           # id of a first-order node -> its free variables
+        self.loop_free: dict = {}           # (id of a node, variable) -> has a mask over it?
+        self.complements: dict = {}         # a mask's complement -> the mask
         self.depth = min(len(spaces), _MAX_LOOPS)
         for i, space in enumerate(spaces):
             self.reads[f"s{i}"] = frozenset((min(i + 1, self.depth),))
@@ -736,9 +790,11 @@ class _Nest:
     def truth(self, f: FoFormula, scope: dict) -> str:
         """The expression of first-order formula ``f``, truthy where ``eval_fo``
         holds, ``scope`` mapping its free variables to locals.  A quantifier
-        is an ``all``/``any`` over its space with a local ``q<n>`` of its own,
-        a chain of one connective one bracketed ``and``/``or``; a variable no
-        scope binds raises ``KeyError`` when it is evaluated."""
+        whose body has a mask over its variable (``mask``) compares that mask
+        with the empty set or the whole sort; any other is an ``all``/``any``
+        over its space with a local ``q<n>`` of its own.  A chain of one
+        connective is one bracketed ``and``/``or``; a variable no scope binds
+        raises ``KeyError`` when it is evaluated."""
         kind = type(f)
         if kind is TrueF or kind is FalseF:
             return str(kind is TrueF)
@@ -747,14 +803,13 @@ class _Nest:
         if kind is ImpF:
             return f"(not {self.truth(f.left, scope)} or {self.truth(f.right, scope)})"
         if kind is AndF or kind is OrF:
-            args, todo = [], [f]
-            while todo:         # the chain's operands, left to right
-                g = todo.pop()
-                if type(g) is kind:
-                    todo += (g.right, g.left)
-                else:
-                    args.append(self.truth(g, scope))
+            args = [self.truth(g, scope) for g in _operands(f)]
             return f"({(' and ' if kind is AndF else ' or ').join(args)})"
+        if kind is Forall or kind is Exists:
+            holds = self.mask(f.body, f.var, scope)
+            if holds is not None:
+                return f"{holds} != 0" if kind is Exists else \
+                    f"{holds} == {self.frame_local('F' + f.var.sort)}"
         if kind is Forall or kind is Exists or kind is Forall2:
             name = f"q{next(self.binders)}"
             # E1/Ed or R1/Rd: the sorts are named "1" and "d"
@@ -763,20 +818,9 @@ class _Nest:
             return f"{'any' if kind is Exists else 'all'}({body} for {name} in {space})"
         if kind is Eq:
             args, shape = (f.t1, f.t2), "{} == {}"
-        elif kind is PredApp:
-            args, shape = (f.var, f.arg), "{} >> {} & 1"
-        elif kind is RelAtom:       # "<=", a relation of ``_REL_ROWS`` or a word
-            attr, index, bit = _REL_ROWS.get(f.rel, (None, (0,), 1))
-            if f.rel == "<=":
-                attr = "up" + f.args[0].sort
-            if attr is not None:
-                rows = self.frame_local(attr, f"fr.{attr}")
-            elif (rows := self.names.get(f.rel)) is None:     # a word's rows, keyed by it
-                letters = self.const(tuple(f.rel[4:].split(".")))
-                rows = self.names[f.rel] = self.frame_local(f"v{next(self.fresh)}",
-                                                            f"fr.word_rows({letters})")
-            args = [f.args[i] for i in (*index, bit)]
-            shape = rows + "[{}]" * len(index) + " >> {} & 1"
+        elif kind is PredApp or kind is RelAtom:
+            index, bit = _row_args(f)
+            args, shape = (*index, bit), self.row(f) + " >> {} & 1"
         else:
             raise TypeError(f"not a first-order formula: {f!r}")
         missing = next((v for v in args if v not in scope), None)
@@ -784,6 +828,118 @@ class _Nest:
             return shape.format(*(scope[v] for v in args))
         what = "no value for predicate" if type(missing) is PVar else "unassigned free"
         return f"{{}}[{self.const(f'{what} variable {missing}')}]"    # raises KeyError(it)
+
+    def row(self, f) -> str:
+        """The format of atom ``f``'s row, one field per index argument: its
+        predicate's mask, or the rows of its relation of ``_REL_ROWS``, of
+        ``<=`` or of a word, bound once per call."""
+        if type(f) is PredApp:
+            return "{}"
+        attr, index, _ = _REL_ROWS.get(f.rel, (None, (0,), 1))
+        if f.rel == "<=":
+            attr = "up" + f.args[0].sort
+        if attr is not None:
+            rows = self.frame_local(attr, f"fr.{attr}")
+        elif (rows := self.names.get(f.rel)) is None:     # a word's rows, keyed by it
+            letters = self.const(tuple(f.rel[4:].split(".")))
+            rows = self.names[f.rel] = self.frame_local(f"v{next(self.fresh)}",
+                                                        f"fr.word_rows({letters})")
+        return rows + "[{}]" * len(index)
+
+    def free(self, f: FoFormula) -> frozenset:
+        """The free variables of ``f``, individual and predicate, worked out
+        once per node."""
+        got = self.free_vars.get(id(f))
+        if got is None:
+            kind = type(f)
+            if kind is Eq:
+                got = frozenset((f.t1, f.t2))
+            elif kind is RelAtom:
+                got = frozenset(f.args)
+            elif kind is PredApp:
+                got = frozenset((f.var, f.arg))
+            elif kind is Forall or kind is Exists or kind is Forall2:
+                got = self.free(f.body) - {f.var}
+            else:
+                got = frozenset().union(*map(self.free, _operands(f)))
+            self.free_vars[id(f)] = got
+        return got
+
+    def has_mask(self, f: FoFormula, v: IVar) -> bool:
+        """Whether ``f`` has a loop-free mask over ``v`` (``mask``), worked
+        out once per node and variable."""
+        key = (id(f), v)
+        got = self.loop_free.get(key)
+        if got is None:
+            kind = type(f)
+            if v not in self.free(f):
+                got = True
+            elif kind is RelAtom or kind is PredApp:
+                index, bit = _row_args(f)
+                got = bit == v and v not in index
+            elif kind is Forall or kind is Exists:
+                guard = _guard(f, v)
+                got = guard is not None and v not in self.free(guard[2]) \
+                    and self.has_mask(guard[2], f.var)
+            elif kind in (NotF, ImpF, AndF, OrF):
+                got = all(self.has_mask(g, v) for g in _operands(f))
+            else:       # an equation or a second-order quantifier
+                got = False
+            self.loop_free[key] = got
+        return got
+
+    def mask(self, f: FoFormula, v: IVar, scope: dict) -> str | None:
+        """The expression of the mask over ``v``'s sort of the points where
+        ``f`` holds, ``scope`` binding its other free variables, or None
+        when it has none without a loop over points (``has_mask``) or reads
+        a variable no scope binds.  An atom whose bit argument is ``v`` is
+        its row; ``/\\``, ``\\/``, ``~`` and ``->`` are ``&``, ``|`` and the
+        complement in ``F<sort>``; a subformula without ``v`` is the whole
+        sort or nothing; ``exists u (A /\\ h)`` and ``forall u (A -> h)``
+        with ``A`` an atom of one-index rows between ``u`` and ``v`` and no
+        ``v`` in ``h`` (``_guard``) are one lookup, in the union or box table
+        of ``A``'s rows (``_OperatorTables``), of the mask of ``h`` over
+        ``u``.  Such an expression nests at most one bracket deeper than
+        ``truth``'s for ``f``, so the quantifier it stands for, which drops
+        its ``all``/``any``, nests no deeper either."""
+        if not (self.free(f) - {v} <= scope.keys() and self.has_mask(f, v)):
+            return None
+        kind, full = type(f), self.frame_local("F" + v.sort)
+        if v not in self.free(f):
+            return f"({full} if {self.truth(f, scope)} else 0)"
+        if kind is RelAtom or kind is PredApp:
+            row = self.row(f).format(*(scope[a] for a in _row_args(f)[0]))
+            # a predicate's mask may hold bits past the carrier
+            return row if kind is RelAtom else f"({row} & {full})"
+        if kind is NotF:
+            return self.complement(self.mask(f.arg, v, scope), full)
+        if kind is ImpF:
+            return f"({self.complement(self.mask(f.left, v, scope), full)} | " \
+                   f"{self.mask(f.right, v, scope)})"
+        if kind is AndF or kind is OrF:
+            args = [self.mask(g, v, scope) for g in _operands(f)]
+            return f"({(' & ' if kind is AndF else ' | ').join(args)})"
+        attr, box, h = _guard(f, v)
+        key = (attr, f.var.sort, box)
+        table = self.names.get(key)
+        if table is None:
+            table = self.names[key] = self.frame_local(f"v{next(self.fresh)}",
+                                                       f"fr.op_tables[{self.const(key)}]")
+        inner = self.mask(h, f.var, scope)
+        if box != (kind is Exists):     # the table of A's rows fits the quantifier
+            return f"{table}[{inner}]"
+        # exists with a box's rows, forall with a union's: the dual, complemented
+        inner = self.complement(inner, self.frame_local("F" + f.var.sort))
+        return self.complement(f"{table}[{inner}]", full)
+
+    def complement(self, mask: str, full: str) -> str:
+        """The complement of ``mask`` in ``full``: ``~mask & full``, and of
+        that again ``mask``."""
+        got = self.complements.get(mask)
+        if got is None:
+            got = f"~{mask} & {full}"
+            self.complements[got] = mask
+        return got
 
     def const(self, value) -> str:
         """``value`` as an entry of the constants ``K``."""
@@ -1025,8 +1181,10 @@ def compile_fo(f: FoFormula, free=()) -> Callable[[FiniteFrame, Sequence[int]], 
     with ``eval_fo``, the reference; ``row[i]`` is the value of ``free[i]``,
     an element for an ``IVar`` and a mask for a ``PVar``.  A variable
     neither free nor bound raises ``KeyError`` when it is evaluated.  It is
-    the loop-free front end of ``_Nest.truth``, as in ``correspondence_oracle``;
-    past ``_MAX_NESTING`` brackets it raises ``FormulaDepthError``."""
+    the loop-free front end of ``_Nest.truth``, as in ``correspondence_oracle``:
+    a guarded quantifier is one table lookup (``_Nest.mask``), any other an
+    ``all``/``any``.  Past ``_MAX_NESTING`` brackets it raises
+    ``FormulaDepthError``."""
     nest = _Nest({}, "")
     nest.result = f"bool({nest.truth(f, {v: f's{i:d}' for i, v in enumerate(free)})})"
     return nest.compile(", row", (), [f"s{i:d} = row[{i:d}]" for i in range(len(free))])
@@ -1231,9 +1389,12 @@ def correspondence_oracle(frame: FiniteFrame, s: Sequent, anchor: IVar,
     first disagreeing point (its name).  Once per (sequent, anchor,
     formula) objects, the three are compiled into one generated function
     (``_Nest``): its loops, one per variable over the stable sets, OR
-    together the points where the (dual) sequent fails, and then the
-    formula, one expression, is evaluated at each point in turn.  The
-    per-point loop of ``local_validity`` and ``eval_fo`` is the reference.
+    together the points where the (dual) sequent fails.  Then the formula
+    is one expression: the mask of the points where it holds when it has
+    one (``_Nest.mask``), the first disagreeing point then being one
+    lookup, and otherwise its truth at each point in turn, its guarded
+    quantifiers each one table lookup.  The per-point loop of
+    ``local_validity`` and ``eval_fo`` is the reference.
     """
     kernel = _oracle_plan(s, anchor, corr)
     if not frame._stable1_checked:
@@ -1269,10 +1430,15 @@ def _oracle_plan(s: Sequent, anchor: IVar, corr: FoFormula):
             refuted = f"{lhs} & ~{rhs}"
         else:       # the dual sequent: the polars, sort-d masks, the other way round
             refuted = f"{nest.frame_local('P1')}[{rhs}] & ~P1[{lhs}]"
-        w = f"q{next(nest.binders)}"
-        holds = nest.truth(corr, {anchor: w})
-        nest.result = (f"next(({w} for {w} in {nest.frame_local('E' + anchor.sort)} "
-                       f"if failing >> {w} & 1 == ({holds})), None)")
+        holds = nest.mask(corr, anchor, {})
+        if holds is not None:       # the lowest point failing where corr holds, or neither
+            full = nest.frame_local("F" + anchor.sort)
+            nest.result = f"{nest.const(_LOWEST)}[~(failing ^ {nest.share(holds)}) & {full}]"
+        else:
+            w = f"q{next(nest.binders)}"
+            holds = nest.truth(corr, {anchor: w})
+            nest.result = (f"next(({w} for {w} in {nest.frame_local('E' + anchor.sort)} "
+                           f"if failing >> {w} & 1 == ({holds})), None)")
         if len(_oracle_plans) >= 8:
             _oracle_plans.clear()
         _oracle_plans[key] = (s, anchor, corr, nest.compile("", [f"failing |= {refuted}"],

@@ -4,16 +4,18 @@ against ``system_valuations`` and ``system_holds``, the oracle kernel behind
 ``correspondence_oracle`` against ``local_validity`` and ``eval_fo``, and
 their source against the text of the formulas."""
 import ast
+import dataclasses
 import io
 import itertools
 import keyword
 import re
 import tokenize
-from functools import reduce
+from functools import lru_cache, reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dfmlcorr.cli import _shown
 from dfmlcorr.corpus import CORPUS
 from dfmlcorr.correspondence import compute_correspondent
 from dfmlcorr.reduction import (
@@ -23,16 +25,19 @@ from dfmlcorr.reduction import (
 from dfmlcorr.semantics import (
     _MAX_LOOPS, _MAX_NESTING, _OPERATOR_OF, _REL_ROWS, FiniteFrame, _oracle_plan,
     _systems_plan, bits, compile_fo, correspondence_oracle, enumerate_frames, eval_fo,
-    kripke_frame, separated_i_masks, system_equivalence_witness, system_holds,
-    system_relations_needed, system_valuations,
+    kripke_frame, relations_needed, separated_i_masks, system_equivalence_witness,
+    system_holds, system_relations_needed, system_valuations,
 )
 from dfmlcorr.syntax import (
     SORT1, SORTD, AndF, Cap, Cup, Eq, Exists, Forall, Forall2, ImpF, IVar, NotF, OrF,
-    PredApp, Prime, PVar, RelAtom, SortedVar, STop, and_all, or_all, parse_dfml, parse_fo,
-    word_rel,
+    PredApp, Prime, PVar, RelAtom, SortedVar, STop, FalseF, TrueF, and_all, or_all, parse_dfml,
+    parse_fo, rel_signature, word_rel,
 )
 
-from test_semantics import reference_oracle, sorted_formulas
+from test_semantics import (
+    _IVARS, _PVARS, _RELS, _atom, corpus_frames, reference_oracle, separated_frames,
+    sorted_formulas,
+)
 
 # Every name a generated function may hold besides keywords, its slot
 # locals ``s<n>``, its node locals ``v<n>``, its quantifier locals ``q<n>``
@@ -388,3 +393,156 @@ def test_formulas_past_the_nesting_limit_are_refused():
         compile_fo(deep, X[:1])
     with pytest.raises(ValueError, match=f"at most {_MAX_NESTING} are supported"):
         correspondence_oracle(kripke_frame(1), parse_dfml("p |- p"), X[0], deep)
+
+
+# -- guarded quantifiers as one table lookup --------------------------------------------
+
+# The relations whose rows have one index: a quantifier guarded by one of
+# them is one lookup in the union or box table of its rows.
+GUARD_RELS = ["I", "R_dia", "R_box", "R_neg", "R'_dia", "R'_box", "R'_neg",
+              "R''_dia", "R''_box", "R''_neg", "<="]
+
+
+def generators(source: str) -> int:
+    """The ``all``/``any`` generators of a generated source."""
+    return source.count("all(") + source.count("any(")
+
+
+def test_every_corpus_correspondent_agrees_with_the_per_point_reference():
+    """Every correspondent of every corpus thread, plain and as printed
+    under F3, through the oracle on the sequent's frames up to 2+2 (``corpus_frames``)
+    and a seeded 3+3 sample, against ``local_validity`` and ``eval_fo``."""
+    checked = disagreements = 0
+    for entry in CORPUS:
+        s = parse_dfml(entry.sequent)
+        formulas = {}
+        for c in compute_correspondent(s, assume_f3=True).correspondents:
+            for f in (c.formula, _shown(c)):
+                formulas.setdefault((c.anchor, str(f)), (c.anchor, f))
+        frames = corpus_frames(s) + list(enumerate_frames(
+            3, 3, relations_needed(s), sample=60, seed=23))
+        for fr in frames:
+            for anchor, f in formulas.values():
+                want = reference_oracle(fr, s, anchor, f)
+                assert correspondence_oracle(fr, s, anchor, f) == want, (entry.name, str(f))
+                checked += 1
+                disagreements += want is not None
+    assert checked > 10_000 and disagreements and checked - disagreements
+
+
+def renamed(f, v, r):
+    """``f`` with every occurrence of variable ``v``, free or bound, renamed ``r``."""
+    if f == v:
+        return r
+    if isinstance(f, tuple):
+        return tuple(renamed(a, v, r) for a in f)
+    if not dataclasses.is_dataclass(f) or isinstance(f, (IVar, PVar)):
+        return f
+    return type(f)(*(renamed(getattr(f, field.name), v, r) for field in dataclasses.fields(f)))
+
+
+@lru_cache(maxsize=None)
+def guarded_formulas(depth):
+    """First-order formulas over every node type, as ``fo_formulas``, and
+    quantifiers guarded by an atom of one-index rows, the bound variable in
+    either position, whose body may or may not mention the guard's other
+    variable: a mask in a union or a box table, or the per-point path."""
+    leaves = st.one_of(
+        st.sampled_from([TrueF(), FalseF()]),
+        st.sampled_from(_IVARS).flatmap(lambda v: st.sampled_from(
+            [w for w in _IVARS if w.sort == v.sort]).map(lambda w: Eq(v, w))),
+        st.sampled_from(_RELS).flatmap(_atom),
+        st.sampled_from(_PVARS).flatmap(lambda p: st.sampled_from(
+            [v for v in _IVARS if v.sort == p.sort]).map(lambda v: PredApp(p, v))))
+    if depth == 0:
+        return leaves
+    sub = guarded_formulas(depth - 1)
+
+    def guard(kind, atom, which, h, outer, keep):
+        """``kind u (A ... h)``, ``u`` the atom's argument ``which``, under
+        ``outer``, a quantifier over the atom's other argument ``v``; unless
+        ``keep``, ``v`` renamed in ``h``, which then has a mask over ``u``
+        more often."""
+        u, v = atom.args[which], atom.args[1 - which]
+        if not keep:
+            h = renamed(h, v, IVar((v.index + 1) % 3, v.sort))
+        return outer(v, kind(u, (AndF if kind is Exists else ImpF)(atom, h)))
+
+    kinds = st.sampled_from([Exists, Forall])
+    guarded = st.builds(guard, kinds, st.sampled_from(GUARD_RELS).flatmap(_atom),
+                        st.integers(0, 1), sub, kinds, st.booleans())
+    return st.one_of(
+        leaves, guarded, guarded, sub.map(NotF),
+        st.builds(AndF, sub, sub), st.builds(OrF, sub, sub), st.builds(ImpF, sub, sub),
+        st.builds(Forall, st.sampled_from(_IVARS), sub),
+        st.builds(Exists, st.sampled_from(_IVARS), sub),
+        st.builds(Forall2, st.sampled_from(_PVARS), sub))
+
+
+@given(fr=separated_frames(), data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_compile_fo_with_guarded_quantifiers_matches_eval_fo(fr, data):
+    f = data.draw(guarded_formulas(3))
+    env = {v: data.draw(st.integers(0, (fr.n1 if v.sort == SORT1 else fr.nd) - 1))
+           for v in _IVARS}
+    penv = {p: data.draw(st.integers(0, fr.full1 if p.sort == SORT1 else fr.fulld))
+            for p in _PVARS}
+    free = tuple(_IVARS + _PVARS)
+    compiled = compile_fo(f, free)
+    assert_generated(compiled.source)
+    assert compiled(fr, [env.get(v, penv.get(v)) for v in free]) is eval_fo(fr, f, env, penv)
+
+
+def test_guarded_quantifiers_in_each_orientation_are_one_lookup():
+    """``exists u (A /\\ h)`` and ``forall u (A -> h)`` under either
+    quantifier over ``A``'s other variable ``w``, for every relation of
+    one-index rows, ``u`` as its index and as its bit, with ``h`` reading
+    ``u``, a free point and a predicate bound by ``forall2``: no generator
+    but the ``forall2``'s, and ``eval_fo``'s value at every point of a few
+    frames of both carrier sizes."""
+    frames = [fr for n1, nd in ((2, 3), (3, 2)) for fr in enumerate_frames(
+        n1, nd, ("Rbox", "Rdia", "Rneg"), require=("F1",), sample=30, seed=n1)]
+    kinds = (Exists, Forall)
+    for rel, kind, which, outer in itertools.product(GUARD_RELS, kinds, (0, 1), kinds):
+        sorts = (SORT1, SORT1) if rel == "<=" else rel_signature(rel)
+        args = [IVar(5, sorts[0]), IVar(6, sorts[1])]
+        u, w = args[which], args[1 - which]
+        z, p = IVar(7, u.sort), PVar(0, u.sort)
+        h = OrF(PredApp(p, u), NotF(RelAtom("<=", (z, u))))
+        guarded = kind(u, (AndF if kind is Exists else ImpF)(RelAtom(rel, tuple(args)), h))
+        f = Forall2(p, outer(w, guarded))
+        compiled = compile_fo(f, (z,))
+        assert_generated(compiled.source)
+        assert generators(compiled.source) == 1, compiled.source     # the forall2's
+        for fr in frames:
+            for b in range(fr.n1 if z.sort == SORT1 else fr.nd):
+                assert compiled(fr, (b,)) is eval_fo(fr, f, {z: b}), (rel, kind, which, outer)
+
+
+# Corpus entry -> the generators of its primary's oracle kernel: none for a
+# quantifier guarded by an atom of one-index rows.  K1's one is
+# ``forall x5. (x0 R_dia x5 -> ...)``, whose body reads the anchor x0.
+ORACLE_GENERATORS = {"dia-t": 0, "galois-intro": 0, "dia-4": 0, "k1": 1}
+
+
+def test_guarded_quantifiers_leave_no_generator_in_the_oracle_kernels():
+    for entry in CORPUS:
+        if entry.name in ORACLE_GENERATORS:
+            s = parse_dfml(entry.sequent)
+            c = compute_correspondent(s).primary
+            source = _oracle_plan(s, c.anchor, _shown(c)).source
+            assert_generated(source)
+            assert generators(source) == ORACLE_GENERATORS[entry.name], source
+    assert {entry.name for entry in CORPUS} >= ORACLE_GENERATORS.keys()
+
+
+def test_a_variable_on_both_sides_of_an_atom_keeps_its_generator():
+    """``x1 R''_box x1`` has no row whose bit is x1 at a fixed index, so
+    the quantifier over x1 stays a loop over points, and agrees."""
+    s = parse_dfml("box p |- p")
+    x0, x1 = IVar(0, SORT1), IVar(1, SORT1)
+    f = Exists(x1, AndF(RelAtom("<=", (x0, x1)), RelAtom("R''_box", (x1, x1))))
+    source = _oracle_plan(s, x0, f).source
+    assert generators(source) == 1 and "any(" in source, source
+    for fr in enumerate_frames(2, 2, ("Rbox",)):
+        assert correspondence_oracle(fr, s, x0, f) == reference_oracle(fr, s, x0, f)
