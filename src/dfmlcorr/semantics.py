@@ -364,7 +364,8 @@ class FiniteFrame:
 
     @cached_property
     def op_tables(self) -> "_OperatorTables":
-        """Operator name -> ``bytes`` table of its values, built on first use."""
+        """``(rows attribute, argument sort, box?)`` -> the union or box
+        table over those rows, built on first use."""
         return _OperatorTables(self)
 
     # -- axioms --------------------------------------------------------------
@@ -443,17 +444,13 @@ class FiniteFrame:
 # Every mask fits in a byte, so an operator's values can be a ``bytes`` table.
 assert MAX_SORT_SIZE <= 8
 
-# Node type -> the complex-algebra operator whose table evaluates it, and
-# whose ``FiniteFrame`` method is the reference.
+# Node type -> the complex-algebra operator whose ``FiniteFrame`` method is
+# the reference for its table.
 _OPERATOR_OF = {
     DiaVert: "ldvert", DiaMinus: "ldminus", TDown: "ltdown", BoxMinus: "lbminus",
     BoxVert: "lbvert", BTDown: "lbtdown", Box1: "bbox1", BoxD: "bboxd",
     Odot: "lodot", RSpoon: "imp_t", TRight: "ltright",
 }
-# Operator -> the sorts of its arguments.  A unary table is indexed by the
-# argument mask; a binary one by ``a << n_right | b``, with ``n_right`` the
-# size of the right argument's sort.
-_OPERATOR_ARG_SORTS = {op: kind.arg_sorts for kind, op in _OPERATOR_OF.items()}
 
 
 # Relation symbol -> (the frame's rows, the argument positions indexing
@@ -476,66 +473,61 @@ _REL_ROWS = {
 }
 
 
-# Unary operator -> (the frame's rows it reads, its argument's sort, box?):
-# the rows of its relation, a box when it quantifies universally.
-_ROW_OPERATORS = {op: (_REL_ROWS[SORTED_MEANING[kind][1]][0], kind.arg_sorts[0],
-                       SORTED_MEANING[kind][0] is Forall)
-                  for kind, op in _OPERATOR_OF.items() if len(kind.arg_sorts) == 1}
-
-
 # _COMPLEMENT[n] is the ``bytes.translate`` table taking a mask of n points
 # to its complement.
 _COMPLEMENT = [bytes(((1 << n) - 1) & ~m & 0xFF for m in range(256)) for n in range(9)]
 
 
-def _union_table(rows, n: int) -> bytes:
+def _union_table(rows, n: int) -> list:
     """``table[m]`` = the union of ``rows[i]`` over the points ``i`` of ``m``."""
-    table = bytearray(1 << n)
+    table = [0] * (1 << n)
     for m in range(1, 1 << n):
         low = m & -m
         table[m] = table[m ^ low] | rows[low.bit_length() - 1]
-    return bytes(table)
+    return table
 
 
 @lru_cache(maxsize=1024)
-def _row_table(rows: bytes, n: int, box: bool) -> bytes:
+def _row_table(rows: bytes | tuple, n: int, box: bool) -> bytes | tuple:
     """The table of a unary operator over ``rows``, indexed by the masks of
     ``n`` points.  A diamond's value is the union of the rows of its
     argument's points; a box's value holds the points whose row lies inside
-    its argument.  One table for all the frames with these rows."""
+    its argument.  A binary operator fixed at its left argument is a unary
+    one: given a tuple of rows per left point, the table is the tuple, per
+    left mask, of the unary table over the union of its points' rows.  One
+    table for all the frames with these rows."""
+    if type(rows) is tuple:
+        width = len(rows[0])
+        unions = _union_table([int.from_bytes(row, "little") for row in rows], len(rows))
+        return tuple(_row_table(u.to_bytes(width, "little"), n, box) for u in unions)
     if not box:
-        return _union_table(rows, n)
+        return bytes(_union_table(rows, n))
     # x is outside box(m) iff its row meets the complement of m, whose
     # entry in a table of 2^n masks is meets[~m], so box reads meets backwards
-    meets = _union_table(_transpose(rows, n), n)
+    meets = bytes(_union_table(_transpose(rows, n), n))
     return meets[::-1].translate(_COMPLEMENT[len(rows)])
 
 
 class _OperatorTables(dict):
-    """A frame's operator tables, each looked up on first use, by operator
-    name or by ``(rows attribute, argument sort, box?)``, the key of the
-    union or box table over any rows of the frame (a guarded quantifier's,
-    ``_Nest.mask``).  A unary table is kept once per distinct rows it reads,
-    for every frame built, loaded or enumerated (``_row_table``); a binary
-    one is built per frame from its ``FiniteFrame`` method, the reference
-    for both."""
+    """A frame's kernel tables, each looked up on first use by ``(rows
+    attribute, argument sort, box?)``: the union or box table
+    (``_row_table``) over the frame's rows of that name, indexed by the
+    masks of the argument's sort, of an operator (``_Nest.value``) or a
+    guarded quantifier (``_Nest.mask``).  Each table is kept once per
+    distinct rows it reads, for every frame built, loaded or enumerated;
+    the ``FiniteFrame`` operator methods are the reference."""
 
     __slots__ = ("frame",)
 
     def __init__(self, frame: FiniteFrame):
         self.frame = frame
 
-    def __missing__(self, op: str | tuple) -> bytes:
+    def __missing__(self, key: tuple) -> bytes | tuple:
         fr = self.frame
-        key = _ROW_OPERATORS.get(op, op)
-        if type(key) is tuple:
-            attr, sort, box = key
-            table = _row_table(bytes(getattr(fr, attr)), fr.n1 if sort == SORT1 else fr.nd, box)
-        else:
-            fn = getattr(fr, op)
-            n_a, n_b = (fr.n1 if sort == SORT1 else fr.nd for sort in _OPERATOR_ARG_SORTS[op])
-            table = bytes(fn(a, b) for a in range(1 << n_a) for b in range(1 << n_b))
-        self[op] = table
+        attr, sort, box = key
+        rows = getattr(fr, attr)
+        rows = bytes(rows) if type(rows[0]) is int else tuple(map(bytes, rows))
+        table = self[key] = _row_table(rows, fr.n1 if sort == SORT1 else fr.nd, box)
         return table
 
 
@@ -575,12 +567,12 @@ _MAX_LOOPS = 16
 # Local of a generated function -> the frame attribute it is bound to.  A
 # ``Q`` space holds (mask, its polar) for the first mask of each polar.
 _FRAME_LOCALS = {
-    "P1": "fr._polar1_table", "Pd": "fr._polard_table", "n1": "fr.n1", "nd": "fr.nd",
+    "P1": "fr._polar1_table", "Pd": "fr._polard_table",
     "C1": "fr._close1_table", "Cd": "fr._closed_table",
     "F1": "fr.full1", "Fd": "fr.fulld", "S1": "fr.stable1", "Sd": "fr.stabled",
     "R1": "range(fr.full1 + 1)", "Rd": "range(fr.fulld + 1)",
     "Q1": "fr._polar1_reps", "Qd": "fr._polard_reps",
-    "E1": "range(fr.n1)", "Ed": "range(fr.nd)",
+    "E1": "range(len(fr.z1))", "Ed": "range(len(fr.zd))",
 }
 
 
@@ -650,16 +642,17 @@ class _Nest:
     slot it reads changes.  The statements that read exactly one inner
     loop's slot fill that slot's table once per call, before the loops,
     and the loop runs over the table's tuples; a guard among them leaves a
-    row out of the table.  A binary table's row is sliced at the loop of
-    its left argument when that loop is an outer one.  The closure of a
-    variable, or the polar of a change-of-variable target, is one lookup.
+    row out of the table.  An operator is one lookup in its union or box
+    table (``table``); a binary one's is a tuple of unary tables, and the
+    unary table of its left mask is looked up at the loop of the left
+    argument.  The closure of a variable, or the polar of a
+    change-of-variable target, is one lookup.
     Each interned node is one local, computed once however many roots
     share it.  A first-order formula is one expression (``truth``), which
     reads the mask of the points where a subformula holds (``mask``) in
     place of a loop over them wherever it can; the free variables of its
     nodes are worked out once.  The frame's tables and rows are bound once
-    per call, before the loops.  The
-    source holds slot numbers, operator names of ``_OPERATOR_OF``, indices
+    per call, before the loops.  The source holds slot numbers, indices
     into the constants ``K`` and generated names, and no text of a formula.
     """
 
@@ -692,10 +685,6 @@ class _Nest:
         self.tables[name] = binding or _FRAME_LOCALS[name]
         self.reads[name] = frozenset()
         return name
-
-    def loop(self, name: str) -> int:
-        """The deepest loop whose slot local ``name`` reads, 0 for none."""
-        return max(self.reads[name], default=0)
 
     def emit(self, name: str, expr: str, *reads: str) -> str:
         """``name = expr``, reading the slots that ``reads`` read."""
@@ -767,23 +756,16 @@ class _Nest:
                     args = (self.frame_local("P" + arg.sort), inner)
             expr = "%s[%s]" % args
         else:
-            op = _OPERATOR_OF.get(kind)
-            if op is None:
+            meaning = SORTED_MEANING.get(kind)
+            if meaning is None:
                 raise TypeError(f"not a sorted formula: {f!r}")
-            table = self.frame_local(f"t_{op}", f"fr.op_tables[{op!r}]")
-            if len(_OPERATOR_ARG_SORTS[op]) == 1:
-                args = (table, self.value(f.arg))
-                expr = "%s[%s]" % args
-            else:
-                size = self.frame_local("n" + f.right.sort)
-                left, right = self.value(f.left), self.value(f.right)
-                if self.loop(left) < self.loop(right):      # the left's row, at its loop
-                    row = self.share(f"{table}[{left} << {size}:{left} + 1 << {size}]", left)
-                    args = (row, right)
-                    expr = "%s[%s]" % args
-                else:
-                    args = (table, left, size, right)
-                    expr = "%s[%s << %s | %s]" % args
+            quantifier, rel, _ = meaning
+            table = self.table((_REL_ROWS[rel][0], kind.arg_sorts[-1], quantifier is Forall))
+            if len(kind.arg_sorts) == 2:    # the unary table of the left mask, at its loop
+                left = self.value(f.left)
+                table = self.share(f"{table}[{left}]", left)
+            args = (table, self.value(f._kids[-1]))
+            expr = "%s[%s]" % args
         name = self.names[f] = self.share(expr, *args)
         return name
 
@@ -920,17 +902,22 @@ class _Nest:
             args = [self.mask(g, v, scope) for g in _operands(f)]
             return f"({(' & ' if kind is AndF else ' | ').join(args)})"
         attr, box, h = _guard(f, v)
-        key = (attr, f.var.sort, box)
-        table = self.names.get(key)
-        if table is None:
-            table = self.names[key] = self.frame_local(f"v{next(self.fresh)}",
-                                                       f"fr.op_tables[{self.const(key)}]")
+        table = self.table((attr, f.var.sort, box))
         inner = self.mask(h, f.var, scope)
         if box != (kind is Exists):     # the table of A's rows fits the quantifier
             return f"{table}[{inner}]"
         # exists with a box's rows, forall with a union's: the dual, complemented
         inner = self.complement(inner, self.frame_local("F" + f.var.sort))
         return self.complement(f"{table}[{inner}]", full)
+
+    def table(self, key: tuple) -> str:
+        """The local bound once per call to the frame's table ``key`` of
+        ``_OperatorTables``."""
+        name = self.names.get(key)
+        if name is None:
+            name = self.names[key] = self.frame_local(f"v{next(self.fresh)}",
+                                                      f"fr.op_tables[{self.const(key)}]")
+        return name
 
     def complement(self, mask: str, full: str) -> str:
         """The complement of ``mask`` in ``full``: ``~mask & full``, and of
@@ -1020,7 +1007,8 @@ def compile_sorted(f: SortedFormula, slots: dict) -> Callable[[FiniteFrame, list
     mask of variable ``v``.  It is the single-root, loop-free case of the
     generator behind ``system_equivalence_witness`` and
     ``correspondence_oracle`` (``_Nest``): one local per distinct node, the
-    frame's polar and ``op_tables`` tables bound once per call."""
+    frame's polar tables and its operators' union and box tables
+    (``_OperatorTables``) bound once per call."""
     nest = _Nest(slots, "")
     nest.result = nest.value(f)
     start = [f"s{slot:d} = row[{slot:d}]" for slot in sorted({slots[v] for v in sorted_vars(f)})]
@@ -1631,8 +1619,8 @@ class _Polarity:
         self.ok = all(axioms[ax] for ax in require)
         self.smooth, self.monotone = "F2" in require, "F3" in require
         self.size = {SORT1: n1, SORTD: nd}
-        polar1 = _union_table(irow, n1).translate(_COMPLEMENT[nd])
-        polard = _union_table(icol, nd).translate(_COMPLEMENT[n1])
+        polar1 = bytes(_union_table(irow, n1)).translate(_COMPLEMENT[nd])
+        polard = bytes(_union_table(icol, nd)).translate(_COMPLEMENT[n1])
         # ``bytes.translate`` tables taking each mask to its polar
         self.polar_of = {SORT1: polar1.ljust(256, b"\0"), SORTD: polard.ljust(256, b"\0")}
         close1, closed = polar1.translate(self.polar_of[SORTD]), polard.translate(self.polar_of[SORT1])
@@ -1740,9 +1728,10 @@ def enumerate_frames(n1: int, nd: int, relations: tuple[str, ...],
     ``require`` lacks F1.  Each I-relation's tables are built once
     (``_Polarity``), each pattern's I-free facts once per call
     (``_Patterns``), and F2 with the R' and double-dual rows once per
-    I-relation and tuple of polar images of a pattern's sections.  The unary
-    operator tables are kept once per distinct rows for every frame
-    (``_row_table``); nothing else is kept past the call.
+    I-relation and tuple of polar images of a pattern's sections.  The
+    operator and guard tables, unary and binary, are kept once per distinct
+    rows for every frame (``_row_table``); nothing else is kept past the
+    call.
     """
     import random
 

@@ -23,7 +23,7 @@ from dfmlcorr.reduction import (
     applicable_moves, canonical_key,
 )
 from dfmlcorr.semantics import (
-    _MAX_LOOPS, _MAX_NESTING, _OPERATOR_OF, _REL_ROWS, FiniteFrame, _oracle_plan,
+    _MAX_LOOPS, _MAX_NESTING, _REL_ROWS, FiniteFrame, _oracle_plan,
     _systems_plan, bits, compile_fo, correspondence_oracle, enumerate_frames, eval_fo,
     kripke_frame, relations_needed, separated_i_masks, system_equivalence_witness,
     system_holds, system_relations_needed, system_valuations,
@@ -40,11 +40,11 @@ from test_semantics import (
 )
 
 # Every name a generated function may hold besides keywords, its slot
-# locals ``s<n>``, its node locals ``v<n>``, its quantifier locals ``q<n>``
-# and its tables ``t_<operator>``.
+# locals ``s<n>``, its node and table locals ``v<n>`` and its quantifier
+# locals ``q<n>``.
 FIXED_NAMES = {
-    "kernel", "fr", "row", "failing", "product", "range", "None",
-    "_polar1_table", "_polard_table", "op_tables", "n1", "nd", "full1", "fulld",
+    "kernel", "fr", "row", "failing", "product", "range", "len", "None", "z1", "zd",
+    "_polar1_table", "_polard_table", "op_tables", "full1", "fulld",
     "stable1", "stabled", "P1", "Pd", "F1", "Fd", "S1", "Sd", "R1", "Rd",
     # closures, the representatives of each polar, and the tables of inner loops
     "_close1_table", "_closed_table", "C1", "Cd", "_polar1_reps", "_polard_reps", "Q1", "Qd",
@@ -57,18 +57,14 @@ FIXED_NAMES = {
 
 
 def assert_generated(source: str) -> None:
-    """``source`` interpolates slot numbers, the operator names of
-    ``_OPERATOR_OF``, indices into ``K`` and generated local names, and
-    nothing else."""
-    ops = set(_OPERATOR_OF.values())
+    """``source`` interpolates slot numbers, indices into ``K`` and
+    generated local names, and nothing else: no string, so no operator
+    name."""
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type == tokenize.NAME:
             name = tok.string
             assert (keyword.iskeyword(name) or name in FIXED_NAMES
-                    or re.fullmatch(r"[svq]\d+", name)
-                    or name.startswith("t_") and name[2:] in ops), name
-        elif tok.type == tokenize.STRING:
-            assert ast.literal_eval(tok.string) in ops, tok.string
+                    or re.fullmatch(r"[svq]\d+", name)), name
         elif tok.type == tokenize.NUMBER:
             assert tok.string.isdigit(), tok.string
         else:
@@ -303,20 +299,46 @@ def shape_faults(source: str) -> list[str]:
     return faults
 
 
+# The rows of the binary operators' relations, one row per pair of points.
+BINARY_ROWS = {rows for rows, index, _ in _REL_ROWS.values() if len(index) == 2}
+
+
+def left_masks_at_outer_loops(kernel) -> bool:
+    """Whether ``kernel`` looks up a binary table's unary table of a left
+    mask in one loop of its nest and indexes that table in a deeper one."""
+    consts = kernel.__globals__["K"]
+    binary = {name for name, i in re.findall(r"(v\d+) = fr\.op_tables\[K\[(\d+)\]\]",
+                                             kernel.source)
+              if consts[int(i)][0] in BINARY_ROWS}
+    rows = set()        # the unary tables looked up in an outer loop
+    for loop in nest_loops(kernel.source):
+        stmts = [stmt for stmt in loop.body if not isinstance(stmt, ast.For)]
+        if any(isinstance(node, ast.Subscript) and getattr(node.value, "id", None) in rows
+               for stmt in stmts for node in ast.walk(stmt)):
+            return True
+        rows |= {stmt.targets[0].id for stmt in stmts if isinstance(stmt, ast.Assign)
+                 and isinstance(stmt.value, ast.Subscript)
+                 and getattr(stmt.value.value, "id", None) in binary}
+    return False
+
+
 def test_corpus_kernels_compute_inner_nodes_once_and_close_in_one_lookup():
     """No witness kernel of a corpus rule application recomputes a node that
     reads only an inner loop's slot for each row of the outer loops, or
-    looks up the polar of a polar; each of the kernel's devices occurs."""
+    looks up the polar of a polar; each of the kernel's devices occurs,
+    among them a binary table's unary table of a left mask looked up at
+    an outer loop and indexed at an inner one."""
     apps = corpus_applications()
     assert len(apps) > 150
-    sources = []
+    kernels = []
     for sys1, sys2 in apps.values():
-        source = _systems_plan((sys1, sys2)).kernel.source
-        assert shape_faults(source) == [], source
-        assert "product(" not in source
-        sources.append(source)
-    for device in (".append(", " in Q1:", "C1[", "Cd[", " + 1 << n1]"):
-        assert any(device in source for source in sources), device
+        kernel = _systems_plan((sys1, sys2)).kernel
+        assert shape_faults(kernel.source) == [], kernel.source
+        assert "product(" not in kernel.source
+        kernels.append(kernel)
+    for device in (".append(", " in Q1:", "C1[", "Cd["):
+        assert any(device in kernel.source for kernel in kernels), device
+    assert any(map(left_masks_at_outer_loops, kernels))
 
 
 def test_r6_step_with_shared_sides_compiles_to_a_kernel_without_loops():

@@ -1060,16 +1060,43 @@ def rebuilt(fr):
             ("t_rel", "T"))})
 
 
+# Operator method -> the key of its table in ``_OperatorTables``: the rows
+# it reads, the sort of its (right) argument, box?
+OPERATOR_KEYS = {
+    "ldvert": ("rdia_sec", SORT1, False), "ldminus": ("rbox_sec", SORTD, False),
+    "ltdown": ("rneg_sec", SORT1, False), "lbminus": ("rdbox", SORT1, True),
+    "lbvert": ("rddia", SORTD, True), "lbtdown": ("rdneg", SORTD, True),
+    "bbox1": ("rdia_sec", SORT1, True), "bboxd": ("rbox_sec", SORTD, True),
+    "lodot": ("r111", SORT1, False), "imp_t": ("r111", SORT1, True),
+    "ltright": ("t_sec", SORTD, False),
+}
+
+
+def reference_table(fr, op: str) -> list:
+    """The values of operator method ``op`` of ``fr`` on every tuple of
+    argument masks, in ``itertools.product`` order."""
+    kind = next(kind for kind, name in semantics._OPERATOR_OF.items() if name == op)
+    masks = [range(1 << (fr.n1 if sort == SORT1 else fr.nd)) for sort in kind.arg_sorts]
+    return [getattr(fr, op)(*args) for args in itertools.product(*masks)]
+
+
+def flat(table) -> list:
+    """The entries of a unary table, or of a binary one's unary tables in
+    turn."""
+    return list(table) if type(table) is bytes else list(itertools.chain(*table))
+
+
 def test_shared_operator_tables_match_fresh_ones():
-    """Every operator table an enumerated frame looks up equals a fresh
-    ``_OperatorTables`` entry and the values of the ``FiniteFrame`` method
-    on the frame rebuilt by name, and so do its double-dual rows the rebuilt
-    frame's: every frame up to 2+2 for each relation set of the corpus, with
-    and without F3 (a seeded sample above 12 relation bits, as in
-    ``test_enumerator_matches_reference``), and a seeded 3+3 sample over
-    Rbox, Rdia and Rneg.  Each fresh entry's unary lookup finds the table
-    the frame just looked up; beyond those, more than 1000 of the frames'
-    own unary lookups find a table an earlier frame's rows built."""
+    """Every operator table an enumerated frame looks up, by the key of the
+    rows it reads, equals a fresh ``_OperatorTables`` entry and the values
+    of the ``FiniteFrame`` method on the frame rebuilt by name, and so do
+    its double-dual rows the rebuilt frame's: every frame up to 2+2 for each
+    relation set of the corpus, with and without F3 (a seeded sample above
+    12 relation bits, as in ``test_enumerator_matches_reference``), and
+    seeded 3+3 samples over Rbox, Rdia and Rneg and over T.  Each fresh
+    entry's lookup finds the table the frame just looked up; beyond those,
+    more than 1000 of the frames' own lookups find a table an earlier
+    frame's rows built."""
     rel_sets = sorted({relations_needed(parse_dfml(e.sequent)) for e in CORPUS})
     cases = []
     for rels in rel_sets:
@@ -1078,21 +1105,23 @@ def test_shared_operator_tables_match_fresh_ones():
             for require in (("F1", "F2"), ("F1", "F2", "F3")):
                 cases.append((n1, nd, rels, require, None if n_bits <= 12 else 2000))
     cases.append((3, 3, ("Rbox", "Rdia", "Rneg"), ("F1", "F2"), 3000))
+    cases.append((3, 3, ("T",), ("F1", "F2"), 3000))
     semantics._row_table.cache_clear()
-    frames = 0
+    frames = ternary = 0
     for n1, nd, rels, require, sample in cases:
         for fr in enumerate_frames(n1, nd, rels, require=require, sample=sample, seed=1):
             ref = rebuilt(fr)
             for attr in ("rddia", "rdbox", "rdneg"):
                 assert list(getattr(fr, attr)) == getattr(ref, attr), (attr, frame_to_json(fr))
-            for op, sorts in semantics._OPERATOR_ARG_SORTS.items():
-                masks = [range(1 << (fr.n1 if sort == SORT1 else fr.nd)) for sort in sorts]
-                want = bytes(getattr(ref, op)(*args) for args in itertools.product(*masks))
-                assert fr.op_tables[op] == semantics._OperatorTables(fr)[op] == want, \
-                    (op, frame_to_json(fr))
+            for op, key in OPERATOR_KEYS.items():
+                table = fr.op_tables[key]
+                assert table == semantics._OperatorTables(fr)[key], (op, frame_to_json(fr))
+                assert flat(table) == reference_table(ref, op), (op, frame_to_json(fr))
             frames += 1
-    fresh_hits = len(semantics._ROW_OPERATORS) * frames
-    assert frames > 3000 and semantics._row_table.cache_info().hits > fresh_hits + 1000
+            ternary += fr.n1 == 3 and any(map(any, fr.t_sec))
+    fresh_hits = len(OPERATOR_KEYS) * frames
+    assert frames > 3000 and ternary > 100
+    assert semantics._row_table.cache_info().hits > fresh_hits + 1000
 
 
 def test_polarity_tables_match_the_reference_frame():
@@ -1142,8 +1171,9 @@ def test_operator_tables_are_shared_per_pattern_and_polar_image(monkeypatch):
     shared = {}
     for fr in frames:
         images = bytes(fr._polard_table[sec] for sec in fr.rbox_sec)
-        shared.setdefault((fr.i_rel, images), set()).add(id(fr.op_tables["lbminus"]))
-        fr.op_tables["ldminus"]
+        lbminus = fr.op_tables[OPERATOR_KEYS["lbminus"]]
+        shared.setdefault((fr.i_rel, images), set()).add(id(lbminus))
+        fr.op_tables[OPERATOR_KEYS["ldminus"]]
     assert len(frames) == 3576 and len(shared) < len(frames) / 4
     assert all(len(tables) == 1 for tables in shared.values())
     ldminus = [rows for rows, n, box in built if (n, box) == (3, False)]    # lbminus: (2, True)
@@ -1152,21 +1182,23 @@ def test_operator_tables_are_shared_per_pattern_and_polar_image(monkeypatch):
 
 def test_unary_tables_are_shared_across_construction_paths(tmp_path):
     """One frame built by hand, loaded from its ``frame_to_json`` file and
-    enumerated gets one lbminus and one ldminus table object; a frame with
-    other rows gets other objects, equal to the values of the reference
-    methods."""
-    frames = list(enumerate_frames(2, 2, ("Rbox",)))
-    enumerated = next(fr for fr in frames if any(fr.rbox_sec) and any(fr.rdbox))
+    enumerated gets one lbminus and one ldminus table object, and one tuple
+    of lodot's unary tables; a frame with other rows gets other objects,
+    equal to the values of the reference methods."""
+    frames = list(enumerate_frames(2, 2, ("Rbox", "T"), sample=2000, seed=1))
+    enumerated = next(fr for fr in frames
+                      if any(fr.rbox_sec) and any(fr.rdbox) and any(map(any, fr.r111)))
     path = tmp_path / "frame.json"
     path.write_text(json.dumps(frame_to_json(enumerated)))
     same = [rebuilt(enumerated), load_frame(str(path)), enumerated]
-    other = next(fr for fr in frames if list(fr.rbox_sec) != list(enumerated.rbox_sec)
-                 and list(fr.rdbox) != list(enumerated.rdbox))
-    for op in ("lbminus", "ldminus"):
-        tables = [fr.op_tables[op] for fr in same]
+    other = next(fr for fr in frames
+                 if all(list(getattr(fr, rows)) != list(getattr(enumerated, rows))
+                        for rows in ("rbox_sec", "rdbox", "r111")))
+    for op in ("lbminus", "ldminus", "lodot"):
+        tables = [fr.op_tables[OPERATOR_KEYS[op]] for fr in same]
         assert all(table is tables[0] for table in tables), op
-        assert other.op_tables[op] is not tables[0]
-        assert other.op_tables[op] == bytes(getattr(other, op)(m) for m in range(1 << 2))
+        assert other.op_tables[OPERATOR_KEYS[op]] is not tables[0]
+        assert flat(other.op_tables[OPERATOR_KEYS[op]]) == reference_table(other, op)
 
 
 def test_enumerator_edge_cases():
