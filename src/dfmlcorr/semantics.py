@@ -572,7 +572,7 @@ _FRAME_LOCALS = {
     "F1": "fr.full1", "Fd": "fr.fulld", "S1": "fr.stable1", "Sd": "fr.stabled",
     "R1": "range(fr.full1 + 1)", "Rd": "range(fr.fulld + 1)",
     "Q1": "fr._polar1_reps", "Qd": "fr._polard_reps",
-    "E1": "range(len(fr.z1))", "Ed": "range(len(fr.zd))",
+    "E1": "range(fr.n1)", "Ed": "range(fr.nd)",
 }
 
 
@@ -1243,29 +1243,18 @@ def system_equivalence_witness(frame: FiniteFrame, sys1, sys2):
     """A valuation satisfying both systems' constraints on which exactly one
     main inequality holds, or None when the systems agree everywhere.
 
-    The pair is compiled once (``_systems_plan``, kept by the ids of the
-    two systems) into one generated loop nest (``_Nest``): a loop per free
-    variable, each change of variable at the loop of its source, and each
-    node of the four sides computed once per change of the variables it
-    reads, the two systems sharing their common subterms.  A variable read
-    only through its polar takes the first mask of each polar.  The witness
-    is the first valuation of ``system_valuations(frame, (sys1, sys2))`` on
-    which ``system_holds``, the reference, tells the systems apart.
+    The pair is compiled once (``_systems_plan``) into one generated loop
+    nest (``_Nest``): a loop per free variable, each change of variable at
+    the loop of its source, and each node of the four sides computed once
+    per change of the variables it reads, the two systems sharing their
+    common subterms.  A variable read only through its polar takes the
+    first mask of each polar.  The witness is the first valuation of
+    ``system_valuations(frame, (sys1, sys2))`` on which ``system_holds``,
+    the reference, tells the systems apart.
     """
-    entry = _witness_plans.get((id(sys1), id(sys2)))
-    if entry is None:
-        if len(_witness_plans) >= 256:
-            _witness_plans.clear()
-        entry = _witness_plans[id(sys1), id(sys2)] = (sys1, sys2, _systems_plan((sys1, sys2)))
-    plan = entry[-1]
+    plan = _systems_plan((sys1, sys2))
     row = plan.kernel(frame) if plan.kernel else None
     return None if row is None else dict(zip(plan.keys, row))
-
-
-# Witness plans by the ids of their two systems, stored with the systems so
-# that no id is reused while cached, as ``_oracle_plans`` are: hashing both
-# systems on every frame would cost more than many a kernel.
-_witness_plans: dict = {}
 
 
 @dataclass(frozen=True)

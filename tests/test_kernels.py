@@ -43,7 +43,7 @@ from test_semantics import (
 # locals ``s<n>``, its node and table locals ``v<n>`` and its quantifier
 # locals ``q<n>``.
 FIXED_NAMES = {
-    "kernel", "fr", "row", "failing", "product", "range", "len", "None", "z1", "zd",
+    "kernel", "fr", "row", "failing", "product", "range", "None",
     "_polar1_table", "_polard_table", "op_tables", "full1", "fulld",
     "stable1", "stabled", "P1", "Pd", "F1", "Fd", "S1", "Sd", "R1", "Rd",
     # closures, the representatives of each polar, and the tables of inner loops
@@ -54,22 +54,27 @@ FIXED_NAMES = {
     "all", "any", "next", "bool", "K", "word_rows", "up1", "upd", "E1", "Ed",
     *(rows for rows, _, _ in _REL_ROWS.values()),
 }
+# Names a generated function may read only as attributes of its frame.
+FRAME_ATTRIBUTES = {"n1", "nd"}
 
 
 def assert_generated(source: str) -> None:
     """``source`` interpolates slot numbers, indices into ``K`` and
     generated local names, and nothing else: no string, so no operator
-    name."""
+    name, and the carrier sizes only as ``fr.n1`` and ``fr.nd``."""
+    last = []
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type == tokenize.NAME:
             name = tok.string
             assert (keyword.iskeyword(name) or name in FIXED_NAMES
-                    or re.fullmatch(r"[svq]\d+", name)), name
+                    or re.fullmatch(r"[svq]\d+", name)
+                    or name in FRAME_ATTRIBUTES and last == ["fr", "."]), name
         elif tok.type == tokenize.NUMBER:
             assert tok.string.isdigit(), tok.string
         else:
             assert tok.type in (tokenize.OP, tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
                                 tokenize.DEDENT, tokenize.ENDMARKER), tok
+        last = [*last[-1:], tok.string]
 
 
 def nest_loops(source: str) -> list:
