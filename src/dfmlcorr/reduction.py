@@ -90,17 +90,6 @@ class InequalitySystem:
         facts["main"] = main
         facts["fresh_counter"] = fresh_counter
 
-    def __hash__(self) -> int:
-        # Systems key memoised semantic plans.  Sorted nodes hash by
-        # identity, but a fresh hash still calls each constraint's and the
-        # inequality's dataclass hash: about 9% of a rule audit.
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.stb, self.cvc, self.main, self.fresh_counter))
-            object.__setattr__(self, "_hash", h)
-            return h
-
     def __str__(self) -> str:
         cs = ", ".join([str(c) for c in self.stb] + [str(c) for c in self.cvc])
         return f"< {cs} | {self.main} >" if cs else f"< | {self.main} >"

@@ -1250,10 +1250,16 @@ def system_equivalence_witness(frame: FiniteFrame, sys1, sys2):
     common subterms.  A variable read only through its polar takes the
     first mask of each polar.  The witness is the first valuation of
     ``system_valuations(frame, (sys1, sys2))`` on which ``system_holds``,
-    the reference, tells the systems apart.
+    the reference, tells the systems apart.  When the main inequalities
+    differ only below their sides' roots, a smaller nest over the
+    variables of what the step changed runs first (``_changed_kernel``),
+    and the whole nest runs only when it finds a hole whose two sides
+    differ.
     """
     plan = _systems_plan((sys1, sys2))
-    row = plan.kernel(frame) if plan.kernel else None
+    if plan.kernel is None or plan.changed is not None and plan.changed(frame) is None:
+        return None
+    row = plan.kernel(frame)
     return None if row is None else dict(zip(plan.keys, row))
 
 
@@ -1261,7 +1267,9 @@ def system_equivalence_witness(frame: FiniteFrame, sys1, sys2):
 class _SystemsPlan:
     """What ``system_valuations`` and ``system_equivalence_witness`` need of
     some systems, worked out once.  A row holds one mask per slot: the free
-    variables first, then the change-of-variable targets."""
+    variables first, then the change-of-variable targets.  Of two resolved
+    systems, ``kernel`` finds the first witness and ``changed``, when
+    built, says whether one can exist."""
 
     keys: tuple          # the variable in each slot
     spaces: tuple        # (stability-constrained?, sort) per free variable
@@ -1269,10 +1277,26 @@ class _SystemsPlan:
     resolved: bool       # False when a cycle of changes of variable fixes no target
     kernel: Callable | None   # of two resolved systems: frame -> the first row
                               # on which they differ, or None
+    changed: Callable | None  # of two such systems: frame -> True when some
+                              # hole differs (_changed_kernel), else None
 
 
-@lru_cache(maxsize=256)
 def _systems_plan(systems: tuple) -> _SystemsPlan:
+    """The plan of ``systems``: the slots and spaces of their variables,
+    the order of their changes of variable and, of a pair, its kernels.  A
+    pair's plan is kept on its first system, by the id of the second and
+    with it, so that no id is reused while kept: a dict lookup, where a
+    cache keyed by the systems would hash them in Python."""
+    if len(systems) != 2:
+        return _new_plan(systems)
+    plans = systems[0].__dict__.setdefault("_plans", {})
+    entry = plans.get(id(systems[1]))
+    if entry is None:
+        entry = plans[id(systems[1])] = (systems[1], _new_plan(systems))
+    return entry[1]
+
+
+def _new_plan(systems: tuple) -> _SystemsPlan:
     vs: list = []
     stb_vars = set()
     cvc_pairs = []
@@ -1316,12 +1340,13 @@ def _systems_plan(systems: tuple) -> _SystemsPlan:
     keys += [v for v in vs if v not in known]
     slots = {v: i for i, v in enumerate(keys)}
     steps = tuple((slots[tgt], slots[src], src.sort, check) for tgt, src, check in order)
-    kernel = None
+    kernel = changed = None
     if not pending and len(systems) == 2:
         depths = prime_depths(*(side for sys in systems for side in (sys.main.lhs, sys.main.rhs)))
         # a subset read only through its polar needs one mask per polar
-        nest = _Nest(slots, "None", [("S" if stable else "Q" if all(depths.get(v, ())) else "R")
-                                     + sort for v, (stable, sort) in zip(keys, spaces)])
+        names = [("S" if stable else "Q" if all(depths.get(v, ())) else "R") + sort
+                 for v, (stable, sort) in zip(keys, spaces)]
+        nest = _Nest(slots, "None", names)
         for step in steps:
             nest.step(*step)
         sides = [(nest.value(sys.main.lhs), nest.value(sys.main.rhs)) for sys in systems]
@@ -1331,7 +1356,56 @@ def _systems_plan(systems: tuple) -> _SystemsPlan:
             (lhs1, rhs1), (lhs2, rhs2) = sides
             nest.guard(f"(not {lhs1} & ~{rhs1}) == (not {lhs2} & ~{rhs2})", lhs1, rhs1, lhs2, rhs2)
             kernel = nest.compile("", [f"return ({''.join(f's{i}, ' for i in range(len(keys)))})"])
-    return _SystemsPlan(tuple(keys), spaces, steps, not pending, kernel)
+            changed = _changed_kernel(systems[0].main, systems[1].main, slots, names, steps)
+    return _SystemsPlan(tuple(keys), spaces, steps, not pending, kernel, changed)
+
+
+def _holes(a: SortedFormula, b: SortedFormula) -> list:
+    """The holes of ``a`` and ``b``, of one sort: the maximal pairs of
+    subterms at which they differ, in pre-order, save that two nodes of one
+    operator whose holes include a pair that reads other variables on one
+    side than on the other are one hole.  Such a pair seldom agrees on
+    every row, while the nodes may: R5.9 moves variables between the
+    arguments of an ``rspoon``.  Well-sortedness gives both sides of a hole
+    one sort."""
+    if a is b:
+        return []
+    if type(a) is type(b) and a._kids:
+        holes = [hole for x, y in zip(a._kids, b._kids) for hole in _holes(x, y)]
+        if all(set(x._occ) == set(y._occ) for x, y in holes):
+            return holes
+    assert a.sort == b.sort, (a, b)
+    return [(a, b)]
+
+
+def _changed_kernel(main1, main2, slots: dict, spaces: list, steps: tuple) -> Callable | None:
+    """The check of what a step changed: ``frame -> True`` when some pair of
+    the main inequalities' holes (``_holes``) differs on some row, else
+    None.  Agreeing holes make the systems agree, since each side is a
+    function of its subterms.  Its loops run over the holes' variables and
+    the sources of the targets among them, each over its space of the
+    plan; a check-only step is dropped, which only adds rows.  None when a
+    hole is a whole side, as for R2, R3, R7a-c and R8."""
+    if main1.sort != main2.sort:
+        return None
+    pairs = ((main1.lhs, main2.lhs), (main1.rhs, main2.rhs))
+    holes = [hole for a, b in pairs for hole in _holes(a, b)]
+    if any(hole in pairs for hole in holes):     # a whole side changed
+        return None
+    need = {slots[v] for hole in holes for side in hole for v in side._occ}
+    for tgt, src, _, check in reversed(steps):
+        if tgt in need and not check:
+            need.add(src)
+    kept = {old: new for new, old in enumerate(sorted(need))}   # free slots first
+    nest = _Nest({v: kept[i] for v, i in slots.items() if i in kept}, "None",
+                 [space for i, space in enumerate(spaces) if i in kept])
+    for tgt, src, sort, check in steps:
+        if tgt in kept and not check:
+            nest.step(kept[tgt], kept[src], sort, False)
+    values = [(nest.value(x), nest.value(y)) for x, y in holes]
+    nest.guard(" and ".join(dict.fromkeys(f"{x} == {y}" for x, y in values)),
+               *itertools.chain(*values))
+    return nest.compile("", ["return True"])
 
 
 def _plan_rows(frame: FiniteFrame, plan: _SystemsPlan):

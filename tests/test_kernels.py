@@ -1,6 +1,7 @@
 """The generated loop nests of ``semantics`` against the reference
-interpreters: the witness kernel behind ``system_equivalence_witness``
-against ``system_valuations`` and ``system_holds``, the oracle kernel behind
+interpreters: the witness kernel behind ``system_equivalence_witness``,
+and the check of a step's holes that runs before it, against
+``system_valuations`` and ``system_holds``, the oracle kernel behind
 ``correspondence_oracle`` against ``local_validity`` and ``eval_fo``, and
 their source against the text of the formulas."""
 import ast
@@ -13,17 +14,17 @@ import tokenize
 from functools import lru_cache, reduce
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dfmlcorr.cli import _shown
 from dfmlcorr.corpus import CORPUS
 from dfmlcorr.correspondence import compute_correspondent
 from dfmlcorr.reduction import (
-    ChangeOfVariables, FormalInequality, InequalitySystem, StabilityConstraint,
-    applicable_moves, canonical_key,
+    RULE_ORDER, ChangeOfVariables, FormalInequality, InequalitySystem, StabilityConstraint,
+    applicable_moves, apply_rule, canonical_key, parse_inequality_system,
 )
 from dfmlcorr.semantics import (
-    _MAX_LOOPS, _MAX_NESTING, _REL_ROWS, FiniteFrame, _oracle_plan,
+    _MAX_LOOPS, _MAX_NESTING, _REL_ROWS, FiniteFrame, _holes, _oracle_plan,
     _systems_plan, bits, compile_fo, correspondence_oracle, enumerate_frames, eval_fo,
     kripke_frame, relations_needed, separated_i_masks, system_equivalence_witness,
     system_holds, system_relations_needed, system_valuations,
@@ -31,9 +32,10 @@ from dfmlcorr.semantics import (
 from dfmlcorr.syntax import (
     SORT1, SORTD, AndF, Cap, Cup, Eq, Exists, Forall, Forall2, ImpF, IVar, NotF, OrF,
     PredApp, Prime, PVar, RelAtom, SortedVar, STop, FalseF, TrueF, and_all, or_all, parse_dfml,
-    parse_fo, rel_signature, word_rel,
+    parse_fo, rel_signature, replace_at, subterms, word_rel,
 )
 
+from test_reduction import systems as redex_rich_systems
 from test_semantics import (
     _IVARS, _PVARS, _RELS, _atom, corpus_frames, reference_oracle, separated_frames,
     sorted_formulas,
@@ -104,6 +106,8 @@ def check_pair(fr, sys1, sys2):
     plan = _systems_plan((sys1, sys2))
     if plan.resolved:
         assert_generated(plan.kernel.source)
+    if plan.changed:
+        assert_generated(plan.changed.source)
     assert items(system_equivalence_witness(fr, sys1, sys2)) == \
         items(reference_witness(fr, sys1, sys2))
 
@@ -116,10 +120,11 @@ CHANGES = [ChangeOfVariables(t, s) for t in P + Q for s in P + Q if t.sort != s.
 
 
 @st.composite
-def small_frames(draw):
-    """A separated frame of at most two points per sort with random
-    relations, so that six free variables make at most 512 rows."""
-    n1, nd = draw(st.sampled_from([(1, 1), (1, 2), (2, 1)]))
+def small_frames(draw, sizes=((1, 1), (1, 2), (2, 1))):
+    """A separated frame of one of the carrier ``sizes`` with random
+    relations; by default at most two points per sort and three in all,
+    so that six free variables make at most 512 rows."""
+    n1, nd = draw(st.sampled_from(sizes))
     z1 = [f"a{i}" for i in range(n1)]
     zd = [f"b{i}" for i in range(nd)]
     i_rows = draw(st.sampled_from(list(separated_i_masks(n1, nd))))
@@ -137,13 +142,15 @@ def small_frames(draw):
 
 
 @st.composite
-def systems(draw):
+def systems(draw, depth=2):
     """A system over variables 0-2 of each sort: its main inequality from
-    ``sorted_formulas``, with stability constraints and changes of variable
-    drawn over the same variables, so that a target listed twice (a check),
-    cycles and chains in either listing order all arise."""
+    ``sorted_formulas`` nested at most ``depth``, with stability constraints
+    and changes of variable drawn over the same variables, so that a target
+    listed twice (a check), cycles and chains in either listing order all
+    arise."""
     sort = draw(st.sampled_from([SORT1, SORTD]))
-    main = FormalInequality(sort, draw(sorted_formulas(sort, 2)), draw(sorted_formulas(sort, 2)))
+    main = FormalInequality(sort, draw(sorted_formulas(sort, depth)),
+                            draw(sorted_formulas(sort, depth)))
     stb = draw(st.lists(st.sampled_from(P + Q), unique=True, max_size=3))
     cvc = draw(st.lists(st.sampled_from(CHANGES), max_size=3))
     return InequalitySystem(tuple(map(StabilityConstraint, stb)), tuple(cvc), main, 3)
@@ -182,6 +189,32 @@ _TO_Q0 = ChangeOfVariables(Q[0], P[0])
 @settings(max_examples=300, deadline=None)
 def test_witness_kernel_matches_reference_on_random_pairs(fr, sys1, sys2):
     check_pair(fr, sys1, sys2)
+
+
+@st.composite
+def rewritten_pairs(draw):
+    """A system and the same system with two to four subterms below its
+    sides' roots replaced by their closures, which they equal on some rows
+    and not on others, and perhaps a constraint more."""
+    sys = draw(systems(3))
+    sides = [sys.main.lhs, sys.main.rhs]
+    for i in draw(st.lists(st.integers(0, 1), min_size=2, max_size=4)):
+        below = [(path, node) for path, node in subterms(sides[i]) if path]
+        if below:
+            path, node = draw(st.sampled_from(below))
+            sides[i] = replace_at(sides[i], path, Prime(Prime(node)))
+    stb = draw(st.lists(st.sampled_from(P + Q), max_size=1))
+    cvc = draw(st.lists(st.sampled_from(CHANGES), max_size=1))
+    return sys, InequalitySystem(sys.stb + tuple(map(StabilityConstraint, stb)),
+                                 sys.cvc + tuple(cvc), FormalInequality(sys.main.sort, *sides), 3)
+
+
+@given(fr=small_frames(), pair=rewritten_pairs())
+@settings(max_examples=300, deadline=None)
+def test_witness_kernel_matches_reference_on_rewritten_pairs(fr, pair):
+    """Pairs that share a context around several holes: whether the check
+    of the holes passes or fails, the witness is the reference's."""
+    check_pair(fr, *pair)
 
 
 def test_crafted_pairs_reach_each_kind_of_step():
@@ -249,20 +282,30 @@ def test_twenty_five_variable_sequent_through_the_oracle():
 
 # -- the shape of the corpus kernels ---------------------------------------------------
 
+@lru_cache(maxsize=None)
+def corpus_searches() -> tuple[tuple, tuple]:
+    """The steps of every trace of the corpus searches and correspondents,
+    and every system a search trace visits."""
+    steps, visited = [], []
+    for entry in CORPUS:
+        res = compute_correspondent(parse_dfml(entry.sequent))
+        for r in res.classification.successes:
+            visited += [step.before for step in r.trace] + [r.system]
+            steps += r.trace
+        for c in res.correspondents:
+            steps += c.trace
+    return tuple(steps), tuple(visited)
+
+
 def corpus_applications() -> dict:
     """Every rule application of the corpus searches, keyed by its two
     systems' canonical keys: each step of each trace, and each one-step move
     from a system a trace visits."""
-    apps, visited = {}, []
-    for entry in CORPUS:
-        res = compute_correspondent(parse_dfml(entry.sequent))
-        traces = [r.trace for r in res.classification.successes]
-        for r in res.classification.successes:
-            visited += [st.before for st in r.trace] + [r.system]
-        for trace in traces + [c.trace for c in res.correspondents]:
-            for st in trace:
-                apps.setdefault((canonical_key(st.before), canonical_key(st.after)),
-                                (st.before, st.after))
+    steps, visited = corpus_searches()
+    apps = {}
+    for step in steps:
+        apps.setdefault((canonical_key(step.before), canonical_key(step.after)),
+                        (step.before, step.after))
     for sys in visited:
         for _rule, _site, child in applicable_moves(sys):
             apps.setdefault((canonical_key(sys), canonical_key(child)), (sys, child))
@@ -361,6 +404,162 @@ def test_r6_step_with_shared_sides_compiles_to_a_kernel_without_loops():
     for fr in frames:
         assert system_equivalence_witness(fr, step.before, step.after) is None
         assert reference_witness(fr, step.before, step.after) is None
+
+
+# -- the check of what a step changed ------------------------------------------------
+
+# A system for each rule that has no move from the systems a corpus search
+# visits: R5.3a, R5.3b, R5.5a, R5.5b, R5.6a, R5.6b and R7b in turn.
+OTHER_STARTS = tuple(map(parse_inequality_system, (
+    "P0'' <=1 P0 | P1 cap (boxm P0)'' <=1 P1",
+    "P^0'' <=d P^0 | P^1 cap (boxv P^0)'' <=d P^1",
+    "| P2 cap boxm (P0 cap P1) <=1 P2",
+    "| P^2 cap boxv (P^0 cap P^1) <=d P^2",
+    "| P2 cap (P0'' cap P1'')'' <=1 P2",
+    "| P2 cap (P^0 cup P^1)' <=1 P2",
+    "| diav P0'' <=1 boxm P1",
+)))
+
+
+@lru_cache(maxsize=None)
+def rule_moves() -> dict:
+    """Rule -> its moves ``(before, site)`` from the systems a corpus search
+    visits and from ``OTHER_STARTS``."""
+    out: dict = {}
+    for sys in (*corpus_searches()[1], *OTHER_STARTS):
+        for rule, site, _ in applicable_moves(sys):
+            out.setdefault(rule, []).append((sys, site))
+    return out
+
+
+def step_of(sys, rule, site):
+    """``(before, after)`` of ``rule`` at ``site``, made by ``apply_rule``
+    as ``applicable_moves`` makes it."""
+    after = apply_rule(sys, rule, site)
+    assert (rule, site, after) in applicable_moves(sys)
+    return sys, after
+
+
+# Frames of every size up to 2+2.
+FRAMES_UP_TO_2_2 = small_frames(((1, 1), (1, 2), (2, 1), (2, 2)))
+
+
+@pytest.mark.parametrize("rule", RULE_ORDER)
+@given(data=st.data(), fr=FRAMES_UP_TO_2_2)
+@settings(max_examples=12, deadline=None)
+def test_witness_kernel_matches_reference_on_each_rules_steps(rule, data, fr):
+    """Every rule's moves from real systems, among them R4, R6, R1, the
+    unsound R5.9, R8 and R9: the witness is the reference's."""
+    sys, site = data.draw(st.sampled_from(rule_moves()[rule]))
+    check_pair(fr, *step_of(sys, rule, site))
+
+
+@given(data=st.data(), fr=FRAMES_UP_TO_2_2)
+@settings(max_examples=150, deadline=None)
+def test_witness_kernel_matches_reference_after_random_moves(data, fr):
+    """Up to three moves from a random system rich in redexes
+    (``test_reduction.systems``), whose changes of variable put targets in
+    the holes of many checks: at each, the witness is the reference's."""
+    sys = data.draw(redex_rich_systems())
+    for _ in range(data.draw(st.integers(1, 3))):
+        moves = list(applicable_moves(sys))
+        assume(moves)
+        rule, site, _ = data.draw(st.sampled_from(moves))
+        before, sys = step_of(sys, rule, site)
+        check_pair(fr, before, sys)
+
+
+def reads_a_target(sys1, sys2) -> bool:
+    """The pair has a check of its holes, and a hole reads a
+    change-of-variable target."""
+    plan = _systems_plan((sys1, sys2))
+    if plan.changed is None:
+        return False
+    targets = {plan.keys[tgt] for tgt, *_ in plan.steps}
+    holes = _holes(sys1.main.lhs, sys2.main.lhs) + _holes(sys1.main.rhs, sys2.main.rhs)
+    return any(v in targets for hole in holes for side in hole for v in side._occ)
+
+
+def test_real_steps_reach_checks_whose_holes_read_targets():
+    """The corpus has such steps (R9 and R5 steps after R6), and on their
+    frames up to 2+2 the witness is the reference's."""
+    steps = [step_of(sys, rule, site) for rule, moves in rule_moves().items()
+             for sys, site in moves]
+    reading = [step for step in steps if reads_a_target(*step)]
+    assert len(reading) >= 5
+    for before, after in reading:
+        for fr in enumerate_frames(2, 2, system_relations_needed(before, after),
+                                   sample=30, seed=3):
+            check_pair(fr, before, after)
+
+
+def trace_steps(name: str) -> list:
+    """The steps of the search traces of corpus entry ``name``."""
+    entry = next(entry for entry in CORPUS if entry.name == name)
+    res = compute_correspondent(parse_dfml(entry.sequent))
+    return [step for r in res.classification.successes for step in r.trace]
+
+
+def has_check(step) -> bool:
+    return _systems_plan((step.before, step.after)).changed is not None
+
+
+def test_the_check_of_holes_is_built_below_the_sides_only():
+    """K1's R5.1a, R4 and R9 steps rewrite proper subterms and each gets a
+    check of its holes; weakening's R7a and R2 steps rewrite a whole side
+    and get none."""
+    k1 = trace_steps("k1")
+    assert {step.rule for step in k1} == {"R5.1a", "R4", "R9"} and all(map(has_check, k1))
+    whole = [step for step in trace_steps("weakening") if step.rule in ("R7a", "R2")]
+    assert {step.rule for step in whole} == {"R7a", "R2"} and not any(map(has_check, whole))
+
+
+# R5.9 below a side: the check is built, fails on some frames, and the
+# whole kernel then finds the witness.
+R59_BELOW = parse_inequality_system(
+    "P0'' <=1 P0, P1'' <=1 P1, P2'' <=1 P2 | P2 cap (P0 rspoon P1 rspoon P2) <=1 "
+    "P1 rspoon P0 rspoon P2")
+
+
+def first_witness(witness, frames, sys1, sys2):
+    """The index of the first of ``frames`` on which ``witness`` finds a
+    valuation, and that valuation's items, or None."""
+    for i, fr in enumerate(frames):
+        val = witness(fr, sys1, sys2)
+        if val is not None:
+            return i, items(val)
+    return None
+
+
+def test_unsound_r59_steps_keep_the_reference_first_witness():
+    """The corpus's R5.9 moves, at a side's root, and one below a side: the
+    first witness frame of the 2+2 family and its row are the reference's."""
+    steps = [step_of(sys, "R5.9", site) for sys, site in rule_moves()["R5.9"]]
+    steps.append(step_of(R59_BELOW, "R5.9", ("lhs", (1,))))
+    assert _systems_plan(steps[-1]).changed is not None
+    for before, after in steps:
+        frames = list(enumerate_frames(2, 2, system_relations_needed(before, after),
+                                       require=("F1", "F2")))
+        first = first_witness(reference_witness, frames, before, after)
+        assert first is not None
+        assert first_witness(system_equivalence_witness, frames, before, after) == first
+
+
+def test_corpus_checks_of_holes_are_generated_nests_of_their_own():
+    """Each check of holes of a corpus rule application holds only generated
+    names, recomputes no inner node per outer row, and is compiled under a
+    file name that no other kernel has."""
+    names = []
+    checks = 0
+    for sys1, sys2 in corpus_applications().values():
+        plan = _systems_plan((sys1, sys2))
+        names.append(plan.kernel.__code__.co_filename)
+        if plan.changed is not None:
+            assert_generated(plan.changed.source)
+            assert shape_faults(plan.changed.source) == [], plan.changed.source
+            names.append(plan.changed.__code__.co_filename)
+            checks += 1
+    assert checks > 50 and len(set(names)) == len(names)
 
 
 def test_each_kernel_is_compiled_under_a_file_name_of_its_own():
